@@ -20,14 +20,11 @@ from .errors import CapExceededError, ConfigError, ConvergenceError, UnstableSys
 THREADS_ENV = "POLYANET_THREADS"
 
 
-def _default_threads() -> int:
-    value = os.environ.get(THREADS_ENV)
-    if value is None:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
+def _threads(args) -> int:
+    """``--threads``, else ``$POLYANET_THREADS``, else 1; below 1 is a
+    configuration error."""
+    value = args.threads if args.threads is not None else os.environ.get(THREADS_ENV, 1)
+    return experiment.check_integer(value, "threads", minimum=1)
 
 
 def _add_run_args(sub: argparse.ArgumentParser) -> None:
@@ -49,7 +46,7 @@ def _load_for_run(args, modes: list[str]) -> experiment.ExperimentConfig:
         cfg.master_seed = args.seed
     if args.out is not None:
         cfg.out_prefix = args.out
-    cfg.threads = args.threads if args.threads is not None else _default_threads()
+    cfg.threads = _threads(args)
     return cfg
 
 
@@ -97,14 +94,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     configs = experiment.figure_configs(
         args.figure,
         args.out,
         seed=args.seed,
         t_max=args.t_max,
         replicates=args.replicates,
-        threads=threads,
+        threads=_threads(args),
     )
     for cfg in configs:
         config_path = f"{cfg.out_prefix}_config.json"

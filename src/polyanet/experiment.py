@@ -91,6 +91,24 @@ def _checked(S: np.ndarray) -> np.ndarray:
     return check_interaction_matrix(S)
 
 
+def check_integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int, or a ConfigError naming ``name``.
+
+    Booleans, strings that are not integers, nulls and non-integral
+    numbers are rejected rather than coerced.
+    """
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    inexact = isinstance(value, float) and number != value
+    if number is None or inexact or isinstance(value, bool):
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(name, f"must be at least {minimum}")
+    return number
+
+
 def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """Validate a parsed JSON document into an :class:`ExperimentConfig`."""
     if not isinstance(data, dict):
@@ -109,9 +127,10 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     ]
     if missing:
         raise ConfigError(missing[0], "required entry is missing")
+    memory = check_integer(data["memory"], "memory", minimum=1)
     try:
         raw = RawConfig(
-            memory=data["memory"],
+            memory=memory,
             initial_red=data["initial_red"],
             initial_total=data["initial_total"],
             reinforce_red=data["reinforce_red"],
@@ -128,22 +147,17 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     for m in modes:
         if m not in MODES:
             raise ConfigError("modes", f"unknown mode {m!r}; options: {MODES}")
-    t_max = int(data.get("t_max", 1000))
-    if t_max < 1:
-        raise ConfigError("t_max", "must be at least 1")
-    replicates = int(data.get("replicates", 100))
-    if replicates < 1:
-        raise ConfigError("replicates", "must be at least 1")
-    cap = int(data.get("exact_cap_bits", chain.DEFAULT_CAP_BITS))
     cfg = ExperimentConfig(
         raw=raw,
         modes=list(modes),
-        t_max=t_max,
-        replicates=replicates,
-        master_seed=int(data.get("master_seed", 0)),
+        t_max=check_integer(data.get("t_max", 1000), "t_max", minimum=1),
+        replicates=check_integer(data.get("replicates", 100), "replicates", minimum=1),
+        master_seed=check_integer(data.get("master_seed", 0), "master_seed"),
         out_prefix=str(data["out_prefix"]),
-        threads=int(data.get("threads", 1)),
-        exact_cap_bits=cap,
+        threads=check_integer(data.get("threads", 1), "threads", minimum=1),
+        exact_cap_bits=check_integer(
+            data.get("exact_cap_bits", chain.DEFAULT_CAP_BITS), "exact_cap_bits"
+        ),
         network_spec=dict(data.get("network", {})),
     )
     return cfg

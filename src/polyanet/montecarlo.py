@@ -9,10 +9,20 @@ draw, so the total per urn is constant again.
 Randomness is counter-based: replicate r of a run always consumes the
 Philox stream keyed (master_seed, r), so results are independent of
 scheduling and worker count.
+
+All stepping goes through one kernel, :func:`_advance`, which moves R
+replicates together as (R, N) count arrays: per step one (R, N) @ S^T
+product, one probability clamp and one comparison with pre-drawn
+uniforms.  Each replicate's uniforms come from its own stream in
+(T_block, N) blocks, the same numbers as T_block successive
+``random(N)`` calls; the block buffer stays under
+:data:`UNIFORM_BLOCK_BYTES`, so only the int8 draws grow with the
+horizon.  :func:`step` and :func:`simulate` are the R = 1 case.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -21,14 +31,22 @@ import numpy as np
 from .csvio import write_csv
 from .params import RawConfig, clamp_probability
 
+# Upper bound on the buffer of pre-drawn uniforms of one block (all
+# replicates of a batch together); at least one step is always drawn.
+UNIFORM_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class SimState:
-    """Mutable per-run state: exact counts plus the circular draw window."""
+    """Mutable per-run state: exact counts plus the circular draw window.
+
+    For a lone run ``red``/``total`` are (N,) and ``window`` is (N, M);
+    a batch of R replicates prepends an R axis to all three.
+    """
 
     red: np.ndarray
     total: np.ndarray
-    window: np.ndarray  # (N, M) most recent draws; column ``head`` is oldest
+    window: np.ndarray  # (..., N, M) most recent draws; column ``head`` is oldest
     head: int
     t: int
 
@@ -43,33 +61,79 @@ def new_state(config: RawConfig) -> SimState:
     )
 
 
+def _new_batch(config: RawConfig, replicates: int) -> SimState:
+    """Initial state of ``replicates`` runs stepped together."""
+    return SimState(
+        red=np.tile(config.initial_red, (replicates, 1)),
+        total=np.tile(config.initial_total, (replicates, 1)),
+        window=np.zeros((replicates, config.n_urns, config.memory), dtype=np.int8),
+        head=0,
+        t=0,
+    )
+
+
 def red_ratios(state: SimState) -> np.ndarray:
     return state.red / state.total
 
 
-def step(state: SimState, config: RawConfig, rng: np.random.Generator):
-    """Advance one epoch; returns the mutated state and the new draws.
+def _advance(state: SimState, config: RawConfig, rngs, draws, ratios=None) -> None:
+    """Advance a batch of R replicates by ``len(draws)`` steps in place.
 
-    All N draws are sampled simultaneously from the pre-step red
-    fractions, reinforcement is added, and once past the warm-up the
-    addition from M steps back is retired.
+    ``state`` holds (R, N) counts and an (R, N, M) window; replicate r
+    draws from ``rngs[r]``.  Step k writes the (R, N) 0/1 draws to
+    ``draws[k]`` (int8) and, when ``ratios`` is given, the red fractions
+    after the update to ``ratios[k]``.
+
+    All N draws of a replicate are sampled simultaneously from the
+    pre-step red fractions, reinforcement is added, and once past the
+    warm-up the addition from M steps back is retired.  Counts stay
+    exact integers: after the warm-up a step changes red by
+    ``reinforce_red * (new - old)`` and the total by
+    ``(reinforce_red - reinforce_black) * (new - old)``.
     """
-    probs = clamp_probability(
-        config.interaction @ (state.red / state.total), what="draw probability"
-    )
-    draws = (rng.random(config.n_urns) < probs).astype(np.int8)
-    t_next = state.t + 1
-    if t_next > config.memory:
-        old = state.window[:, state.head].astype(np.int64)
-        state.red -= config.reinforce_red * old
-        state.total -= config.reinforce_red * old + config.reinforce_black * (1 - old)
-    add = draws.astype(np.int64)
-    state.red += config.reinforce_red * add
-    state.total += config.reinforce_red * add + config.reinforce_black * (1 - add)
-    state.window[:, state.head] = draws
-    state.head = (state.head + 1) % config.memory
-    state.t = t_next
-    return state, draws
+    red, total, window = state.red, state.total, state.window
+    n_rep, n_urns = red.shape
+    memory = config.memory
+    s_t = config.interaction.T
+    add_red = config.reinforce_red
+    add_black = config.reinforce_black
+    add_net = add_red - add_black
+    head, t = state.head, state.t
+    n_steps = len(draws)
+    block = max(1, min(n_steps, UNIFORM_BLOCK_BYTES // (8 * n_rep * n_urns)))
+    uniforms = np.empty((n_rep, block, n_urns))
+    for start in range(0, n_steps, block):
+        u = uniforms[:, : min(block, n_steps - start)]
+        for r, rng in enumerate(rngs):
+            rng.random(out=u[r])
+        for k in range(u.shape[1]):
+            probs = clamp_probability((red / total) @ s_t, what="draw probability")
+            z = draws[start + k]
+            np.less(u[:, k], probs, out=z)
+            if t >= memory:
+                change = z - window[:, :, head]
+                red += add_red * change
+                total += add_net * change
+            else:
+                red += add_red * z
+                total += add_black + add_net * z
+            window[:, :, head] = z
+            head = (head + 1) % memory
+            t += 1
+            if ratios is not None:
+                np.divide(red, total, out=ratios[start + k])
+    state.head, state.t = head, t
+
+
+def step(state: SimState, config: RawConfig, rng: np.random.Generator):
+    """Advance one epoch (the batch kernel with R = 1); returns the
+    mutated state and the new draws."""
+    batch = SimState(state.red[None], state.total[None], state.window[None],
+                     state.head, state.t)
+    draws = np.empty((1, 1, config.n_urns), dtype=np.int8)
+    _advance(batch, config, [rng], draws)
+    state.head, state.t = batch.head, batch.t
+    return state, draws[0, 0]
 
 
 def replicate_stream(master_seed: int, replicate: int) -> np.random.Generator:
@@ -97,14 +161,10 @@ def simulate(config: RawConfig, t_max: int, seed) -> Trajectory:
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     rng = seed if isinstance(seed, np.random.Generator) else replicate_stream(int(seed), 0)
-    state = new_state(config)
-    draws = np.empty((t_max, config.n_urns), dtype=np.int8)
-    ratios = np.empty((t_max, config.n_urns))
-    for t in range(t_max):
-        state, z = step(state, config, rng)
-        draws[t] = z
-        ratios[t] = state.red / state.total
-    return Trajectory(draws=draws, ratios=ratios)
+    draws = np.empty((t_max, 1, config.n_urns), dtype=np.int8)
+    ratios = np.empty((t_max, 1, config.n_urns))
+    _advance(_new_batch(config, 1), config, [rng], draws, ratios)
+    return Trajectory(draws=draws[:, 0], ratios=ratios[:, 0])
 
 
 def empirical_sum(trajectory) -> np.ndarray:
@@ -124,9 +184,19 @@ class ReplicateSummary:
     master_seed: int
 
 
-def _replicate_part(config: RawConfig, t_max: int, master_seed: int, r: int) -> np.ndarray:
-    traj = simulate(config, t_max, replicate_stream(master_seed, r))
-    return empirical_sum(traj.draws)
+def worker_count(threads: int, replicates: int, cpus: int | None) -> int:
+    """Pool size for a run: the requested threads, but never more than
+    the replicates to share out or the CPUs (``os.cpu_count()``) there are."""
+    return max(1, min(threads, replicates, cpus or 1))
+
+
+def _replicate_draws(config: RawConfig, t_max: int, master_seed: int,
+                     first: int, stop: int) -> np.ndarray:
+    """(T, stop - first, N) int8 draws of replicates first..stop-1."""
+    draws = np.empty((t_max, stop - first, config.n_urns), dtype=np.int8)
+    rngs = [replicate_stream(master_seed, r) for r in range(first, stop)]
+    _advance(_new_batch(config, stop - first), config, rngs, draws)
+    return draws
 
 
 def average_replicates(
@@ -138,27 +208,33 @@ def average_replicates(
 ) -> ReplicateSummary:
     """Mean over seeded replicates of the running draw averages.
 
-    Replicate r always consumes stream (master_seed, r) and the
-    reduction runs in replicate order, so the summary is identical for
-    any ``jobs`` value.
+    Replicate r always consumes stream (master_seed, r).  With
+    ``jobs > 1`` the replicates are split into contiguous chunks, one
+    per worker process (see :func:`worker_count`), and each worker
+    returns its chunk's draws.  The running averages are then summed
+    one replicate at a time in replicate order, so the summary is
+    identical for any ``jobs`` value.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    acc = np.zeros((t_max, config.n_urns))
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _replicate_part,
-                (config for _ in range(replicates)),
-                (t_max for _ in range(replicates)),
-                (master_seed for _ in range(replicates)),
-                range(replicates),
-            )
-            for part in parts:
-                acc += part
+    workers = worker_count(jobs, replicates, os.cpu_count())
+    if workers > 1:
+        bounds = [replicates * i // workers for i in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(
+                _replicate_draws,
+                [config] * workers,
+                [t_max] * workers,
+                [master_seed] * workers,
+                bounds[:-1],
+                bounds[1:],
+            ))
     else:
-        for r in range(replicates):
-            acc += _replicate_part(config, t_max, master_seed, r)
+        chunks = [_replicate_draws(config, t_max, master_seed, 0, replicates)]
+    acc = np.zeros((t_max, config.n_urns))
+    for chunk in chunks:
+        for r in range(chunk.shape[1]):
+            acc += empirical_sum(chunk[:, r])
     per_urn = acc / replicates
     return ReplicateSummary(
         times=np.arange(1, t_max + 1),

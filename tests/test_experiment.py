@@ -96,6 +96,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t_max", "abc"), ("t_max", 2.5), ("replicates", None),
+         ("master_seed", [1]), ("threads", 0), ("threads", True)],
+    )
+    def test_malformed_integer_reported_by_name(self, tmp_path, field, value):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(base_config(tmp_path, **{field: value}))
+        assert info.value.field == field
+
+    def test_fractional_memory_reported_as_memory(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(base_config(tmp_path, memory=2.5))
+        assert info.value.field == "memory"
+
     def test_round_trip_through_dict(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
         again = config_from_dict(config_to_dict(cfg))
@@ -459,6 +474,25 @@ class TestCli:
         assert cli.main(["simulate", "--config", path, "--threads", "1"]) == 0
         with open(tmp_path / "run_summary.json") as fh:
             assert json.load(fh)["config"]["threads"] == 1
+
+    @pytest.mark.parametrize("overrides", [{"t_max": "abc"}, {"replicates": None},
+                                           {"threads": 0}])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, overrides):
+        path = self.write_config(tmp_path, modes=["montecarlo"], **overrides)
+        assert cli.main(["simulate", "--config", path]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_threads_below_one_rejected(self, tmp_path, monkeypatch, capsys):
+        path = self.write_config(tmp_path, modes=["montecarlo"])
+        assert cli.main(["simulate", "--config", path, "--threads", "0"]) == 2
+        assert cli.main(["reproduce-fig", "3", "--out", str(tmp_path / "f"),
+                         "--t-max", "5", "--replicates", "1", "--threads", "-1"]) == 2
+        monkeypatch.setenv(cli.THREADS_ENV, "0")
+        assert cli.main(["simulate", "--config", path]) == 2
+        monkeypatch.setenv(cli.THREADS_ENV, "many")
+        assert cli.main(["simulate", "--config", path]) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "run_montecarlo.csv").exists()
 
     def test_reproduce_fig_small(self, tmp_path):
         out = str(tmp_path / "fig3")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from polyanet import montecarlo
 from polyanet.montecarlo import (
     average_replicates,
     empirical_sum,
@@ -11,6 +12,7 @@ from polyanet.montecarlo import (
     replicate_stream,
     simulate,
     step,
+    worker_count,
 )
 from polyanet.params import normalize, red_ratio
 
@@ -158,3 +160,104 @@ class TestReplicates:
         many = average_replicates(raw, 400, 64, master_seed=3)
         tail = slice(200, 400)
         assert many.network_avg[tail].std() < one.network_avg[tail].std()
+
+
+def loop_reference(raw, t_max, rng):
+    """One replicate stepped one urn vector at a time, as plainly as possible."""
+    red = raw.initial_red.astype(np.int64)
+    total = raw.initial_total.astype(np.int64)
+    history = []
+    draws, ratios = [], []
+    for t in range(1, t_max + 1):
+        probs = np.clip(raw.interaction @ (red / total), 0.0, 1.0)
+        z = (rng.random(raw.n_urns) < probs).astype(np.int64)
+        red = red + raw.reinforce_red * z
+        total = total + raw.reinforce_red * z + raw.reinforce_black * (1 - z)
+        history.append(z)
+        if t > raw.memory:
+            old = history[t - 1 - raw.memory]
+            red = red - raw.reinforce_red * old
+            total = total - raw.reinforce_red * old - raw.reinforce_black * (1 - old)
+        draws.append(z)
+        ratios.append(red / total)
+    return np.array(draws), np.array(ratios)
+
+
+def replicate_oracle(raw, t_max, replicates, master_seed):
+    """Mean running average over replicates simulated one at a time."""
+    acc = np.zeros((t_max, raw.n_urns))
+    for r in range(replicates):
+        acc += empirical_sum(simulate(raw, t_max, replicate_stream(master_seed, r)))
+    return acc / replicates
+
+
+def heterogeneous_raw(memory, rng):
+    return make_raw(memory, [2, 9, 5], [25, 25, 20], [20, 28, 3], [21, 6, 0],
+                    random_interaction(rng, 3))
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    def test_simulate_matches_loop_reference(self, memory, rng):
+        raw = heterogeneous_raw(memory, rng)
+        traj = simulate(raw, 60, replicate_stream(21, 4))
+        draws, ratios = loop_reference(raw, 60, replicate_stream(21, 4))
+        assert np.array_equal(traj.draws, draws)
+        assert np.array_equal(traj.ratios, ratios)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("replicates", [1, 7])
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    def test_matches_one_replicate_at_a_time(self, memory, replicates, jobs, rng,
+                                             monkeypatch):
+        raw = heterogeneous_raw(memory, rng)
+        # four steps per block for the whole batch: 23 steps are five
+        # full blocks and a partial one (fewer, longer blocks per chunk
+        # when two workers split the replicates)
+        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES",
+                            4 * 8 * replicates * raw.n_urns)
+        summary = average_replicates(raw, 23, replicates, master_seed=5, jobs=jobs)
+        expected = replicate_oracle(raw, 23, replicates, master_seed=5)
+        assert np.array_equal(summary.per_urn, expected)
+
+    def test_block_budget_does_not_change_draws(self, rng, monkeypatch):
+        raw = heterogeneous_raw(2, rng)
+        whole = simulate(raw, 50, 8)
+        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES", 1)
+        assert np.array_equal(simulate(raw, 50, 8).draws, whole.draws)
+
+    def test_frozen_counts_across_batch(self, monkeypatch):
+        # identity interaction, no reinforcement: every replicate's urns
+        # keep their counts, an empty urn never draws red and a full one
+        # always does
+        raw = make_raw(2, [0, 3, 10], [10, 10, 10], 0, 0, np.eye(3))
+        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES", 3 * 8 * 5 * 3)
+        state = montecarlo._new_batch(raw, 5)
+        draws = np.empty((40, 5, 3), dtype=np.int8)
+        rngs = [replicate_stream(13, r) for r in range(5)]
+        montecarlo._advance(state, raw, rngs, draws)
+        assert np.all(state.red == [0, 3, 10])
+        assert np.all(state.total == 10)
+        assert state.t == 40
+        assert np.all(draws[:, :, 0] == 0)
+        assert np.all(draws[:, :, 2] == 1)
+        assert 0 < draws[:, :, 1].sum() < draws[:, :, 1].size
+        summary = average_replicates(raw, 40, 5, master_seed=13)
+        assert np.array_equal(summary.per_urn, replicate_oracle(raw, 40, 5, 13))
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "threads, replicates, cpus, expected",
+        [
+            (1, 100, 8, 1),
+            (4, 100, 8, 4),
+            (16, 100, 8, 8),
+            (16, 3, 8, 3),
+            (3, 6, 2, 2),
+            (4, 1, 8, 1),
+            (4, 10, None, 1),
+        ],
+    )
+    def test_clamped_to_replicates_and_cpus(self, threads, replicates, cpus, expected):
+        assert worker_count(threads, replicates, cpus) == expected
