@@ -12,6 +12,7 @@ from .chain import (
     build_kernel,
     check_irreducible_aperiodic,
     evolve_distribution,
+    lag_marginals,
     marginal_infection,
     point_mass,
     stationary_distribution,

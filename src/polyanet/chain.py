@@ -13,15 +13,23 @@ A transition from ``a`` to ``b`` is possible only when each urn's
 window shifts by one (b's first M-1 positions repeat a's last M-1); the
 probability is then a product over urns of red/black factors computed
 from ``a``'s per-urn red fractions mixed through the interaction
-matrix.  Each state therefore has at most 2**N successors, which is
-what :class:`TransitionKernel` enumerates on the fly instead of storing
-a dense matrix.
+matrix.  Each state therefore has at most 2**N successors.
+
+:class:`TransitionKernel` enumerates the chain in rows.  A row is one
+value ``k`` of the N*(M-1) *kept* bits, lags 1..M-1 of every urn, which
+survive the step as lags 0..M-2.  The row holds the 2**N sources that
+add any *oldest* bits ``o`` (lag 0 of every urn, dropped by the step)
+and the 2**N successors that add any *new* draws ``x`` (lag M-1).
+Within a row the kernel is the dense 2**N x 2**N factor block
+``F[k, o, x]``, and every state is the source of exactly one (k, o) and
+the successor of exactly one (k, x).  One step is therefore a batched
+vector-matrix product per row, and the per-step work is
+2**(N*(M+1)) = states x fan-out; admission control bounds that number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +46,12 @@ from .params import (
 
 DEFAULT_CAP_BITS = 24
 SPARSE_NNZ_CAP = 1 << 26
-_CHUNK_TARGET = 1 << 21
+# Factor entries per enumerated block, so the block workspace stays
+# cache-sized (a block is at least one row of 2**(2N) entries).
+BLOCK_ENTRIES = 1 << 16
+# A kernel whose factor blocks total at most this many bytes keeps them
+# after its first full pass; larger kernels recompute them every pass.
+KERNEL_CACHE_BYTES = 32 << 20
 DIST_SUM_TOL = 1e-10
 
 
@@ -51,13 +64,30 @@ def _popcounts(memory: int) -> np.ndarray:
     return np.array([bin(v).count("1") for v in range(1 << memory)], dtype=np.int64)
 
 
-class TransitionKernel:
-    """One-step transition operator applied without materialization.
+def check_admission(n_urns: int, memory: int, cap_bits: int) -> None:
+    """Raise :class:`CapExceededError` unless one exact step fits the cap.
 
-    ``apply`` pushes a distribution forward by enumerating, per source
-    state, the 2**N reachable successors; ``to_sparse`` materializes the
-    same data as a CSR matrix when the nonzero count stays under
-    ``SPARSE_NNZ_CAP``.
+    A step touches every state and each of its 2**N successors, so the
+    admitted quantity is the work, N*(M+1) bits, not the N*M state bits.
+    """
+    state_bits = n_urns * memory
+    work_bits = n_urns * (memory + 1)
+    if work_bits > cap_bits:
+        raise CapExceededError(
+            f"exact chain needs {state_bits} state bits ({n_urns} urns x memory "
+            f"{memory}) and {work_bits} work bits per step (states x 2**{n_urns} "
+            f"successors); cap is {cap_bits}"
+        )
+
+
+class TransitionKernel:
+    """One-step transition operator, enumerated as factor blocks.
+
+    Every reader goes through one enumeration core, :meth:`_blocks`:
+    ``apply`` contracts a distribution with each block, ``to_sparse``
+    materializes the nonzero entries as CSR, and ``successors`` reads
+    one source's row of its block.  The first full pass keeps the
+    blocks when they total at most ``KERNEL_CACHE_BYTES``.
     """
 
     def __init__(self, params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS):
@@ -67,33 +97,33 @@ class TransitionKernel:
                 f"interaction matrix is {S.shape[0]}x{S.shape[0]} but params "
                 f"describe {params.n_urns} urns"
             )
-        bits = params.n_urns * params.memory
-        if bits > cap_bits:
-            raise CapExceededError(
-                f"state space needs {bits} bits ({params.n_urns} urns x memory "
-                f"{params.memory}); cap is {cap_bits}"
-            )
+        check_admission(params.n_urns, params.memory, cap_bits)
         self.params = params
         self.S = S
         self.n_urns = params.n_urns
         self.memory = params.memory
-        self.n_bits = bits
-        self.n_states = 1 << bits
+        self.n_bits = params.n_urns * params.memory
+        self.n_states = 1 << self.n_bits
 
         N, M = self.n_urns, self.memory
         self._ratios = red_ratio_table(params)  # (N, M+1)
         self._field_mask = (1 << M) - 1
         self._pop = _popcounts(M)
-        # Positions receiving the fresh draws: the newest lag of each urn.
-        self._new_mask = sum(1 << (d * M + M - 1) for d in range(N))
-        self._keep_mask = ((1 << bits) - 1) & ~self._new_mask
-        draws = np.arange(1 << N, dtype=np.int64)
-        offsets = np.zeros(1 << N, dtype=np.int64)
-        for d in range(N):
-            offsets += ((draws >> d) & 1) << (d * M + M - 1)
-        self._draw_offsets = offsets
-        # Chunked enumeration keeps chunk * 2**N workspace bounded.
-        self._chunk = max(1, _CHUNK_TARGET >> N)
+        # Row k spreads its N*(M-1) kept bits, urn j's at bits j*(M-1)...,
+        # over lags 1..M-1 of each source window.
+        rows = np.arange(1 << (N * (M - 1)), dtype=np.int64)
+        kept = np.zeros_like(rows)
+        for j in range(N):
+            kept |= ((rows >> (j * (M - 1))) & (self._field_mask >> 1)) << (j * M + 1)
+        self._kept = kept
+        fan = np.arange(1 << N, dtype=np.int64)
+        oldest = np.zeros_like(fan)
+        for j in range(N):
+            oldest |= ((fan >> j) & 1) << (j * M)
+        self._oldest = oldest  # o -> lag-0 bits of a source
+        self._newest = oldest << (M - 1)  # x -> lag M-1 bits of a successor
+        self._rows_per_block = max(1, BLOCK_ENTRIES >> (2 * N))
+        self._cache: list | None = None
 
     # -- per-state quantities -------------------------------------------------
 
@@ -113,6 +143,44 @@ class TransitionKernel:
         ratios = self._ratios[urns[None, :], counts]
         return clamp_probability(ratios @ self.S.T, what="draw probability")
 
+    # -- enumeration core -----------------------------------------------------
+
+    def _blocks(self, start: int = 0, stop: int | None = None):
+        """Yield ``(src, dst, F)`` for rows ``start..stop`` in blocks.
+
+        ``src[k, o]`` and ``dst[k, x]`` are packed states and
+        ``F[k, o, x]`` the probability of moving from the first to the
+        second: the product of the urns' red/black factors, expanded in
+        urn order so that bit d of ``x`` is urn d's new draw.
+        """
+        stop = len(self._kept) if stop is None else stop
+        for lo in range(start, stop, self._rows_per_block):
+            kept = self._kept[lo : min(lo + self._rows_per_block, stop)]
+            src = kept[:, None] + self._oldest[None, :]
+            dst = (kept >> 1)[:, None] + self._newest[None, :]
+            probs = self.draw_probabilities(src.ravel()).T
+            # Built x-major, so that adding urn d doubles the filled rows
+            # of contiguous memory: row x then holds the factors of urns
+            # 0..d, bit d of x choosing red (p) or black (1 - p).
+            fan = src.shape[1]
+            F = np.empty((fan, src.size))
+            F[0] = 1.0
+            for d in range(self.n_urns):
+                p = probs[d]
+                width = 1 << d
+                np.multiply(F[:width], p, out=F[width : 2 * width])
+                np.multiply(F[:width], 1.0 - p, out=F[:width])
+            yield src, dst, F.reshape(fan, len(kept), fan).transpose(1, 2, 0)
+
+    def _all_blocks(self):
+        """Every block, from the cache when the kernel keeps one."""
+        if self._cache is not None:
+            return self._cache
+        if (self.n_states << self.n_urns) * 8 <= KERNEL_CACHE_BYTES:
+            self._cache = list(self._blocks())
+            return self._cache
+        return self._blocks()
+
     # -- operator -------------------------------------------------------------
 
     def apply(self, mu: np.ndarray) -> np.ndarray:
@@ -120,39 +188,26 @@ class TransitionKernel:
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (self.n_states,):
             raise ValueError(f"distribution must have length {self.n_states}")
-        out = np.zeros(self.n_states)
-        n_draws = 1 << self.n_urns
-        for start in range(0, self.n_states, self._chunk):
-            states = np.arange(
-                start, min(start + self._chunk, self.n_states), dtype=np.int64
-            )
-            mass = mu[states]
-            probs = self.draw_probabilities(states)
-            shifted = (states >> 1) & self._keep_mask
-            factors = np.ones((len(states), 1))
-            for d in range(self.n_urns):
-                p = probs[:, d : d + 1]
-                factors = np.concatenate([factors * (1.0 - p), factors * p], axis=1)
-            succ = shifted[:, None] + self._draw_offsets[None, :]
-            contrib = mass[:, None] * factors
-            out += np.bincount(
-                succ.ravel(), weights=contrib.ravel(), minlength=self.n_states
-            )
+        out = np.empty(self.n_states)
+        for src, dst, F in self._all_blocks():
+            out[dst] = np.matmul(mu[src][:, None, :], F)[:, 0, :]
         return out
 
     def successors(self, state: int):
         """Successor indices and probabilities of one state (zeros dropped)."""
-        states = np.array([state], dtype=np.int64)
-        probs = self.draw_probabilities(states)[0]
-        shifted = (int(state) >> 1) & self._keep_mask
-        n_draws = 1 << self.n_urns
-        vals = np.ones(n_draws)
-        for d in range(self.n_urns):
-            bit = (np.arange(n_draws) >> d) & 1
-            vals *= np.where(bit == 1, probs[d], 1.0 - probs[d])
-        idx = shifted + self._draw_offsets
+        state = int(state)
+        if not 0 <= state < self.n_states:
+            raise ValueError("state out of range")
+        N, M = self.n_urns, self.memory
+        row = oldest = 0
+        for j in range(N):
+            field = (state >> (j * M)) & self._field_mask
+            row |= (field >> 1) << (j * (M - 1))
+            oldest |= (field & 1) << j
+        _, dst, F = next(self._blocks(row, row + 1))
+        vals = F[0, oldest]
         keep = vals > 0.0
-        return idx[keep], vals[keep]
+        return dst[0][keep], vals[keep]
 
     def to_sparse(self) -> sp.csr_matrix:
         """Materialize the kernel as CSR; at most 2**N entries per row."""
@@ -162,25 +217,11 @@ class TransitionKernel:
                 f"materializing {nnz} entries exceeds cap {SPARSE_NNZ_CAP}"
             )
         rows, cols, vals = [], [], []
-        n_draws = 1 << self.n_urns
-        bitcols = (np.arange(n_draws)[None, :] >> np.arange(self.n_urns)[:, None]) & 1
-        for start in range(0, self.n_states, self._chunk):
-            states = np.arange(
-                start, min(start + self._chunk, self.n_states), dtype=np.int64
-            )
-            probs = self.draw_probabilities(states)
-            shifted = (states >> 1) & self._keep_mask
-            factors = np.ones((len(states), 1))
-            for d in range(self.n_urns):
-                p = probs[:, d : d + 1]
-                factors = np.concatenate([factors * (1.0 - p), factors * p], axis=1)
-            succ = shifted[:, None] + self._draw_offsets[None, :]
-            src = np.repeat(states, n_draws)
-            keep = factors.ravel() > 0.0
-            rows.append(src[keep])
-            cols.append(succ.ravel()[keep])
-            vals.append(factors.ravel()[keep])
-        del bitcols
+        for src, dst, F in self._all_blocks():
+            keep = F > 0.0
+            rows.append(np.broadcast_to(src[:, :, None], F.shape)[keep])
+            cols.append(np.broadcast_to(dst[:, None, :], F.shape)[keep])
+            vals.append(F[keep])
         return sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.n_states, self.n_states),
@@ -283,29 +324,42 @@ def point_mass(kernel: TransitionKernel, state: int = 0) -> np.ndarray:
     return mu
 
 
+def lag_marginals(mu, lag: int, memory: int) -> np.ndarray:
+    """P(draw at window position ``lag`` is red) of every urn under ``mu``.
+
+    ``len(mu)`` must be ``2**(N*memory)`` for some integer N; entry
+    ``urn`` probes bit ``urn * memory + lag``, lag 0 the oldest
+    position.  One pass peels the bits off from the top: the mass with
+    the top bit set is that bit's marginal when it is a ``lag`` bit, and
+    the two halves are then added, so the work is about 2 * len(mu).
+    """
+    mu = np.asarray(mu, dtype=float)
+    size = mu.shape[0] if mu.ndim == 1 else 0
+    bits = size.bit_length() - 1
+    if size == 0 or (1 << bits) != size or bits % memory != 0:
+        raise ValueError("distribution length is not 2**(N*memory)")
+    if not 0 <= lag < memory:
+        raise ValueError(f"lag {lag} out of range for memory {memory}")
+    out = np.empty(bits // memory)
+    rest = mu
+    for bit in range(bits - 1, lag - 1, -1):
+        halves = rest.reshape(2, -1)
+        urn, at = divmod(bit, memory)
+        if at == lag:
+            out[urn] = halves[1].sum()
+        rest = halves[0] + halves[1]
+    return out
+
+
 def marginal_infection(mu, urn: int, lag: int, memory: int) -> float:
     """P(draw of ``urn`` at window position ``lag`` is red) under ``mu``.
 
-    ``len(mu)`` must be ``2**(N*memory)`` for some integer N; the bit
-    probed is ``urn * memory + lag`` with lag 0 the oldest position.
+    One entry of :func:`lag_marginals`, with the urn index checked.
     """
-    mu = np.asarray(mu, dtype=float)
-    bits = int(np.log2(mu.shape[0]) + 0.5)
-    if (1 << bits) != mu.shape[0] or bits % memory != 0:
-        raise ValueError("distribution length is not 2**(N*memory)")
-    n_urns = bits // memory
-    if not 0 <= urn < n_urns:
-        raise ValueError(f"urn index {urn} out of range for {n_urns} urns")
-    if not 0 <= lag < memory:
-        raise ValueError(f"lag {lag} out of range for memory {memory}")
-    bit = state_bit(urn, lag, memory)
-    total = 0.0
-    chunk = 1 << 20
-    for start in range(0, mu.shape[0], chunk):
-        states = np.arange(start, min(start + chunk, mu.shape[0]), dtype=np.int64)
-        mask = ((states >> bit) & 1) == 1
-        total += float(mu[states[mask]].sum())
-    return total
+    marginals = lag_marginals(mu, lag, memory)
+    if not 0 <= urn < len(marginals):
+        raise ValueError(f"urn index {urn} out of range for {len(marginals)} urns")
+    return float(marginals[urn])
 
 
 def two_fold_joint(pi, kernel: TransitionKernel, urn: int) -> np.ndarray:
@@ -321,7 +375,7 @@ def two_fold_joint(pi, kernel: TransitionKernel, urn: int) -> np.ndarray:
         raise ValueError(f"urn index {urn} out of range")
     pi = _check_distribution(pi, kernel.n_states)
     joint = np.zeros((2, 2))
-    chunk = kernel._chunk
+    chunk = BLOCK_ENTRIES
     for start in range(0, kernel.n_states, chunk):
         states = np.arange(start, min(start + chunk, kernel.n_states), dtype=np.int64)
         p = kernel.draw_probabilities(states)[:, urn]

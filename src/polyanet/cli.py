@@ -2,7 +2,7 @@
 
 Subcommands: gen-network, simulate, exact, meanfield, equilibrium,
 compare, reproduce-fig.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure, 4 state-space cap exceeded.
+3 numerical failure, 4 exact-chain work cap exceeded.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ class ConfigError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """State space or materialization would exceed the configured cap."""
+    """Exact-chain work per step or a materialization would exceed its cap."""
 
 
 class ConvergenceError(RuntimeError):

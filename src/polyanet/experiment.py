@@ -203,12 +203,11 @@ def _exact_trajectory(cfg: ExperimentConfig) -> meanfield.InfectionTrajectory:
     params = normalize(cfg.raw)
     kernel = chain.build_kernel(params, cfg.raw.interaction, cap_bits=cfg.exact_cap_bits)
     mu = chain.point_mass(kernel, 0)
-    N, M = params.n_urns, params.memory
-    per = np.zeros((cfg.t_max, N))
-    for t in range(1, cfg.t_max + 1):
+    M = params.memory
+    per = np.zeros((cfg.t_max, params.n_urns))
+    for t in range(cfg.t_max):
         mu = kernel.apply(mu)
-        for j in range(N):
-            per[t - 1, j] = chain.marginal_infection(mu, j, M - 1, M)
+        per[t] = chain.lag_marginals(mu, M - 1, M)
     times = np.arange(1, cfg.t_max + 1)
     return meanfield.InfectionTrajectory(
         times=times, per_urn=per, network_avg=per.mean(axis=1), system="exact"
@@ -241,6 +240,8 @@ def run(cfg: ExperimentConfig) -> dict:
             params = normalize(cfg.raw)
         except ValueError as exc:
             raise ConfigError("urns", str(exc)) from None
+    if "exact" in cfg.modes:
+        chain.check_admission(cfg.raw.n_urns, cfg.raw.memory, cfg.exact_cap_bits)
     S = cfg.raw.interaction
     for mode in cfg.modes:
         path = f"{cfg.out_prefix}_{mode}.csv"
@@ -309,8 +310,14 @@ def read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
                 raise ConfigError("curves", f"{path}: not a curve CSV (header {header})")
             for line in reader:
                 if len(line) >= 3 and line[1] == "avg":
-                    times.append(int(line[0]))
-                    values.append(float(line[2]))
+                    try:
+                        times.append(int(line[0]))
+                        values.append(float(line[2]))
+                    except ValueError:
+                        raise ConfigError(
+                            "curves",
+                            f"{path}: line {reader.line_num}: bad average row {line}",
+                        ) from None
     except OSError as exc:
         raise ConfigError("curves", f"cannot read {path}: {exc}") from None
     if not times:

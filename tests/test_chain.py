@@ -1,15 +1,19 @@
 """Exact computations on the expanded draw chain."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyanet import chain
 from polyanet.chain import (
     build_kernel,
     check_irreducible_aperiodic,
     evolve_distribution,
+    lag_marginals,
     marginal_infection,
     point_mass,
     save_distribution_csv,
@@ -321,3 +325,146 @@ class TestExports:
             a, b, p = line.split(",")
             sums[int(a)] += float(p)
         assert np.allclose(sums, 1.0, atol=1e-12)
+
+
+# (n_urns, memory, seed): every case keeps N*M <= 6 so the transition_prob
+# oracle stays cheap; "pinned" makes urn 0 draw red and urn 1 black with
+# probability exactly 1, so whole factor rows are exact zeros.
+PATH_CASES = [
+    (1, 1, 11), (1, 3, 12), (2, 1, 13), (2, 2, 14), (2, 3, 15),
+    (3, 1, 16), (3, 2, 17), (4, 1, 18), ("pinned", 2, 19),
+]
+_BRUTE = {}
+
+
+def path_case(case):
+    """Kernel inputs and their brute-force matrix, built once per case."""
+    if case not in _BRUTE:
+        n, m, seed = case
+        g = np.random.default_rng(seed)
+        if n == "pinned":
+            par = NetworkParams(
+                memory=m,
+                rho=[1.0, 0.0, g.uniform(0.05, 0.95)],
+                delta_r=[0.7, 0.0, g.uniform(0.0, 2.0)],
+                delta_b=[0.0, 1.3, g.uniform(0.05, 2.0)],
+            )
+            S = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.3, 0.4]])
+        else:
+            par = random_params(g, n, m)
+            S = random_interaction(g, n)
+        _BRUTE[case] = (par, S, brute_force_matrix(par, S))
+    return _BRUTE[case]
+
+
+@pytest.fixture(params=["streamed", "cached"])
+def kernel_path(request, monkeypatch):
+    budget = 0 if request.param == "streamed" else 1 << 40
+    monkeypatch.setattr(chain, "KERNEL_CACHE_BYTES", budget)
+    return request.param
+
+
+class TestKernelPaths:
+    """apply, to_sparse and successors agree with transition_prob whether
+    the factor blocks are streamed or kept, and wherever blocks split."""
+
+    @pytest.mark.parametrize("rows_per_block", [None, 3])
+    @pytest.mark.parametrize("case", PATH_CASES)
+    def test_matches_brute_force(self, case, rows_per_block, kernel_path, monkeypatch):
+        par, S, Q = path_case(case)
+        if rows_per_block is not None:
+            # Three rows per block: boundaries inside the space and a
+            # partial last block whenever there are four rows or more.
+            monkeypatch.setattr(chain, "BLOCK_ENTRIES", rows_per_block << (2 * par.n_urns))
+        kern = build_kernel(par, S)
+        g = np.random.default_rng(case[2])
+        for _ in range(2):  # the second pass reads the cache when one is kept
+            mu = g.dirichlet(np.ones(kern.n_states))
+            assert np.max(np.abs(kern.apply(mu) - mu @ Q)) <= 1e-15
+        assert (kern._cache is not None) == (kernel_path == "cached")
+        sparse = kern.to_sparse()
+        assert sparse.nnz == np.count_nonzero(Q)
+        assert np.max(np.abs(sparse.toarray() - Q)) <= 1e-15
+        for state in range(kern.n_states):
+            idx, vals = kern.successors(state)
+            assert np.all(vals > 0.0)
+            assert sorted(idx.tolist()) == np.flatnonzero(Q[state]).tolist()
+            assert np.max(np.abs(vals - Q[state, idx])) <= 1e-15
+
+    def test_pinned_case_has_exact_zeros(self):
+        par, S, Q = path_case(PATH_CASES[-1])
+        assert np.count_nonzero(Q) < Q.shape[0] << par.n_urns
+
+    def test_repeated_apply_is_deterministic(self, kernel_path):
+        par, S, _ = path_case((2, 3, 15))
+        kern = build_kernel(par, S)
+        mu = point_mass(kern, 0)
+        a = evolve_distribution(kern, mu, 5)
+        b = evolve_distribution(build_kernel(par, S), mu, 5)
+        assert np.array_equal(a, b)
+
+    def test_kernel_csv_digest(self, tmp_path):
+        par = NetworkParams(
+            memory=2, rho=[0.3, 0.65, 0.5], delta_r=[0.4, 1.1, 0.25],
+            delta_b=[0.9, 0.2, 0.6],
+        )
+        S = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(build_kernel(par, S), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9af3015f4554bf5d2bf786f2944a818320471d5d8d18979ae4793ce0096c8e08"
+        )
+
+    def test_successors_rejects_out_of_range(self, rng):
+        kern = build_kernel(random_params(rng, 2, 2), random_interaction(rng, 2))
+        for state in (-1, kern.n_states):
+            with pytest.raises(ValueError):
+                kern.successors(state)
+
+
+class TestAdmission:
+    def test_admits_on_work_bits(self):
+        # 20 state bits fit the default cap, but a step does 2**30 work.
+        par = NetworkParams.homogeneous(10, 2, 0.5, 1.0)
+        with pytest.raises(CapExceededError, match="20 state bits.*30 work bits"):
+            build_kernel(par, ring(10))
+
+    @pytest.mark.parametrize("n_urns, memory", [(4, 4), (8, 2)])
+    def test_benchmark_sizes_admitted(self, n_urns, memory):
+        par = NetworkParams.homogeneous(n_urns, memory, 0.5, 1.0)
+        assert build_kernel(par, ring(n_urns)).n_states == 1 << (n_urns * memory)
+
+    def test_cap_is_inclusive(self):
+        par = NetworkParams.homogeneous(3, 2, 0.5, 1.0)
+        build_kernel(par, ring(3), cap_bits=9)
+        with pytest.raises(CapExceededError):
+            build_kernel(par, ring(3), cap_bits=8)
+
+
+def marginal_oracle(mu, urn, lag, memory):
+    states = np.arange(len(mu))
+    return float(mu[((states >> (urn * memory + lag)) & 1) == 1].sum())
+
+
+class TestLagMarginals:
+    @pytest.mark.parametrize("n_urns, memory", [(1, 1), (3, 1), (2, 3), (4, 2), (3, 4)])
+    def test_matches_per_urn_oracle(self, rng, n_urns, memory):
+        mu = rng.dirichlet(np.ones(1 << (n_urns * memory)))
+        for lag in range(memory):
+            got = lag_marginals(mu, lag, memory)
+            assert got.shape == (n_urns,)
+            for urn in range(n_urns):
+                assert got[urn] == pytest.approx(
+                    marginal_oracle(mu, urn, lag, memory), abs=1e-15
+                )
+                assert marginal_infection(mu, urn, lag, memory) == got[urn]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            lag_marginals([0.5, 0.5, 0.0], 0, 1)
+        with pytest.raises(ValueError):
+            lag_marginals([0.25] * 4, 1, 1)
+        with pytest.raises(ValueError):
+            lag_marginals([0.125] * 8, 0, 2)
+        with pytest.raises(ValueError):
+            lag_marginals([], 0, 1)

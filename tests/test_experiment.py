@@ -1,6 +1,7 @@
 """Experiment configs, run driver, curve comparison and the CLI."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -505,3 +506,62 @@ class TestCli:
             assert (tmp_path / f"fig3_m{m}_config.json").exists()
             assert (tmp_path / f"fig3_m{m}_summary.json").exists()
             assert (tmp_path / f"fig3_m{m}_montecarlo.csv").exists()
+
+
+def ring10_config(tmp_path, **overrides):
+    """Ten-urn ring with memory 2: 20 state bits but 30 work bits."""
+    return base_config(
+        tmp_path,
+        network={"kind": "ring", "nodes": 10},
+        memory=2,
+        initial_red=12,
+        initial_total=25,
+        reinforce_red=11,
+        reinforce_black=11,
+        **overrides,
+    )
+
+
+class TestExactAdmission:
+    def test_rejected_before_any_mode_runs(self, tmp_path):
+        cfg = config_from_dict(ring10_config(tmp_path, modes=["montecarlo", "exact"]))
+        with pytest.raises(CapExceededError, match="30 work bits"):
+            run(cfg)
+        assert not (tmp_path / "run_montecarlo.csv").exists()
+
+    def test_cli_exits_4_within_a_second(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(ring10_config(tmp_path, modes=["exact"])))
+        start = time.perf_counter()
+        code = cli.main(["exact", "--config", str(path)])
+        elapsed = time.perf_counter() - start
+        assert code == 4
+        assert elapsed < 1.0
+        err = capsys.readouterr().err
+        assert "20 state bits" in err and "30 work bits" in err
+
+    def test_raised_cap_admits(self, tmp_path):
+        cfg = config_from_dict(base_config(tmp_path, modes=["exact"], t_max=3,
+                                           exact_cap_bits=4))
+        run(cfg)
+        cfg.exact_cap_bits = 3
+        with pytest.raises(CapExceededError):
+            run(cfg)
+
+
+class TestCompareBadRows:
+    @pytest.mark.parametrize("row", ["1.5,avg,0.3", "1,avg,nan_x", "x,avg,0.3"])
+    def test_bad_average_row_is_config_error(self, tmp_path, row):
+        path = tmp_path / "x.csv"
+        path.write_text(f"time,urn,p,system\n1,avg,0.5,exact\n{row},exact\n")
+        with pytest.raises(ConfigError, match="line 3"):
+            read_curve(str(path))
+
+    @pytest.mark.parametrize("row", ["1.5,avg,0.3", "1,avg,nan_x"])
+    def test_cli_compare_exits_2(self, tmp_path, capsys, row):
+        good = tmp_path / "good.csv"
+        good.write_text("time,urn,p,system\n1,avg,0.5,exact\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"time,urn,p,system\n{row},exact\n")
+        assert cli.main(["compare", str(good), str(bad)]) == 2
+        assert "configuration error" in capsys.readouterr().err
