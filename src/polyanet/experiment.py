@@ -81,7 +81,7 @@ def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
         return networks.row_normalize(adj, self_weight)
     except KeyError as exc:
         raise ConfigError("network", f"missing entry {exc.args[0]!r} for kind {kind!r}") from None
-    except (ValueError, OSError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError("network", str(exc)) from None
 
 
@@ -311,13 +311,16 @@ def read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
             for line in reader:
                 if len(line) >= 3 and line[1] == "avg":
                     try:
-                        times.append(int(line[0]))
-                        values.append(float(line[2]))
+                        time, value = int(line[0]), float(line[2])
                     except ValueError:
+                        value = None
+                    if value is None or not np.isfinite(value):
                         raise ConfigError(
                             "curves",
                             f"{path}: line {reader.line_num}: bad average row {line}",
-                        ) from None
+                        )
+                    times.append(time)
+                    values.append(value)
     except OSError as exc:
         raise ConfigError("curves", f"cannot read {path}: {exc}") from None
     if not times:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import write_csv, write_curve_csv
 from .errors import CapExceededError, ConvergenceError, UnstableSystemError
 from .params import (
     NetworkParams,
@@ -352,15 +352,10 @@ def iterate(
 
 def save_trajectory_csv(traj: InfectionTrajectory, path: str) -> None:
     """Curve CSV: time, urn (or "avg"), probability, system label."""
-
-    def rows():
-        n = traj.per_urn.shape[1]
-        for k, t in enumerate(traj.times):
-            for j in range(n):
-                yield (int(t), j, float(traj.per_urn[k, j]), traj.system)
-            yield (int(t), "avg", float(traj.network_avg[k]), traj.system)
-
-    write_csv(path, ("time", "urn", "p", "system"), rows())
+    write_curve_csv(
+        path, ("time", "urn", "p", "system"), traj.times, traj.per_urn,
+        traj.network_avg, traj.system,
+    )
 
 
 def save_equilibrium_csv(eq: Equilibrium, path: str) -> None:

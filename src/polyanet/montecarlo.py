@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import write_curve_csv
 from .params import RawConfig, clamp_probability
 
 # Upper bound on the buffer of pre-drawn uniforms of one block (all
@@ -247,12 +247,7 @@ def average_replicates(
 
 def save_summary_csv(summary: ReplicateSummary, path: str) -> None:
     """Curve CSV: time, urn (or "avg"), empirical_sum, replicate_count."""
-
-    def rows():
-        n = summary.per_urn.shape[1]
-        for k, t in enumerate(summary.times):
-            for j in range(n):
-                yield (int(t), j, float(summary.per_urn[k, j]), summary.replicates)
-            yield (int(t), "avg", float(summary.network_avg[k]), summary.replicates)
-
-    write_csv(path, ("time", "urn", "empirical_sum", "replicate_count"), rows())
+    write_curve_csv(
+        path, ("time", "urn", "empirical_sum", "replicate_count"), summary.times,
+        summary.per_urn, summary.network_avg, summary.replicates,
+    )

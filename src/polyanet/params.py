@@ -22,6 +22,12 @@ PROB_TOL = 1e-12
 log = logging.getLogger("polyanet")
 
 
+# Ball counts must be below this in magnitude: every integer below it is
+# exact as a float, so the checks below and the cast to int64 see the
+# value that was given.
+MAX_COUNT = 2**53
+
+
 def _int_vector(value, n: int, name: str) -> np.ndarray:
     arr = np.asarray(value)
     if arr.ndim == 0:
@@ -30,13 +36,15 @@ def _int_vector(value, n: int, name: str) -> np.ndarray:
         raise ValueError(
             f"{name} must be a scalar or length-{n} vector, got shape {arr.shape}"
         )
-    if not np.issubdtype(arr.dtype, np.integer):
-        as_float = np.asarray(arr, dtype=float)
-        rounded = np.rint(as_float)
-        if not np.array_equal(rounded, as_float):
-            raise ValueError(f"{name} must hold integers (raw ball counts)")
-        arr = rounded
-    return arr.astype(np.int64)
+    try:
+        as_float = arr.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must hold integers (raw ball counts)") from None
+    if not np.all(np.abs(as_float) < MAX_COUNT):
+        raise ValueError(f"{name} must hold finite counts below 2**53")
+    if not np.array_equal(np.rint(as_float), as_float):
+        raise ValueError(f"{name} must hold integers (raw ball counts)")
+    return as_float.astype(np.int64)
 
 
 def check_interaction_matrix(S) -> np.ndarray:

@@ -7,10 +7,19 @@ compare two independent routes to the same quantity.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from polyanet.csvio import write_csv
 from polyanet.params import RawConfig, normalize
+
+# Deterministic examples and no per-example deadline, so a slow runner
+# neither flakes on timing nor draws different examples on each run.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_raw(memory, red, total, d_red, d_black, S):
@@ -129,6 +138,23 @@ def stationary_by_eig(Q):
     v = np.real(vecs[:, k])
     v = np.abs(v)
     return v / v.sum()
+
+
+def write_curve_rows(path, header, times, per_urn, network_avg, tail):
+    """Curve CSV written one ``csv.writer`` row at a time.
+
+    The reference for :func:`polyanet.csvio.write_curve_csv`: per time
+    step, one row per urn and one ``avg`` row, each ending in ``tail``.
+    """
+
+    def rows():
+        n = per_urn.shape[1]
+        for k, t in enumerate(times):
+            for j in range(n):
+                yield (int(t), j, float(per_urn[k, j]), tail)
+            yield (int(t), "avg", float(network_avg[k]), tail)
+
+    write_csv(path, header, rows())
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
 """Experiment configs, run driver, curve comparison and the CLI."""
 
 import json
+import pathlib
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyanet import cli
 from polyanet.errors import CapExceededError, ConfigError
@@ -565,3 +569,96 @@ class TestCompareBadRows:
         bad.write_text(f"time,urn,p,system\n{row},exact\n")
         assert cli.main(["compare", str(good), str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+class TestNonFiniteAverages:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_read_curve_rejects(self, tmp_path, value):
+        path = tmp_path / "x.csv"
+        path.write_text(f"time,urn,p,system\n1,avg,0.5,exact\n2,avg,{value},exact\n")
+        with pytest.raises(ConfigError, match=r"x\.csv: line 3") as info:
+            read_curve(str(path))
+        assert info.value.field == "curves"
+
+    def test_cli_compare_exits_2(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("time,urn,p,system\n1,avg,0.5,exact\n2,avg,0.25,exact\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,urn,p,system\n1,avg,0.5,exact\n2,avg,nan,exact\n")
+        assert cli.main(["compare", str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "linf" not in captured.out
+        assert "bad.csv: line 3" in captured.err
+
+
+URN_FIELDS = ("initial_red", "initial_total", "reinforce_red", "reinforce_black")
+
+
+class TestMalformedEntries:
+    @pytest.mark.parametrize("field", URN_FIELDS)
+    @pytest.mark.parametrize("value", [{}, [{}, 1], {"a": 1}, [10**400, 12]])
+    def test_malformed_vector_is_urns_error(self, tmp_path, field, value):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(base_config(tmp_path, **{field: value}))
+        assert info.value.field == "urns"
+
+    @pytest.mark.parametrize("field", URN_FIELDS)
+    @pytest.mark.parametrize("count", [float("inf"), float("-inf"), float("nan"), 1e300,
+                                       -1e300, 2.0**64, 2**63, 2**53 + 1])
+    def test_out_of_range_count_rejected_before_cast(self, tmp_path, field, count):
+        data = base_config(tmp_path, **{field: [count, 12]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite counts") as info:
+                config_from_dict(data)
+        assert info.value.field == "urns"
+
+    def test_largest_count_admitted(self, tmp_path):
+        big = 2**53 - 1
+        cfg = config_from_dict(base_config(
+            tmp_path, initial_red=[5, big], initial_total=[25, big]
+        ))
+        assert cfg.raw.initial_total.tolist() == [25, big]
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "must hold integers"),
+        ("[Infinity, 12]", "must hold finite counts"),
+        ("[1e300, 12]", "must hold finite counts"),
+    ])
+    def test_cli_exits_2(self, tmp_path, capsys, text, message):
+        doc = json.dumps(base_config(tmp_path, modes=["meanfield-linear"]))
+        path = tmp_path / "config.json"
+        path.write_text(doc.replace('"initial_total": [25, 25]', f'"initial_total": {text}'))
+        assert cli.main(["meanfield", "--config", str(path), "--system", "linear"]) == 2
+        assert f"urns: initial_total {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"kind": "ring", "nodes": None}, {"kind": "ring", "nodes": []},
+         {"kind": "matrix", "values": {}}, {"kind": "matrix-file", "path": None},
+         {"kind": "barabasi-albert", "nodes": 5, "attach": None}],
+    )
+    def test_malformed_network_entry(self, spec):
+        with pytest.raises(ConfigError) as info:
+            resolve_network(spec)
+        assert info.value.field == "network"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+VALID = base_config(pathlib.Path("unused"))
+
+
+@given(field=st.sampled_from(sorted(VALID)), value=JSON_VALUES)
+@settings(max_examples=300)
+def test_any_field_any_json_value(field, value):
+    """One field of a valid config replaced by any JSON-like value gives a
+    config or a ConfigError, never another exception."""
+    try:
+        config_from_dict({**VALID, field: value})
+    except ConfigError:
+        pass
