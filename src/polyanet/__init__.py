@@ -16,7 +16,6 @@ from .chain import (
     marginal_infection,
     point_mass,
     stationary_distribution,
-    transition_prob,
     two_fold_joint,
 )
 from .errors import (
@@ -30,12 +29,9 @@ from .meanfield import (
     InfectionTrajectory,
     LinearSystem,
     build_linear_system,
-    configuration_weights,
-    enumerate_lag_subsets,
     equilibrium,
     iterate,
     spectral_radius,
-    step_direct,
     step_nonlinear,
 )
 from .montecarlo import (
@@ -61,10 +57,7 @@ from .params import (
     RawConfig,
     check_interaction_matrix,
     clamp_probability,
-    draw_probability,
     normalize,
-    red_ratio,
-    red_ratio_from_count,
     red_ratio_table,
 )
 

@@ -232,38 +232,6 @@ def build_kernel(params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS) -> 
     return TransitionKernel(params, S, cap_bits=cap_bits)
 
 
-def transition_prob(a: int, b: int, params: NetworkParams, S) -> float:
-    """Probability of moving from packed state ``a`` to ``b`` in one step.
-
-    Returns 0.0 when the windows of ``b`` are not one-step shifts of the
-    windows of ``a``.  Heterogeneous parameters are supported: urn d's
-    red probability mixes every urn's current red fraction through row d
-    of the interaction matrix.
-    """
-    S = check_interaction_matrix(S)
-    N, M = params.n_urns, params.memory
-    if S.shape[0] != N:
-        raise ValueError("interaction matrix size does not match params")
-    n_states = 1 << (N * M)
-    if not (0 <= a < n_states and 0 <= b < n_states):
-        raise ValueError(f"states must lie in [0, {n_states})")
-    field_mask = (1 << M) - 1
-    low_mask = field_mask >> 1
-    ratios = np.empty(N)
-    table = red_ratio_table(params)
-    new_draws = np.empty(N, dtype=np.int64)
-    for j in range(N):
-        a_field = (a >> (j * M)) & field_mask
-        b_field = (b >> (j * M)) & field_mask
-        if (b_field & low_mask) != (a_field >> 1):
-            return 0.0
-        ratios[j] = table[j, bin(a_field).count("1")]
-        new_draws[j] = (b_field >> (M - 1)) & 1
-    probs = clamp_probability(S @ ratios, what="draw probability")
-    factors = np.where(new_draws == 1, probs, 1.0 - probs)
-    return float(np.prod(factors))
-
-
 def _check_distribution(mu: np.ndarray, n_states: int) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n_states,):

@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import experiment, networks
 from .errors import CapExceededError, ConfigError, ConvergenceError, UnstableSystemError
 
@@ -65,20 +63,15 @@ def _run_and_report(cfg: experiment.ExperimentConfig) -> int:
 
 
 def _cmd_gen_network(args) -> int:
+    spec = {"kind": args.kind, "nodes": args.nodes, "seed": args.seed,
+            "self_weight": args.self_weight}
     if args.kind == "barabasi-albert":
         if args.attach is None:
             raise ConfigError("attach", "--attach is required for barabasi-albert")
-        adj = networks.barabasi_albert(args.nodes, args.attach, args.seed)
-        S = networks.row_normalize(adj, args.self_weight)
-        networks.save_edge_list(adj, f"{args.out}_edges.csv")
-    elif args.kind == "complete":
-        adj = networks.complete(args.nodes)
-        S = networks.row_normalize(adj, args.self_weight)
-        networks.save_edge_list(adj, f"{args.out}_edges.csv")
-    elif args.kind == "ring":
-        S = networks.ring(args.nodes)
-    else:
-        S = networks.identity(args.nodes)
+        spec["attach"] = args.attach
+    S = experiment.resolve_network(spec)
+    if args.kind in ("barabasi-albert", "complete"):
+        networks.save_edge_list(S > 0, f"{args.out}_edges.csv")
     networks.save_matrix(S, f"{args.out}_matrix.csv")
     print(f"matrix: {args.out}_matrix.csv")
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 from . import chain, meanfield, montecarlo, networks
 from .csvio import write_csv
 from .errors import CapExceededError, ConfigError, UnstableSystemError
-from .params import RawConfig, normalize
+from .params import NetworkParams, RawConfig, check_interaction_matrix, normalize
 
 SCHEMA_VERSION = 1
 MODES = (
@@ -63,12 +63,12 @@ def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
         if kind == "matrix":
             return networks.row_normalize(np.asarray(spec["values"], dtype=float), 0.0) \
                 if spec.get("normalize", False) else \
-                _checked(np.asarray(spec["values"], dtype=float))
+                check_interaction_matrix(np.asarray(spec["values"], dtype=float))
         if kind == "matrix-file":
             path = spec["path"]
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
-            return _checked(networks.load_matrix(path))
+            return check_interaction_matrix(networks.load_matrix(path))
         nodes = int(spec["nodes"])
         if kind == "ring":
             return networks.ring(nodes)
@@ -83,12 +83,6 @@ def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
         raise ConfigError("network", f"missing entry {exc.args[0]!r} for kind {kind!r}") from None
     except (TypeError, ValueError, OSError) as exc:
         raise ConfigError("network", str(exc)) from None
-
-
-def _checked(S: np.ndarray) -> np.ndarray:
-    from .params import check_interaction_matrix
-
-    return check_interaction_matrix(S)
 
 
 def check_integer(value, name: str, minimum: int | None = None) -> int:
@@ -199,8 +193,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exact_trajectory(cfg: ExperimentConfig) -> meanfield.InfectionTrajectory:
-    params = normalize(cfg.raw)
+def _exact_trajectory(
+    cfg: ExperimentConfig, params: NetworkParams
+) -> meanfield.InfectionTrajectory:
     kernel = chain.build_kernel(params, cfg.raw.interaction, cap_bits=cfg.exact_cap_bits)
     mu = chain.point_mass(kernel, 0)
     M = params.memory
@@ -252,7 +247,7 @@ def run(cfg: ExperimentConfig) -> dict:
             montecarlo.save_summary_csv(summary_mc, path)
             curves[mode] = summary_mc.network_avg
         elif mode == "exact":
-            traj = _exact_trajectory(cfg)
+            traj = _exact_trajectory(cfg, params)
             meanfield.save_trajectory_csv(traj, path)
             curves[mode] = traj.network_avg
         elif mode in ("meanfield-nonlinear", "meanfield-linear"):

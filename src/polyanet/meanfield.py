@@ -1,13 +1,13 @@
 """Mean-field dynamical systems approximating the draw process.
 
 The one-step map sends the last M per-urn infection probabilities to
-the next vector.  Two equivalent evaluations are provided:
-
-* :func:`step_direct` sums over every joint outcome of the N*M window
-  bits (the defining expectation, exponential cost, kept as an oracle);
-* :func:`step_nonlinear` evaluates the same polynomial per urn through
-  elementary symmetric functions of its M lags with alternating
-  binomial coefficients, at O(N*M^2 + N^2) cost.
+the next vector.  Its defining form is an expectation over every joint
+outcome of the N*M window bits; per urn that collapses to a polynomial
+in the urn's M lags, evaluated here through elementary symmetric
+functions with alternating binomial coefficients of the red-ratio
+table, at O(N*M^2 + N^2) cost.  The coefficients depend only on the
+parameters, so :func:`iterate` computes them once per run and
+:func:`step_nonlinear` is the same map for a single, validated step.
 
 Dropping every term of degree >= 2 yields the linear variant, whose
 block companion matrix, spectral radius and equilibrium live here too.
@@ -19,14 +19,13 @@ chain marginals step for step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
 from .csvio import write_csv, write_curve_csv
-from .errors import CapExceededError, ConvergenceError, UnstableSystemError
+from .errors import ConvergenceError, UnstableSystemError
 from .params import (
     NetworkParams,
     check_interaction_matrix,
@@ -34,20 +33,8 @@ from .params import (
     red_ratio_table,
 )
 
-DIRECT_CAP_BITS = 20
 DENSE_LIMIT = 4096
 RESIDUAL_TOL = 1e-10
-
-
-def enumerate_lag_subsets(n: int, memory: int) -> list[tuple[int, ...]]:
-    """All size-``n`` subsets of the lags {1, ..., memory}, sorted.
-
-    These index the degree-``n`` products of lagged probabilities in the
-    polynomial form of the map; there are C(memory, n) of them.
-    """
-    if not 1 <= n <= memory:
-        raise ValueError(f"subset size must lie in [1, {memory}], got {n}")
-    return list(combinations(range(1, memory + 1), n))
 
 
 def _check_history(history, params: NetworkParams) -> np.ndarray:
@@ -58,63 +45,6 @@ def _check_history(history, params: NetworkParams) -> np.ndarray:
             f"history must have shape (memory, n_urns) = {expected}, got {hist.shape}"
         )
     return clamp_probability(hist, what="history probabilities")
-
-
-def _outcome_weights(states: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Joint Bernoulli weights prod_b (b set ? q_b : 1-q_b) per state."""
-    positions = np.arange(len(q), dtype=np.int64)
-    bitsmat = ((states[:, None] >> positions[None, :]) & 1).astype(float)
-    return np.prod(bitsmat * q + (1.0 - bitsmat) * (1.0 - q), axis=1)
-
-
-def configuration_weights(history, params: NetworkParams) -> np.ndarray:
-    """Probability of every joint window outcome, indexed by state word.
-
-    Entry ``a`` is the product over all N*M window bits of the bit's
-    Bernoulli probability (``history`` value if set, complement if
-    clear).  The entries sum to one: the outcomes partition the sample
-    space, whatever the table of probabilities.
-    """
-    hist = _check_history(history, params)
-    bits = params.n_urns * params.memory
-    if bits > DIRECT_CAP_BITS:
-        raise CapExceededError(
-            f"weight enumeration needs {bits} bits; cap is {DIRECT_CAP_BITS}"
-        )
-    q = hist.T.reshape(-1)  # position j*M + l
-    return _outcome_weights(np.arange(1 << bits, dtype=np.int64), q)
-
-
-def step_direct(history, params: NetworkParams, S) -> np.ndarray:
-    """One step of the map by full enumeration of window outcomes.
-
-    ``history[l-1][j]`` is urn j's infection probability l steps back.
-    Treating window bits as independent Bernoulli draws with those
-    probabilities, the new vector is the expectation of the per-urn red
-    probability over all 2**(N*M) joint outcomes.  Exponential cost;
-    use :func:`step_nonlinear` for anything but verification.
-    """
-    S = check_interaction_matrix(S)
-    hist = _check_history(history, params)
-    N, M = params.n_urns, params.memory
-    bits = N * M
-    if bits > DIRECT_CAP_BITS:
-        raise CapExceededError(
-            f"direct enumeration needs {bits} bits; cap is {DIRECT_CAP_BITS}"
-        )
-    # Bernoulli weight of bit (j, lag l) taken from history row l.
-    q = hist.T.reshape(-1)  # position j*M + l
-    table = red_ratio_table(params)
-    out = np.zeros(N)
-    chunk = 1 << min(bits, 16)
-    for start in range(0, 1 << bits, chunk):
-        states = np.arange(start, min(start + chunk, 1 << bits), dtype=np.int64)
-        weights = _outcome_weights(states, q)
-        bitsmat = ((states[:, None] >> np.arange(bits, dtype=np.int64)[None, :]) & 1)
-        counts = bitsmat.reshape(len(states), N, M).sum(axis=2).astype(np.int64)
-        vals = table[np.arange(N)[None, :], counts]
-        out += weights @ (vals @ S.T)
-    return clamp_probability(out, what="infection probabilities")
 
 
 def _symmetric_polys(history: np.ndarray) -> np.ndarray:
@@ -144,21 +74,28 @@ def _difference_coeffs(table: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def step_nonlinear(history, params: NetworkParams, S) -> np.ndarray:
-    """One step of the map in polynomial form; equals :func:`step_direct`.
+def _nonlinear_map(params: NetworkParams, S: np.ndarray):
+    """The map as a function of a checked history, for a checked ``S``.
 
-    Per urn j the enumeration collapses to
+    Per urn j the expectation over window outcomes collapses to
     ``beta_j(0) + sum_n coeff_j(n) * e_n(lags of j)`` with ``e_n`` the
     elementary symmetric polynomial, after which the interaction matrix
-    mixes the per-urn values.
+    mixes the per-urn values.  The coefficients are computed here, once.
     """
+    coeffs = _difference_coeffs(red_ratio_table(params))
+
+    def step(hist: np.ndarray) -> np.ndarray:
+        per_urn = (coeffs * _symmetric_polys(hist)).sum(axis=1)
+        return clamp_probability(S @ per_urn, what="infection probabilities")
+
+    return step
+
+
+def step_nonlinear(history, params: NetworkParams, S) -> np.ndarray:
+    """One step of the map from ``history[l-1][j]``, urn j's infection
+    probability l steps back."""
     S = check_interaction_matrix(S)
-    hist = _check_history(history, params)
-    table = red_ratio_table(params)
-    coeffs = _difference_coeffs(table)
-    E = _symmetric_polys(hist)
-    per_urn = (coeffs * E).sum(axis=1)
-    return clamp_probability(S @ per_urn, what="infection probabilities")
+    return _nonlinear_map(params, S)(_check_history(history, params))
 
 
 @dataclass
@@ -186,18 +123,16 @@ def build_linear_system(params: NetworkParams, S) -> LinearSystem:
     N, M = params.n_urns, params.memory
     table = red_ratio_table(params)
     slope = table[:, 1] - table[:, 0]  # per-urn coefficient of each lag
-    const = S @ table[:, 0]
-    if M == 1:
-        return LinearSystem(J=S * slope[None, :], C=const, n_urns=N, memory=1)
+    # J[i*M + a, j*M + b] is blocks[i, a, j, b]: the top row of block
+    # (i, j) weighs every lag of urn j, and the diagonal blocks shift
+    # urn i's lags down by one.
     J = np.zeros((N * M, N * M))
+    blocks = J.reshape(N, M, N, M)
+    blocks[:, 0] = (S * slope[None, :])[:, :, None]
+    urns, lags = np.ix_(np.arange(N), np.arange(M - 1))
+    blocks[urns, lags + 1, urns, lags] = 1.0
     C = np.zeros(N * M)
-    for i in range(N):
-        r0 = i * M
-        C[r0] = const[i]
-        for j in range(N):
-            c0 = j * M
-            J[r0, c0 : c0 + M] = S[i, j] * slope[j]
-        J[r0 + 1 : r0 + M, r0 : r0 + M - 1] += np.eye(M - 1)
+    C[::M] = S @ table[:, 0]
     return LinearSystem(J=J, C=C, n_urns=N, memory=M)
 
 
@@ -330,17 +265,18 @@ def iterate(
     for t in range(1, min(M, t_max + 1)):
         per[t - 1] = hist[M - 1 - t]
     if kind == "nonlinear":
+        step = _nonlinear_map(params, S)
         work = hist.copy()
         for t in range(M, t_max + 1):
-            new = step_nonlinear(work, params, S)
-            per[t - 1] = new
-            work = np.vstack([new[None, :], work[:-1]])
+            per[t - 1] = step(work)
+            work[1:] = work[:-1]
+            work[0] = per[t - 1]
     else:
         system = build_linear_system(params, S)
-        state = hist.T.reshape(-1) if M > 1 else hist[0].copy()
+        state = hist.T.reshape(-1)
         for t in range(M, t_max + 1):
             state = system.J @ state + system.C
-            per[t - 1] = state[::M] if M > 1 else state
+            per[t - 1] = state[::M]
     times = np.arange(1, t_max + 1)
     return InfectionTrajectory(
         times=times,

@@ -7,6 +7,11 @@ reinforcement ratios ``delta_r``, ``delta_b`` (balls added after a red
 or black draw, relative to the initial total).  All downstream math
 works in these normalized units; only the stochastic simulator touches
 raw counts again.
+
+:func:`red_ratio_table` is the one evaluator of an urn's red fraction
+given the red draws in its window; the exact chain and both mean-field
+maps read it.  :func:`check_interaction_matrix` and
+:func:`clamp_probability` are the shared input and output checks.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ MAX_COUNT = 2**53
 
 
 def _int_vector(value, n: int, name: str) -> np.ndarray:
+    # Booleans and strings are refused before NumPy coerces them:
+    # [True, 2] would become [1, 2] and "3" would become 3.0.
+    for item in np.asarray(value, dtype=object).ravel():
+        if isinstance(item, (bool, np.bool_, str, bytes)):
+            raise ValueError(f"{name} must hold integers (raw ball counts), got {item!r}")
     arr = np.asarray(value)
     if arr.ndim == 0:
         arr = np.full(n, arr)
@@ -58,6 +68,8 @@ def check_interaction_matrix(S) -> np.ndarray:
         raise ValueError(f"interaction matrix must be square, got shape {S.shape}")
     if S.shape[0] == 0:
         raise ValueError("interaction matrix must have at least one row")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("interaction matrix entries must be finite")
     if np.any(S < 0):
         raise ValueError("interaction matrix entries must be nonnegative")
     err = np.abs(S.sum(axis=1) - 1.0)
@@ -208,59 +220,17 @@ def normalize(raw: RawConfig) -> NetworkParams:
     )
 
 
-def red_ratio_from_count(params: NetworkParams, urn: int, count: int) -> float:
-    """Red fraction of an urn whose full window holds ``count`` red draws.
-
-    Equals ``(rho + k*delta_r) / (1 + k*delta_r + (M-k)*delta_b)`` with
-    ``k = count``; monotone nondecreasing in ``count``.
-    """
-    M = params.memory
-    if not 0 <= count <= M:
-        raise ValueError(f"count must lie in [0, {M}], got {count}")
-    dr = params.delta_r[urn]
-    db = params.delta_b[urn]
-    num = params.rho[urn] + count * dr
-    den = 1.0 + count * dr + (M - count) * db
-    return clamp_probability(num / den, what="red ratio")
-
-
 def red_ratio_table(params: NetworkParams) -> np.ndarray:
-    """Table ``[urn, k]`` of red fractions for ``k`` red draws in the window."""
+    """Table ``[urn, k]`` of red fractions for ``k`` red draws in the window.
+
+    Entry ``[j, k]`` is ``(rho + k*delta_r) / (1 + k*delta_r + (M-k)*delta_b)``
+    for urn j, nondecreasing in ``k``.  Reinforcement amounts are
+    constant in time, so only the number of red draws in a window
+    matters, not their order.
+    """
     k = np.arange(params.memory + 1, dtype=float)[None, :]
     dr = params.delta_r[:, None]
     db = params.delta_b[:, None]
     num = params.rho[:, None] + k * dr
     den = 1.0 + k * dr + (params.memory - k) * db
     return clamp_probability(num / den, what="red ratio table")
-
-
-def red_ratio(params: NetworkParams, urn: int, window) -> float:
-    """Red fraction given the urn's explicit window of its last M draws.
-
-    ``window[0]`` is the oldest remembered draw.  Only the number of red
-    draws matters since reinforcement amounts are constant in time, so
-    the result is invariant under window permutations.
-    """
-    w = np.asarray(window)
-    if w.shape != (params.memory,):
-        raise ValueError(f"window must hold exactly {params.memory} draws")
-    if not np.all((w == 0) | (w == 1)):
-        raise ValueError("window entries must be 0 or 1")
-    dr = params.delta_r[urn]
-    db = params.delta_b[urn]
-    num = params.rho[urn] + dr * float(w.sum())
-    den = 1.0 + float((dr * w + db * (1 - w)).sum())
-    return clamp_probability(num / den, what="red ratio")
-
-
-def draw_probability(urn: int, ratios, S) -> float:
-    """Red-draw probability for ``urn``: its interaction row dotted with
-    the current per-urn red fractions."""
-    S = check_interaction_matrix(S)
-    r = np.asarray(ratios, dtype=float)
-    if r.shape != (S.shape[0],):
-        raise ValueError("ratios must have one entry per urn")
-    if not 0 <= urn < S.shape[0]:
-        raise ValueError(f"urn index {urn} out of range")
-    r = clamp_probability(r, what="red ratios")
-    return clamp_probability(float(S[urn] @ r), what="draw probability")

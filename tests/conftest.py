@@ -14,7 +14,15 @@ import pytest
 from hypothesis import settings
 
 from polyanet.csvio import write_csv
-from polyanet.params import RawConfig, normalize
+from polyanet.errors import CapExceededError
+from polyanet.meanfield import LinearSystem
+from polyanet.params import (
+    RawConfig,
+    check_interaction_matrix,
+    clamp_probability,
+    normalize,
+    red_ratio_table,
+)
 
 # Deterministic examples and no per-example deadline, so a slow runner
 # neither flakes on timing nor draws different examples on each run.
@@ -155,6 +163,185 @@ def write_curve_rows(path, header, times, per_urn, network_avg, tail):
             yield (int(t), "avg", float(network_avg[k]), tail)
 
     write_csv(path, header, rows())
+
+
+# -- scalar and exponential oracles for the library's evaluators -------------
+#
+# Each restates a quantity the library computes in one vectorized
+# evaluator (red_ratio_table, TransitionKernel, step_nonlinear,
+# build_linear_system) the slow, literal way: one urn, one window, one
+# pair of states or one joint outcome at a time.
+
+
+def red_ratio_from_count(params, urn, count):
+    """Red fraction of an urn whose full window holds ``count`` red draws.
+
+    Equals ``(rho + k*delta_r) / (1 + k*delta_r + (M-k)*delta_b)`` with
+    ``k = count``; monotone nondecreasing in ``count``.
+    """
+    M = params.memory
+    if not 0 <= count <= M:
+        raise ValueError(f"count must lie in [0, {M}], got {count}")
+    dr = params.delta_r[urn]
+    db = params.delta_b[urn]
+    num = params.rho[urn] + count * dr
+    den = 1.0 + count * dr + (M - count) * db
+    return clamp_probability(num / den, what="red ratio")
+
+
+def red_ratio(params, urn, window):
+    """Red fraction given the urn's explicit window of its last M draws.
+
+    ``window[0]`` is the oldest remembered draw.  Only the number of red
+    draws matters since reinforcement amounts are constant in time, so
+    the result is invariant under window permutations.
+    """
+    w = np.asarray(window)
+    if w.shape != (params.memory,):
+        raise ValueError(f"window must hold exactly {params.memory} draws")
+    if not np.all((w == 0) | (w == 1)):
+        raise ValueError("window entries must be 0 or 1")
+    dr = params.delta_r[urn]
+    db = params.delta_b[urn]
+    num = params.rho[urn] + dr * float(w.sum())
+    den = 1.0 + float((dr * w + db * (1 - w)).sum())
+    return clamp_probability(num / den, what="red ratio")
+
+
+def draw_probability(urn, ratios, S):
+    """Red-draw probability for ``urn``: its interaction row dotted with
+    the current per-urn red fractions."""
+    S = check_interaction_matrix(S)
+    r = np.asarray(ratios, dtype=float)
+    if r.shape != (S.shape[0],):
+        raise ValueError("ratios must have one entry per urn")
+    if not 0 <= urn < S.shape[0]:
+        raise ValueError(f"urn index {urn} out of range")
+    r = clamp_probability(r, what="red ratios")
+    return clamp_probability(float(S[urn] @ r), what="draw probability")
+
+
+def transition_prob(a, b, params, S):
+    """Probability of moving from packed state ``a`` to ``b`` in one step.
+
+    Returns 0.0 when the windows of ``b`` are not one-step shifts of the
+    windows of ``a``.  Heterogeneous parameters are supported: urn d's
+    red probability mixes every urn's current red fraction through row d
+    of the interaction matrix.
+    """
+    S = check_interaction_matrix(S)
+    N, M = params.n_urns, params.memory
+    if S.shape[0] != N:
+        raise ValueError("interaction matrix size does not match params")
+    n_states = 1 << (N * M)
+    if not (0 <= a < n_states and 0 <= b < n_states):
+        raise ValueError(f"states must lie in [0, {n_states})")
+    field_mask = (1 << M) - 1
+    low_mask = field_mask >> 1
+    ratios = np.empty(N)
+    table = red_ratio_table(params)
+    new_draws = np.empty(N, dtype=np.int64)
+    for j in range(N):
+        a_field = (a >> (j * M)) & field_mask
+        b_field = (b >> (j * M)) & field_mask
+        if (b_field & low_mask) != (a_field >> 1):
+            return 0.0
+        ratios[j] = table[j, bin(a_field).count("1")]
+        new_draws[j] = (b_field >> (M - 1)) & 1
+    probs = clamp_probability(S @ ratios, what="draw probability")
+    factors = np.where(new_draws == 1, probs, 1.0 - probs)
+    return float(np.prod(factors))
+
+
+DIRECT_CAP_BITS = 20
+
+
+def _check_history(history, params):
+    hist = np.asarray(history, dtype=float)
+    expected = (params.memory, params.n_urns)
+    if hist.shape != expected:
+        raise ValueError(
+            f"history must have shape (memory, n_urns) = {expected}, got {hist.shape}"
+        )
+    return clamp_probability(hist, what="history probabilities")
+
+
+def _outcome_weights(states, q):
+    """Joint Bernoulli weights prod_b (b set ? q_b : 1-q_b) per state."""
+    positions = np.arange(len(q), dtype=np.int64)
+    bitsmat = ((states[:, None] >> positions[None, :]) & 1).astype(float)
+    return np.prod(bitsmat * q + (1.0 - bitsmat) * (1.0 - q), axis=1)
+
+
+def configuration_weights(history, params):
+    """Probability of every joint window outcome, indexed by state word.
+
+    Entry ``a`` is the product over all N*M window bits of the bit's
+    Bernoulli probability (``history`` value if set, complement if
+    clear).  The entries sum to one: the outcomes partition the sample
+    space, whatever the table of probabilities.
+    """
+    hist = _check_history(history, params)
+    bits = params.n_urns * params.memory
+    if bits > DIRECT_CAP_BITS:
+        raise CapExceededError(
+            f"weight enumeration needs {bits} bits; cap is {DIRECT_CAP_BITS}"
+        )
+    q = hist.T.reshape(-1)  # position j*M + l
+    return _outcome_weights(np.arange(1 << bits, dtype=np.int64), q)
+
+
+def step_direct(history, params, S):
+    """One step of the mean-field map by full enumeration of window outcomes.
+
+    ``history[l-1][j]`` is urn j's infection probability l steps back.
+    Treating window bits as independent Bernoulli draws with those
+    probabilities, the new vector is the expectation of the per-urn red
+    probability over all 2**(N*M) joint outcomes: the defining form of
+    the map that ``step_nonlinear`` evaluates as a polynomial.
+    """
+    S = check_interaction_matrix(S)
+    hist = _check_history(history, params)
+    N, M = params.n_urns, params.memory
+    bits = N * M
+    if bits > DIRECT_CAP_BITS:
+        raise CapExceededError(
+            f"direct enumeration needs {bits} bits; cap is {DIRECT_CAP_BITS}"
+        )
+    # Bernoulli weight of bit (j, lag l) taken from history row l.
+    q = hist.T.reshape(-1)  # position j*M + l
+    table = red_ratio_table(params)
+    out = np.zeros(N)
+    chunk = 1 << min(bits, 16)
+    for start in range(0, 1 << bits, chunk):
+        states = np.arange(start, min(start + chunk, 1 << bits), dtype=np.int64)
+        weights = _outcome_weights(states, q)
+        bitsmat = ((states[:, None] >> np.arange(bits, dtype=np.int64)[None, :]) & 1)
+        counts = bitsmat.reshape(len(states), N, M).sum(axis=2).astype(np.int64)
+        vals = table[np.arange(N)[None, :], counts]
+        out += weights @ (vals @ S.T)
+    return clamp_probability(out, what="infection probabilities")
+
+
+def linear_system_by_blocks(params, S):
+    """Block companion system assembled one N x M block at a time."""
+    S = check_interaction_matrix(S)
+    N, M = params.n_urns, params.memory
+    table = red_ratio_table(params)
+    slope = table[:, 1] - table[:, 0]
+    const = S @ table[:, 0]
+    if M == 1:
+        return LinearSystem(J=S * slope[None, :], C=const, n_urns=N, memory=1)
+    J = np.zeros((N * M, N * M))
+    C = np.zeros(N * M)
+    for i in range(N):
+        r0 = i * M
+        C[r0] = const[i]
+        for j in range(N):
+            c0 = j * M
+            J[r0, c0 : c0 + M] = S[i, j] * slope[j]
+        J[r0 + 1 : r0 + M, r0 : r0 + M - 1] += np.eye(M - 1)
+    return LinearSystem(J=J, C=C, n_urns=N, memory=M)
 
 
 @pytest.fixture

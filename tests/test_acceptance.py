@@ -20,12 +20,14 @@ from polyanet.experiment import figure_configs, read_curve, run
 from polyanet.params import NetworkParams, normalize, red_ratio_table
 
 from conftest import (
+    configuration_weights,
     isolated_equilibrium,
     pair_joint_urn1,
     pair_raw,
     pair_stationary,
     random_interaction,
     realized_pair,
+    step_direct,
 )
 
 DETAILS = {}
@@ -80,7 +82,7 @@ def test_c02_step_rearrangement_equivalence():
         )
         S = random_interaction(g, n)
         hist = g.random((m, n))
-        a = meanfield.step_direct(hist, par, S)
+        a = step_direct(hist, par, S)
         b = meanfield.step_nonlinear(hist, par, S)
         worst = max(worst, float(np.max(np.abs(a - b))))
     elapsed = time.perf_counter() - start
@@ -96,13 +98,13 @@ def test_c03_outcome_weight_partitions():
     for _ in range(1000):
         n = int(g.integers(1, 5))
         par = NetworkParams(1, g.random(n), g.random(n), g.random(n))
-        w = meanfield.configuration_weights(g.random((1, n)), par)
+        w = configuration_weights(g.random((1, n)), par)
         worst_single = max(worst_single, abs(float(w.sum()) - 1.0))
     for _ in range(1000):
         n = int(g.integers(1, 5))
         m = int(g.integers(2, 5))
         par = NetworkParams(m, g.random(n), g.random(n), g.random(n))
-        w = meanfield.configuration_weights(g.random((m, n)), par)
+        w = configuration_weights(g.random((m, n)), par)
         worst_multi = max(worst_multi, abs(float(w.sum()) - 1.0))
     DETAILS[3] = f"unit-sum err {worst_single:.2e} (one lag), {worst_multi:.2e} (multi)"
     assert worst_single < 1e-12

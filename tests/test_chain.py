@@ -20,7 +20,6 @@ from polyanet.chain import (
     save_kernel_csv,
     stationary_distribution,
     state_bit,
-    transition_prob,
     two_fold_joint,
 )
 from polyanet.errors import CapExceededError
@@ -33,6 +32,7 @@ from conftest import (
     pair_stationary,
     random_interaction,
     realized_pair,
+    transition_prob,
 )
 
 

@@ -1,5 +1,6 @@
 """Experiment configs, run driver, curve comparison and the CLI."""
 
+import hashlib
 import json
 import pathlib
 import time
@@ -456,6 +457,59 @@ class TestCli:
                          "--nodes", "12", "--out", str(tmp_path / "net")])
         assert code == 2
 
+    # SHA-256 of the matrix and edge CSVs, pinned from the generators'
+    # output before gen-network went through resolve_network.
+    GEN_NETWORK_DIGESTS = {
+        ("ring", "--nodes", "5"): {
+            "matrix": "6988b72c5f2cb3c38a0f214b3d9c6762d505c9bf6271c7b71d4f6ed9a2315fa0",
+        },
+        ("identity", "--nodes", "4"): {
+            "matrix": "1071e33f72efb352764e0ea040792695cd75360b1f1b292bf9c36059cd47f18f",
+        },
+        ("complete", "--nodes", "6", "--self-weight", "0"): {
+            "matrix": "f2b88b16d6be41dca67b2e10e4af6f14f6c46de59c83c9c734a4ce1ab3637119",
+            "edges": "d263cce09088e858d53d72a3551b92dd9d7af790ac679a35ae80d2b598470f42",
+        },
+        ("complete", "--nodes", "6", "--self-weight", "2.5"): {
+            "matrix": "4b6d97a91f0e3d6a7e6e22ce1a9e8284f7ab5fd2aa54298d90644ddf347270e3",
+            "edges": "d263cce09088e858d53d72a3551b92dd9d7af790ac679a35ae80d2b598470f42",
+        },
+        ("barabasi-albert", "--nodes", "12", "--attach", "2", "--seed", "3"): {
+            "matrix": "0c931ea60c30114ff39871c375273b23f92448f5db8a7f04296610b0ad922619",
+            "edges": "7550d7eb110953ce2d784f92eac837f9b202fb071747da61efbaab2471540f8a",
+        },
+        ("barabasi-albert", "--nodes", "30", "--attach", "3", "--seed", "7",
+         "--self-weight", "2.5"): {
+            "matrix": "27a0474dce12b1d064f6af37dea01e05e81500130863653809f9f49115292513",
+            "edges": "6376d562756df48118deeb12b1ddd6a8286efc9c6f65e567a803231a5ea964b9",
+        },
+    }
+
+    @pytest.mark.parametrize("args", sorted(GEN_NETWORK_DIGESTS))
+    def test_gen_network_bytes_pinned(self, tmp_path, args):
+        out = str(tmp_path / "net")
+        assert cli.main(["gen-network", "--kind", *args, "--out", out]) == 0
+        want = self.GEN_NETWORK_DIGESTS[args]
+        for name in ("matrix", "edges"):
+            path = tmp_path / f"net_{name}.csv"
+            assert path.exists() == (name in want)
+            if name in want:
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == want[name]
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "ring", "--nodes", "1"],
+        ["--kind", "barabasi-albert", "--nodes", "3", "--attach", "5"],
+        ["--kind", "complete", "--nodes", "4", "--self-weight", "-1"],
+        ["--kind", "complete", "--nodes", "4", "--self-weight", "nan"],
+    ])
+    def test_gen_network_bad_arguments_exit_2(self, tmp_path, capsys, args):
+        out = str(tmp_path / "net")
+        assert cli.main(["gen-network", *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: network:")
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_compare_subcommand(self, tmp_path, capsys):
         path = self.write_config(tmp_path, modes=["meanfield-nonlinear"])
         cli.main(["meanfield", "--config", path, "--system", "nonlinear"])
@@ -603,6 +657,30 @@ class TestMalformedEntries:
         assert info.value.field == "urns"
 
     @pytest.mark.parametrize("field", URN_FIELDS)
+    @pytest.mark.parametrize("value", [True, [True, False], [True, 2], "3", ["1", "2"]])
+    def test_boolean_or_string_count_is_urns_error(self, tmp_path, field, value):
+        # Red counts of 1 keep the coerced values (1, [1, 2], 3) a valid
+        # config, so only the type of the entry is at fault.
+        data = base_config(tmp_path, **{"initial_red": [1, 1], field: value})
+        with pytest.raises(ConfigError, match="must hold integers") as info:
+            config_from_dict(data)
+        assert info.value.field == "urns"
+
+    @pytest.mark.parametrize("field, text", [
+        ("initial_red", "true"), ("initial_total", "[true, 2]"),
+        ("reinforce_red", '"3"'), ("reinforce_black", '["1", "2"]'),
+    ])
+    def test_boolean_or_string_count_exits_2(self, tmp_path, capsys, field, text):
+        data = base_config(tmp_path, modes=["meanfield-linear"], initial_red=[1, 1])
+        data[field] = "PLACEHOLDER"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data).replace('"PLACEHOLDER"', text))
+        assert cli.main(["meanfield", "--config", str(path), "--system", "linear"]) == 2
+        err = capsys.readouterr().err
+        assert f"urns: {field} must hold integers" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", URN_FIELDS)
     @pytest.mark.parametrize("count", [float("inf"), float("-inf"), float("nan"), 1e300,
                                        -1e300, 2.0**64, 2**63, 2**53 + 1])
     def test_out_of_range_count_rejected_before_cast(self, tmp_path, field, count):
@@ -636,7 +714,8 @@ class TestMalformedEntries:
         "spec",
         [{"kind": "ring", "nodes": None}, {"kind": "ring", "nodes": []},
          {"kind": "matrix", "values": {}}, {"kind": "matrix-file", "path": None},
-         {"kind": "barabasi-albert", "nodes": 5, "attach": None}],
+         {"kind": "barabasi-albert", "nodes": 5, "attach": None},
+         {"kind": "matrix", "values": [[float("nan")]]}],
     )
     def test_malformed_network_entry(self, spec):
         with pytest.raises(ConfigError) as info:

@@ -9,19 +9,23 @@ from polyanet.chain import build_kernel, marginal_infection, point_mass
 from polyanet.errors import CapExceededError, UnstableSystemError
 from polyanet.meanfield import (
     build_linear_system,
-    configuration_weights,
-    enumerate_lag_subsets,
     equilibrium,
     iterate,
     save_equilibrium_csv,
     save_trajectory_csv,
     spectral_radius,
-    step_direct,
     step_nonlinear,
 )
 from polyanet.params import NetworkParams, normalize, red_ratio_table
 
-from conftest import homogeneous_raw, isolated_equilibrium, random_interaction
+from conftest import (
+    configuration_weights,
+    homogeneous_raw,
+    isolated_equilibrium,
+    linear_system_by_blocks,
+    random_interaction,
+    step_direct,
+)
 
 
 def random_params(rng, n_urns, memory):
@@ -31,25 +35,6 @@ def random_params(rng, n_urns, memory):
         delta_r=rng.uniform(0.0, 2.0, n_urns),
         delta_b=rng.uniform(0.05, 2.0, n_urns),
     )
-
-
-class TestLagSubsets:
-    def test_counts(self):
-        from math import comb
-
-        for m in range(1, 6):
-            for n in range(1, m + 1):
-                subsets = enumerate_lag_subsets(n, m)
-                assert len(subsets) == comb(m, n)
-                assert len(set(subsets)) == len(subsets)
-                assert all(len(s) == n for s in subsets)
-                assert all(1 <= d <= m for s in subsets for d in s)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            enumerate_lag_subsets(0, 3)
-        with pytest.raises(ValueError):
-            enumerate_lag_subsets(4, 3)
 
 
 class TestStepEquivalence:
@@ -117,6 +102,18 @@ class TestConfigurationWeights:
 
 
 class TestLinearSystem:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_equals_block_by_block_build(self, n, m):
+        g = np.random.default_rng(100 * n + m)
+        par = random_params(g, n, m)
+        S = random_interaction(g, n)
+        got = build_linear_system(par, S)
+        want = linear_system_by_blocks(par, S)
+        assert np.array_equal(got.J, want.J)
+        assert np.array_equal(got.C, want.C)
+        assert (got.n_urns, got.memory) == (n, m)
+
     def test_memory_one_shape(self, rng):
         par = random_params(rng, 3, 1)
         S = random_interaction(rng, 3)
@@ -256,6 +253,25 @@ class TestIterate:
         eq = equilibrium(build_linear_system(par, S))
         traj = iterate("linear", par, S, 800)
         assert np.allclose(traj.per_urn[-1], eq.per_urn, atol=1e-8)
+
+    @pytest.mark.parametrize("t_max", [1, 2, 7])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_nonlinear_equals_public_steps(self, m, t_max):
+        # One map built per run gives the same bits as a fresh, validated
+        # step_nonlinear call per step, for t_max below and above M.
+        g = np.random.default_rng(10 * m + t_max)
+        par = random_params(g, 3, m)
+        S = random_interaction(g, 3)
+        hist = g.uniform(0.1, 0.9, (m, 3))
+        traj = iterate("nonlinear", par, S, t_max, initial_history=hist)
+        want = np.zeros((t_max, 3))
+        for t in range(1, min(m, t_max + 1)):
+            want[t - 1] = hist[m - 1 - t]
+        work = hist.copy()
+        for t in range(m, t_max + 1):
+            want[t - 1] = step_nonlinear(work, par, S)
+            work = np.vstack([want[t - 1][None, :], work[:-1]])
+        assert np.array_equal(traj.per_urn, want)
 
     def test_initial_history_replayed(self, rng):
         par = random_params(rng, 2, 3)

@@ -14,9 +14,9 @@ from polyanet.montecarlo import (
     step,
     worker_count,
 )
-from polyanet.params import normalize, red_ratio
+from polyanet.params import normalize
 
-from conftest import homogeneous_raw, make_raw, random_interaction
+from conftest import homogeneous_raw, make_raw, random_interaction, red_ratio
 
 
 class TestStep:

@@ -10,14 +10,17 @@ from polyanet.params import (
     RawConfig,
     check_interaction_matrix,
     clamp_probability,
-    draw_probability,
     normalize,
-    red_ratio,
-    red_ratio_from_count,
     red_ratio_table,
 )
 
-from conftest import make_raw, random_interaction
+from conftest import (
+    draw_probability,
+    make_raw,
+    random_interaction,
+    red_ratio,
+    red_ratio_from_count,
+)
 
 
 class TestInteractionMatrix:
@@ -38,6 +41,13 @@ class TestInteractionMatrix:
         S = np.array([[1.5, -0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="nonnegative"):
             check_interaction_matrix(S)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            check_interaction_matrix(np.array([[bad, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            check_interaction_matrix([[bad]])
 
     def test_rejects_bad_row_sum_instead_of_renormalizing(self):
         S = np.array([[0.6, 0.5], [0.5, 0.5]])
@@ -107,6 +117,22 @@ class TestRawConfig:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             make_raw(1, [5, 5, 5], 10, 1, 1, np.eye(2))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16])
+    def test_numpy_integer_counts_accepted(self, dtype):
+        raw = make_raw(1, np.array([5, 6], dtype=dtype), dtype(10),
+                       np.array([1, 2], dtype=dtype), dtype(3), np.eye(2))
+        assert raw.initial_red.tolist() == [5, 6]
+        assert raw.initial_total.tolist() == [10, 10]
+        assert raw.reinforce_black.dtype == np.int64
+
+    @pytest.mark.parametrize("value", [
+        True, np.bool_(True), [True, False], [True, 2], np.array([True, False]),
+        "3", ["1", "2"], np.array(["1", "2"]),
+    ])
+    def test_boolean_or_string_counts_rejected(self, value):
+        with pytest.raises(ValueError, match="reinforce_red must hold integers"):
+            make_raw(1, [1, 1], [10, 10], value, 1, np.eye(2))
 
 
 class TestNormalize:
