@@ -50,7 +50,9 @@ SPARSE_NNZ_CAP = 1 << 26
 # cache-sized (a block is at least one row of 2**(2N) entries).
 BLOCK_ENTRIES = 1 << 16
 # A kernel whose factor blocks total at most this many bytes keeps them
-# after its first full pass; larger kernels recompute them every pass.
+# after its first full pass; larger kernels keep the draw probabilities
+# of every source instead (8*N*2**(N*M) bytes, at most 64 MiB under the
+# default cap: N = 1, M = 23 or N = 2, M = 11) and rebuild the blocks.
 KERNEL_CACHE_BYTES = 32 << 20
 DIST_SUM_TOL = 1e-10
 
@@ -87,7 +89,8 @@ class TransitionKernel:
     ``apply`` contracts a distribution with each block, ``to_sparse``
     materializes the nonzero entries as CSR, and ``successors`` reads
     one source's row of its block.  The first full pass keeps the
-    blocks when they total at most ``KERNEL_CACHE_BYTES``.
+    blocks when they total at most ``KERNEL_CACHE_BYTES``, and the
+    draw probabilities of every source otherwise.
     """
 
     def __init__(self, params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS):
@@ -124,6 +127,7 @@ class TransitionKernel:
         self._newest = oldest << (M - 1)  # x -> lag M-1 bits of a successor
         self._rows_per_block = max(1, BLOCK_ENTRIES >> (2 * N))
         self._cache: list | None = None
+        self._probs: np.ndarray | None = None  # (N, states), enumeration order
 
     # -- per-state quantities -------------------------------------------------
 
@@ -145,24 +149,31 @@ class TransitionKernel:
 
     # -- enumeration core -----------------------------------------------------
 
-    def _blocks(self, start: int = 0, stop: int | None = None):
+    def _blocks(self, start: int = 0, stop: int | None = None, keep: bool = False):
         """Yield ``(src, dst, F)`` for rows ``start..stop`` in blocks.
 
         ``src[k, o]`` and ``dst[k, x]`` are packed states and
         ``F[k, o, x]`` the probability of moving from the first to the
         second: the product of the urns' red/black factors, expanded in
-        urn order so that bit d of ``x`` is urn d's new draw.
+        urn order so that bit d of ``x`` is urn d's new draw.  A full
+        pass with ``keep`` stores the draw probabilities it computes,
+        and every later pass reads them.
         """
         stop = len(self._kept) if stop is None else stop
+        fan = len(self._oldest)
+        table = np.empty((self.n_urns, self.n_states)) if keep else None
         for lo in range(start, stop, self._rows_per_block):
-            kept = self._kept[lo : min(lo + self._rows_per_block, stop)]
+            hi = min(lo + self._rows_per_block, stop)
+            kept = self._kept[lo:hi]
             src = kept[:, None] + self._oldest[None, :]
             dst = (kept >> 1)[:, None] + self._newest[None, :]
-            probs = self.draw_probabilities(src.ravel()).T
+            probs = (self.draw_probabilities(src.ravel()).T if self._probs is None
+                     else self._probs[:, lo * fan : hi * fan])
+            if keep:
+                table[:, lo * fan : hi * fan] = probs
             # Built x-major, so that adding urn d doubles the filled rows
             # of contiguous memory: row x then holds the factors of urns
             # 0..d, bit d of x choosing red (p) or black (1 - p).
-            fan = src.shape[1]
             F = np.empty((fan, src.size))
             F[0] = 1.0
             for d in range(self.n_urns):
@@ -171,6 +182,8 @@ class TransitionKernel:
                 np.multiply(F[:width], p, out=F[width : 2 * width])
                 np.multiply(F[:width], 1.0 - p, out=F[:width])
             yield src, dst, F.reshape(fan, len(kept), fan).transpose(1, 2, 0)
+        if keep:
+            self._probs = table
 
     def _all_blocks(self):
         """Every block, from the cache when the kernel keeps one."""
@@ -179,7 +192,7 @@ class TransitionKernel:
         if (self.n_states << self.n_urns) * 8 <= KERNEL_CACHE_BYTES:
             self._cache = list(self._blocks())
             return self._cache
-        return self._blocks()
+        return self._blocks(keep=self._probs is None)
 
     # -- operator -------------------------------------------------------------
 

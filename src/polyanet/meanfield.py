@@ -9,8 +9,10 @@ table, at O(N*M^2 + N^2) cost.  The coefficients depend only on the
 parameters, so :func:`iterate` computes them once per run and
 :func:`step_nonlinear` is the same map for a single, validated step.
 
-Dropping every term of degree >= 2 yields the linear variant, whose
-block companion matrix, spectral radius and equilibrium live here too.
+Dropping every term of degree >= 2 yields the linear variant, kept as
+the N x N matrix A = S @ diag(slope) >= 0 and stepped through a
+structured companion product: no (N*M)**2 matrix is formed, the
+equilibrium is an N x N solve, and it is stable iff M * rho(A) < 1.
 For memory 1 the nonlinear map is already affine, so both variants
 coincide; with the identity interaction matrix it reproduces the exact
 chain marginals step for step.
@@ -19,6 +21,7 @@ chain marginals step for step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 from typing import NamedTuple
 
@@ -101,39 +104,40 @@ def step_nonlinear(history, params: NetworkParams, S) -> np.ndarray:
 @dataclass
 class LinearSystem:
     """Affine system P~(t) = J @ P~(t-1) + C from dropping history terms
-    of degree >= 2.
+    of degree >= 2, kept as A = S @ diag(slope) (N x N) and c = S @ table[:, 0].
 
-    For memory 1 the state is the N infection probabilities themselves.
-    For memory M > 1 the state stacks per urn the M most recent values
-    (newest first); each N x M diagonal block carries the coefficient
-    row on top of a shifted identity, off-diagonal blocks only the
-    coefficient row.
+    The state holds per urn its M most recent values, newest first,
+    urn-major (entry ``j * M + l`` is urn j, l steps back).  J is never
+    formed: :meth:`apply` puts A @ (each urn's lag sum) in the newest
+    lag and shifts the other lags down by one; C is ``c`` on the newest.
     """
 
-    J: np.ndarray
-    C: np.ndarray
+    A: np.ndarray
+    c: np.ndarray
     n_urns: int
     memory: int
+
+    def newest(self, lags) -> np.ndarray:
+        """Newest lag of J @ x from the M rows of x's lags, newest first,
+        summed row by row so that :meth:`apply` and :func:`iterate` agree."""
+        return self.A @ reduce(np.add, lags)
+
+    def apply(self, x) -> np.ndarray:
+        """J @ x for a state of N*M values, returned in the shape of ``x``."""
+        X = np.reshape(x, (self.n_urns, self.memory))
+        Y = np.empty_like(X)
+        Y[:, 0] = self.newest(X.T)
+        Y[:, 1:] = X[:, :-1]
+        return Y.reshape(np.shape(x))
 
 
 def build_linear_system(params: NetworkParams, S) -> LinearSystem:
     S = check_interaction_matrix(S)
     if S.shape[0] != params.n_urns:
         raise ValueError("interaction matrix size does not match params")
-    N, M = params.n_urns, params.memory
     table = red_ratio_table(params)
     slope = table[:, 1] - table[:, 0]  # per-urn coefficient of each lag
-    # J[i*M + a, j*M + b] is blocks[i, a, j, b]: the top row of block
-    # (i, j) weighs every lag of urn j, and the diagonal blocks shift
-    # urn i's lags down by one.
-    J = np.zeros((N * M, N * M))
-    blocks = J.reshape(N, M, N, M)
-    blocks[:, 0] = (S * slope[None, :])[:, :, None]
-    urns, lags = np.ix_(np.arange(N), np.arange(M - 1))
-    blocks[urns, lags + 1, urns, lags] = 1.0
-    C = np.zeros(N * M)
-    C[::M] = S @ table[:, 0]
-    return LinearSystem(J=J, C=C, n_urns=N, memory=M)
+    return LinearSystem(S * slope[None, :], S @ table[:, 0], params.n_urns, params.memory)
 
 
 class SpectralRadiusEstimate(NamedTuple):
@@ -142,43 +146,41 @@ class SpectralRadiusEstimate(NamedTuple):
 
 
 def spectral_radius(
-    J,
-    rtol: float = 1e-9,
-    max_iters: int = 20000,
-    allow_dense: bool = True,
+    system: LinearSystem, rtol: float = 1e-9, max_iters: int = 20000, allow_dense: bool = True
 ) -> SpectralRadiusEstimate:
-    """Dominant eigenvalue magnitude of a square matrix.
+    """Dominant eigenvalue magnitude of the system's companion operator J.
 
-    Power iteration with a residual stopping rule; when it stalls (for
-    example a dominant complex pair) and the matrix is small enough, an
-    exact dense eigenvalue computation takes over.  If neither route
-    converges the row-sum norm is returned with ``converged=False`` as
-    a guaranteed upper bound.
+    Power iteration on :meth:`LinearSystem.apply` with a residual
+    stopping rule.  When it stalls (for example a dominant +- pair) and
+    A is small enough, J's eigenvalues are taken exactly: the roots of
+    lambda**M = mu * (lambda**(M-1) + ... + 1) over the eigenvalues mu
+    of A.  Otherwise J's row-sum norm is returned with
+    ``converged=False`` as a guaranteed upper bound.
     """
-    J = np.asarray(J, dtype=float)
-    if J.ndim != 2 or J.shape[0] != J.shape[1]:
+    A = np.asarray(system.A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    n = J.shape[0]
-    x = np.random.default_rng(0).standard_normal(n)
+    N, M = A.shape[0], system.memory
+    x = np.random.default_rng(0).standard_normal(N * M)
     x /= np.linalg.norm(x)
     for _ in range(max_iters):
-        y = J @ x
+        y = system.apply(x)
         r = float(np.linalg.norm(y))
         if r == 0.0:
             return SpectralRadiusEstimate(0.0, True)
-        resid = min(
-            float(np.linalg.norm(y - r * x)),
-            float(np.linalg.norm(y + r * x)),
-        )
+        resid = min(float(np.linalg.norm(y - r * x)), float(np.linalg.norm(y + r * x)))
         if resid <= rtol * max(r, 1e-30):
             return SpectralRadiusEstimate(r, True)
         x = y / r
-    if allow_dense and n <= DENSE_LIMIT:
-        return SpectralRadiusEstimate(
-            float(np.max(np.abs(np.linalg.eigvals(J)))), True
-        )
-    bound = float(np.max(np.abs(J).sum(axis=1)))
-    return SpectralRadiusEstimate(bound, False)
+    if allow_dense and N <= DENSE_LIMIT:
+        # One M x M companion matrix per eigenvalue of A.
+        companion = np.zeros((N, M, M), dtype=complex)
+        companion[:, 0, :] = np.linalg.eigvals(A)[:, None]
+        lags = np.arange(M - 1)
+        companion[:, lags + 1, lags] = 1.0
+        return SpectralRadiusEstimate(float(np.max(np.abs(np.linalg.eigvals(companion)))), True)
+    bound = M * float(np.max(np.abs(A).sum(axis=1)))  # the shift rows sum to 1
+    return SpectralRadiusEstimate(max(bound, 1.0) if M > 1 else bound, False)
 
 
 @dataclass
@@ -192,36 +194,24 @@ class Equilibrium:
 def equilibrium(system: LinearSystem) -> Equilibrium:
     """Fixed point of the affine system when it is a contraction.
 
-    Raises :class:`UnstableSystemError` with the measured spectral
-    radius when it is >= 1; callers should report the radius instead of
-    an equilibrium in that case.
+    Every lag of an urn holds the same value x at a fixed point, so x
+    solves the N x N system (I - M*A) x = c.  Raises
+    :class:`UnstableSystemError` with the spectral radius when it is
+    >= 1 (M * rho(A) >= 1, as A >= 0); callers should report the radius
+    instead of an equilibrium in that case.
     """
-    est = spectral_radius(system.J)
+    est = spectral_radius(system)
     if est.value >= 1.0:
         raise UnstableSystemError(est.value)
-    n = system.J.shape[0]
-    A = np.eye(n) - system.J
-    if n <= DENSE_LIMIT:
-        x = np.linalg.solve(A, system.C)
-    else:
-        x = system.C.copy()
-        for _ in range(10**6):
-            nxt = system.J @ x + system.C
-            if float(np.max(np.abs(nxt - x))) <= 1e-14:
-                x = nxt
-                break
-            x = nxt
-        else:
-            raise ConvergenceError("fixed-point iteration for equilibrium stalled")
-    residual = float(np.max(np.abs(A @ x - system.C)))
+    N, M = system.n_urns, system.memory
+    lhs = -M * system.A
+    lhs.flat[:: N + 1] += 1.0  # I - M*A
+    per_urn = np.linalg.solve(lhs, system.c)
+    full = np.repeat(per_urn, M)
+    residual = float(np.max(np.abs(system.apply(full)[::M] + system.c - per_urn)))
     if residual > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"equilibrium residual {residual:.3e} above {RESIDUAL_TOL}"
-        )
-    per_urn = x[:: system.memory] if system.memory > 1 else x.copy()
-    return Equilibrium(
-        per_urn=per_urn, full=x, spectral_radius=est.value, residual=residual
-    )
+        raise ConvergenceError(f"equilibrium residual {residual:.3e} above {RESIDUAL_TOL}")
+    return Equilibrium(per_urn, full, est.value, residual)
 
 
 @dataclass
@@ -259,24 +249,18 @@ def iterate(
         hist = np.zeros((M, N))
     else:
         hist = _check_history(initial_history, params)
-    per = np.zeros((t_max, N))
-    # Times 1..M-1 replay the supplied history (row l is the value at
-    # time M-1-l).
-    for t in range(1, min(M, t_max + 1)):
-        per[t - 1] = hist[M - 1 - t]
+    # Row t holds time t; rows 0..M-1 replay the history (its row l is
+    # time M-1-l), and each step reads the last M rows newest first.
+    vals = np.zeros((max(t_max + 1, M), N))
+    vals[:M] = hist[::-1]
     if kind == "nonlinear":
         step = _nonlinear_map(params, S)
-        work = hist.copy()
-        for t in range(M, t_max + 1):
-            per[t - 1] = step(work)
-            work[1:] = work[:-1]
-            work[0] = per[t - 1]
     else:
         system = build_linear_system(params, S)
-        state = hist.T.reshape(-1)
-        for t in range(M, t_max + 1):
-            state = system.J @ state + system.C
-            per[t - 1] = state[::M]
+        step = lambda lags: system.newest(lags) + system.c  # noqa: E731
+    for t in range(M, t_max + 1):
+        vals[t] = step(vals[t - M : t][::-1])
+    per = vals[1 : t_max + 1]
     times = np.arange(1, t_max + 1)
     return InfectionTrajectory(
         times=times,

@@ -8,6 +8,7 @@ compare two independent routes to the same quantity.
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import settings
 
 from polyanet.csvio import write_csv
 from polyanet.errors import CapExceededError
-from polyanet.meanfield import LinearSystem
 from polyanet.params import (
     RawConfig,
     check_interaction_matrix,
@@ -323,6 +323,15 @@ def step_direct(history, params, S):
     return clamp_probability(out, what="infection probabilities")
 
 
+class DenseLinearSystem(NamedTuple):
+    """The linear system as its NM x NM block companion matrix J and C."""
+
+    J: np.ndarray
+    C: np.ndarray
+    n_urns: int
+    memory: int
+
+
 def linear_system_by_blocks(params, S):
     """Block companion system assembled one N x M block at a time."""
     S = check_interaction_matrix(S)
@@ -331,7 +340,7 @@ def linear_system_by_blocks(params, S):
     slope = table[:, 1] - table[:, 0]
     const = S @ table[:, 0]
     if M == 1:
-        return LinearSystem(J=S * slope[None, :], C=const, n_urns=N, memory=1)
+        return DenseLinearSystem(J=S * slope[None, :], C=const, n_urns=N, memory=1)
     J = np.zeros((N * M, N * M))
     C = np.zeros(N * M)
     for i in range(N):
@@ -341,7 +350,54 @@ def linear_system_by_blocks(params, S):
             c0 = j * M
             J[r0, c0 : c0 + M] = S[i, j] * slope[j]
         J[r0 + 1 : r0 + M, r0 : r0 + M - 1] += np.eye(M - 1)
-    return LinearSystem(J=J, C=C, n_urns=N, memory=M)
+    return DenseLinearSystem(J=J, C=C, n_urns=N, memory=M)
+
+
+def dense_companion(system):
+    """The (NM)**2 companion matrix J and constant C of a ``LinearSystem``.
+
+    J[i*M + a, j*M + b] is blocks[i, a, j, b]: the top row of block
+    (i, j) weighs every lag of urn j by A[i, j], and the diagonal blocks
+    shift urn i's lags down by one.
+    """
+    N, M = system.n_urns, system.memory
+    J = np.zeros((N * M, N * M))
+    blocks = J.reshape(N, M, N, M)
+    blocks[:, 0] = system.A[:, :, None]
+    urns, lags = np.ix_(np.arange(N), np.arange(M - 1))
+    blocks[urns, lags + 1, urns, lags] = 1.0
+    C = np.zeros(N * M)
+    C[::M] = system.c
+    return DenseLinearSystem(J=J, C=C, n_urns=N, memory=M)
+
+
+def dense_power_radius(J, rtol=1e-9, max_iters=20000):
+    """Power iteration on a dense J: the same start vector and stopping
+    rule as ``spectral_radius``, or None when it stalls."""
+    x = np.random.default_rng(0).standard_normal(J.shape[0])
+    x /= np.linalg.norm(x)
+    for _ in range(max_iters):
+        y = J @ x
+        r = float(np.linalg.norm(y))
+        if r == 0.0:
+            return 0.0
+        resid = min(float(np.linalg.norm(y - r * x)), float(np.linalg.norm(y + r * x)))
+        if resid <= rtol * max(r, 1e-30):
+            return r
+        x = y / r
+    return None
+
+
+def dense_linear_curve(params, S, t_max):
+    """Linear mean-field curve from a dense-J loop, from a zero history."""
+    dense = linear_system_by_blocks(params, S)
+    M = params.memory
+    state = np.zeros(params.n_urns * M)
+    per = np.zeros((t_max, params.n_urns))
+    for t in range(M, t_max + 1):
+        state = dense.J @ state + dense.C
+        per[t - 1] = state[::M]
+    return per
 
 
 @pytest.fixture

@@ -119,9 +119,22 @@ def test_c04_linear_stability_and_equilibria():
         n = int(g.integers(2, 51))
         par = NetworkParams(1, g.random(n), 3.0 * g.random(n), 3.0 * g.random(n))
         system = meanfield.build_linear_system(par, random_interaction(g, n))
-        est = meanfield.spectral_radius(system.J)
+        est = meanfield.spectral_radius(system)
         worst_radius = max(worst_radius, est.value)
     assert worst_radius < 1.0
+
+    # With memory, radius < 1 holds exactly when M * rho(A) < 1 (A >= 0).
+    verdicts = set()
+    for _ in range(60):
+        n = int(g.integers(2, 21))
+        m = int(g.integers(2, 4))
+        par = NetworkParams(m, g.random(n), 3.0 * g.random(n), 0.5 * g.random(n))
+        system = meanfield.build_linear_system(par, random_interaction(g, n))
+        rho_a = float(np.max(np.abs(np.linalg.eigvals(system.A))))
+        stable = meanfield.spectral_radius(system).value < 1.0
+        assert stable == (m * rho_a < 1.0)
+        verdicts.add(stable)
+    assert verdicts == {True, False}
 
     worst_homog = 0.0
     for n, m in ((3, 1), (5, 2), (4, 3)):
@@ -141,7 +154,7 @@ def test_c04_linear_stability_and_equilibria():
         worst_iso = max(worst_iso, abs(eq.per_urn[j] - want))
     DETAILS[4] = (
         f"max radius {worst_radius:.4f}, homogeneous err {worst_homog:.2e}, "
-        f"isolated err {worst_iso:.2e}"
+        f"isolated err {worst_iso:.2e}, M*rho(A) < 1 certificate on 60 systems"
     )
     assert worst_iso < 1e-10
 

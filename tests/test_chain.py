@@ -382,6 +382,7 @@ class TestKernelPaths:
             mu = g.dirichlet(np.ones(kern.n_states))
             assert np.max(np.abs(kern.apply(mu) - mu @ Q)) <= 1e-15
         assert (kern._cache is not None) == (kernel_path == "cached")
+        assert (kern._probs is not None) == (kernel_path == "streamed")
         sparse = kern.to_sparse()
         assert sparse.nnz == np.count_nonzero(Q)
         assert np.max(np.abs(sparse.toarray() - Q)) <= 1e-15
@@ -390,6 +391,26 @@ class TestKernelPaths:
             assert np.all(vals > 0.0)
             assert sorted(idx.tolist()) == np.flatnonzero(Q[state]).tolist()
             assert np.max(np.abs(vals - Q[state, idx])) <= 1e-15
+
+    def test_streamed_passes_compute_probabilities_once(self, monkeypatch):
+        # The first full pass keeps every source's draw probabilities;
+        # later passes read them and give a fresh kernel's bits.
+        monkeypatch.setattr(chain, "KERNEL_CACHE_BYTES", 0)
+        monkeypatch.setattr(chain, "BLOCK_ENTRIES", 3 << 4)
+        par, S, _ = path_case((2, 3, 15))
+        kern = build_kernel(par, S)
+        sources = []
+        compute = kern.draw_probabilities
+        monkeypatch.setattr(
+            kern, "draw_probabilities", lambda st: sources.append(len(st)) or compute(st)
+        )
+        mu = point_mass(kern, 0)
+        for _ in range(4):
+            nxt = kern.apply(mu)
+            assert np.array_equal(nxt, build_kernel(par, S).apply(mu))
+            mu = nxt
+        assert sum(sources) == kern.n_states
+        assert kern._probs.shape == (par.n_urns, kern.n_states)
 
     def test_pinned_case_has_exact_zeros(self):
         par, S, Q = path_case(PATH_CASES[-1])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polyanet.chain import build_kernel, marginal_infection, point_mass
 from polyanet.errors import CapExceededError, UnstableSystemError
 from polyanet.meanfield import (
+    LinearSystem,
     build_linear_system,
     equilibrium,
     iterate,
@@ -16,10 +17,16 @@ from polyanet.meanfield import (
     spectral_radius,
     step_nonlinear,
 )
+from polyanet.experiment import figure_configs
 from polyanet.params import NetworkParams, normalize, red_ratio_table
+
+from polyanet.networks import ring, row_normalize
 
 from conftest import (
     configuration_weights,
+    dense_companion,
+    dense_linear_curve,
+    dense_power_radius,
     homogeneous_raw,
     isolated_equilibrium,
     linear_system_by_blocks,
@@ -35,6 +42,21 @@ def random_params(rng, n_urns, memory):
         delta_r=rng.uniform(0.0, 2.0, n_urns),
         delta_b=rng.uniform(0.05, 2.0, n_urns),
     )
+
+
+def memory_one(A):
+    """The M = 1 linear system whose companion operator is ``A`` itself."""
+    A = np.asarray(A, dtype=float)
+    return LinearSystem(A=A, c=np.zeros(len(A)), n_urns=len(A), memory=1)
+
+
+def max_eig(J):
+    return float(np.max(np.abs(np.linalg.eigvals(J))))
+
+
+def companion_poly(lam, mu, m):
+    """lambda**M - mu * (lambda**(M-1) + ... + 1)."""
+    return lam**m - mu * sum(lam**k for k in range(m))
 
 
 class TestStepEquivalence:
@@ -110,14 +132,16 @@ class TestLinearSystem:
         S = random_interaction(g, n)
         got = build_linear_system(par, S)
         want = linear_system_by_blocks(par, S)
-        assert np.array_equal(got.J, want.J)
-        assert np.array_equal(got.C, want.C)
+        dense = dense_companion(got)
+        assert np.array_equal(dense.J, want.J)
+        assert np.array_equal(dense.C, want.C)
         assert (got.n_urns, got.memory) == (n, m)
+        assert got.A.shape == (n, n) and got.c.shape == (n,)
 
     def test_memory_one_shape(self, rng):
         par = random_params(rng, 3, 1)
         S = random_interaction(rng, 3)
-        sys = build_linear_system(par, S)
+        sys = dense_companion(build_linear_system(par, S))
         assert sys.J.shape == (3, 3)
         table = red_ratio_table(par)
         assert np.allclose(sys.C, S @ table[:, 0], atol=1e-15)
@@ -125,12 +149,24 @@ class TestLinearSystem:
     def test_block_structure(self, rng):
         par = random_params(rng, 2, 3)
         S = random_interaction(rng, 2)
-        sys = build_linear_system(par, S)
+        sys = dense_companion(build_linear_system(par, S))
         assert sys.J.shape == (6, 6)
         # shift rows: row r copies state entry r-1 within each urn block
         assert sys.J[1, 0] == 1.0 and sys.J[2, 1] == 1.0
         assert sys.J[4, 3] == 1.0 and sys.J[5, 4] == 1.0
         assert sys.C[1] == sys.C[2] == sys.C[4] == sys.C[5] == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_product_equals_dense_companion(self, n, m):
+        g = np.random.default_rng(1000 + 10 * n + m)
+        sys = build_linear_system(random_params(g, n, m), random_interaction(g, n))
+        J = dense_companion(sys).J
+        for x in (g.standard_normal(n * m), g.random(n * m)):
+            y = sys.apply(x)
+            assert y.shape == (n * m,)
+            assert np.max(np.abs(y - J @ x)) <= 1e-15
+            assert np.array_equal(sys.apply(x.reshape(n, m)), y.reshape(n, m))
 
     def test_linear_iterate_matches_scalar_recursion(self):
         par = NetworkParams(2, [0.4], [0.9], [0.3])
@@ -149,7 +185,7 @@ class TestLinearSystem:
 
 class TestSpectralRadius:
     def test_diagonal(self):
-        est = spectral_radius(np.diag([0.2, -0.7, 0.5]))
+        est = spectral_radius(memory_one(np.diag([0.2, -0.7, 0.5])))
         assert est.converged
         assert est.value == pytest.approx(0.7, abs=1e-9)
 
@@ -158,25 +194,85 @@ class TestSpectralRadius:
         R = 0.9 * np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
-        est = spectral_radius(R, max_iters=50)
+        est = spectral_radius(memory_one(R), max_iters=50)
         assert est.converged
         assert est.value == pytest.approx(0.9, abs=1e-9)
 
     def test_zero_matrix(self):
-        est = spectral_radius(np.zeros((3, 3)))
+        est = spectral_radius(memory_one(np.zeros((3, 3))))
         assert est.converged and est.value == 0.0
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            spectral_radius(np.ones((2, 3)))
+            spectral_radius(memory_one(np.ones((2, 3))))
 
     def test_homogeneous_network_radius(self, rng):
         # same root as the per-urn companion polynomial, any mixing matrix
         par = NetworkParams.homogeneous(3, 2, 0.48, 0.44)
         S = random_interaction(rng, 3)
         sys = build_linear_system(par, S)
-        est = spectral_radius(sys.J)
+        est = spectral_radius(sys)
         assert est.value == pytest.approx(0.6147526619150341, abs=1e-9)
+
+
+    def test_matches_dense_power_iteration(self):
+        # The structured product runs the dense iteration's steps; the
+        # stopping rule leaves it within about rtol of the spectrum.
+        g = np.random.default_rng(77)
+        for _ in range(30):
+            n, m = int(g.integers(1, 41)), int(g.integers(1, 5))
+            sys = build_linear_system(random_params(g, n, m), random_interaction(g, n))
+            J = dense_companion(sys).J
+            est = spectral_radius(sys)
+            want = dense_power_radius(J)
+            assert est.converged and want is not None
+            assert abs(est.value - want) <= 1e-12
+            assert abs(est.value - max_eig(J)) <= 1e-8
+            rho_a = max_eig(sys.A)
+            assert abs(companion_poly(est.value, rho_a, m)) <= 1e-8
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_exact_fallback_matches_spectrum(self, m):
+        # max_iters=0 goes straight to the eigvals(A) companion roots.
+        g = np.random.default_rng(300 + m)
+        for n in (1, 2, 5, 13, 30):
+            sys = build_linear_system(random_params(g, n, m), random_interaction(g, n))
+            est = spectral_radius(sys, max_iters=0)
+            assert est.converged
+            assert abs(est.value - max_eig(dense_companion(sys).J)) <= 1e-12
+            assert abs(companion_poly(est.value, max_eig(sys.A), m)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_periodic_ring(self, m):
+        # Self weight 0 makes the 6-ring bipartite: A has eigenvalues
+        # +-rho(A), so at M = 1 the power iteration stalls and the
+        # exact fallback answers.
+        g = np.random.default_rng(600 + m)
+        sys = build_linear_system(random_params(g, 6, m), row_normalize(ring(6)))
+        J = dense_companion(sys).J
+        est = spectral_radius(sys)
+        assert est.converged
+        stalled = dense_power_radius(J) is None
+        assert stalled == (m == 1)
+        tol = 1e-12 if stalled else 1e-8
+        assert abs(est.value - max_eig(J)) <= tol
+        assert abs(companion_poly(est.value, max_eig(sys.A), m)) <= tol
+        assert abs(spectral_radius(sys, max_iters=0).value - max_eig(J)) <= 1e-12
+
+    @pytest.mark.parametrize("delta_r", [(0.0, 0.3), (2.0, 4.0)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_unconverged_bound_is_row_sum_norm(self, m, delta_r):
+        # Weak red reinforcement leaves the shift rows (sum 1) the
+        # largest; strong reinforcement makes the coefficient rows so.
+        g = np.random.default_rng(900 + m)
+        par = NetworkParams(m, g.uniform(0.05, 0.95, 6), g.uniform(*delta_r, 6),
+                            g.uniform(0.0, 0.1, 6))
+        sys = build_linear_system(par, row_normalize(ring(6)))
+        est = spectral_radius(sys, max_iters=0, allow_dense=False)
+        assert not est.converged
+        J = dense_companion(sys).J
+        assert est.value == pytest.approx(np.max(np.abs(J).sum(axis=1)), abs=1e-15)
+        assert est.value >= max_eig(J)
 
 
 class TestEquilibrium:
@@ -206,6 +302,20 @@ class TestEquilibrium:
         assert np.array_equal(eq.per_urn, eq.full[::3])
         # at a fixed point every lag of an urn holds the same value
         assert np.allclose(eq.full.reshape(2, 3), eq.per_urn[:, None], atol=1e-9)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_per_urn_equals_dense_solve(self, n, m):
+        g = np.random.default_rng(2000 + 10 * n + m)
+        par = NetworkParams(m, g.uniform(0.05, 0.95, n), g.uniform(0.0, 0.5, n),
+                            g.uniform(0.05, 2.0, n))
+        S = random_interaction(g, n)
+        eq = equilibrium(build_linear_system(par, S))
+        dense = linear_system_by_blocks(par, S)
+        want = np.linalg.solve(np.eye(n * m) - dense.J, dense.C)
+        assert np.max(np.abs(eq.per_urn - want[::m])) <= 1e-15
+        assert np.max(np.abs(eq.full - want)) <= 1e-15
+        assert eq.residual <= 1e-15
 
     def test_unstable_system_raises(self):
         par = NetworkParams(2, [0.01], [99.0], [0.0])
@@ -253,6 +363,49 @@ class TestIterate:
         eq = equilibrium(build_linear_system(par, S))
         traj = iterate("linear", par, S, 800)
         assert np.allclose(traj.per_urn[-1], eq.per_urn, atol=1e-8)
+
+    @pytest.mark.parametrize("which", ["1", "2", "3"])
+    def test_linear_equals_dense_loop_on_figures(self, which):
+        # Summing the lags before the product reorders the dense row's
+        # sum: within 1e-15 relative to max(1, |v|), bit for bit at M = 1.
+        for cfg in figure_configs(which, "unused"):
+            par = normalize(cfg.raw)
+            got = iterate("linear", par, cfg.raw.interaction, cfg.t_max).per_urn
+            want = dense_linear_curve(par, cfg.raw.interaction, cfg.t_max)
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-15
+            if par.memory == 1:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 9])
+    def test_linear_steps_with_the_structured_product(self, m):
+        # iterate's row window and apply's urn-major state sum the lags
+        # in the same order (also past the 8 lags where NumPy's own sum
+        # regroups), so a loop of apply + c gives the same bits.
+        g = np.random.default_rng(4000 + m)
+        par = random_params(g, 4, m)
+        S = random_interaction(g, 4)
+        hist = g.uniform(0.1, 0.9, (m, 4))
+        traj = iterate("linear", par, S, 30, initial_history=hist)
+        sys = build_linear_system(par, S)
+        state = hist.T.reshape(-1)
+        for t in range(m, 31):
+            state = sys.apply(state)
+            state[::m] += sys.c
+            assert np.array_equal(traj.per_urn[t - 1], state[::m])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_linear_equals_dense_loop(self, m):
+        # Random systems are often unstable; over 200 growing steps the
+        # per-step reordering (a few ulp) accumulates, hence 1e-14.
+        g = np.random.default_rng(3000 + m)
+        for n in (1, 2, 7):
+            par = random_params(g, n, m)
+            S = random_interaction(g, n)
+            got = iterate("linear", par, S, 200).per_urn
+            want = dense_linear_curve(par, S, 200)
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+            if m == 1:
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("t_max", [1, 2, 7])
     @pytest.mark.parametrize("m", [1, 2, 3])
