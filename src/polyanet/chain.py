@@ -30,10 +30,9 @@ vector-matrix product per row, and the per-step work is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .csvio import write_csv
 from .errors import CapExceededError, ConvergenceError
@@ -43,6 +42,9 @@ from .params import (
     clamp_probability,
     red_ratio_table,
 )
+
+if TYPE_CHECKING:  # SciPy is imported only where the structural analysis needs it
+    import scipy.sparse as sp
 
 DEFAULT_CAP_BITS = 24
 SPARSE_NNZ_CAP = 1 << 26
@@ -224,6 +226,8 @@ class TransitionKernel:
 
     def to_sparse(self) -> sp.csr_matrix:
         """Materialize the kernel as CSR; at most 2**N entries per row."""
+        import scipy.sparse as sp
+
         nnz = self.n_states << self.n_urns
         if nnz > SPARSE_NNZ_CAP:
             raise CapExceededError(
@@ -402,6 +406,8 @@ def check_irreducible_aperiodic(
     differences along edges from a breadth-first search gives the
     period of the class reachable from state 0.
     """
+    from scipy.sparse import csgraph
+
     Q = kernel.to_sparse()
     n_comp, _ = csgraph.connected_components(Q, directed=True, connection="strong")
     irreducible = n_comp == 1

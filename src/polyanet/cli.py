@@ -20,7 +20,8 @@ THREADS_ENV = "POLYANET_THREADS"
 
 def _threads(args) -> int:
     """``--threads``, else ``$POLYANET_THREADS``, else 1; below 1 is a
-    configuration error."""
+    configuration error.  The value is validated and recorded but has no
+    effect on a run."""
     value = args.threads if args.threads is not None else os.environ.get(THREADS_ENV, 1)
     return experiment.check_integer(value, "threads", minimum=1)
 
@@ -33,7 +34,7 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help=f"worker processes for replicates (default ${THREADS_ENV} or 1)",
+        help=f"accepted and validated, no effect (default ${THREADS_ENV} or 1)",
     )
 
 

@@ -47,7 +47,7 @@ class ExperimentConfig:
     replicates: int
     master_seed: int
     out_prefix: str
-    threads: int = 1
+    threads: int = 1  # validated and echoed, no effect on a run
     exact_cap_bits: int = chain.DEFAULT_CAP_BITS
     network_spec: dict = field(default_factory=dict)
 
@@ -242,7 +242,7 @@ def run(cfg: ExperimentConfig) -> dict:
         path = f"{cfg.out_prefix}_{mode}.csv"
         if mode == "montecarlo":
             summary_mc = montecarlo.average_replicates(
-                cfg.raw, cfg.t_max, cfg.replicates, cfg.master_seed, jobs=cfg.threads
+                cfg.raw, cfg.t_max, cfg.replicates, cfg.master_seed
             )
             montecarlo.save_summary_csv(summary_mc, path)
             curves[mode] = summary_mc.network_avg
@@ -365,7 +365,7 @@ def figure_setup(which: str, seed: int = FIGURE_SEED) -> dict:
     """
     if which not in ("1", "2", "3"):
         raise ConfigError("figure", f"unknown figure {which!r}; options: 1, 2, 3")
-    rng = np.random.default_rng([seed, int(which)])
+    rng = np.random.default_rng([check_integer(seed, "seed", minimum=0), int(which)])
     if which == "1":
         nodes = 100
         red = rng.integers(1, 11, nodes)

@@ -197,8 +197,9 @@ def equilibrium(system: LinearSystem) -> Equilibrium:
     Every lag of an urn holds the same value x at a fixed point, so x
     solves the N x N system (I - M*A) x = c.  Raises
     :class:`UnstableSystemError` with the spectral radius when it is
-    >= 1 (M * rho(A) >= 1, as A >= 0); callers should report the radius
-    instead of an equilibrium in that case.
+    >= 1 (M * rho(A) >= 1, as A >= 0), and with radius 1 when the
+    estimate falls just short of 1 but I - M*A is singular; callers
+    should report the radius instead of an equilibrium in that case.
     """
     est = spectral_radius(system)
     if est.value >= 1.0:
@@ -206,7 +207,10 @@ def equilibrium(system: LinearSystem) -> Equilibrium:
     N, M = system.n_urns, system.memory
     lhs = -M * system.A
     lhs.flat[:: N + 1] += 1.0  # I - M*A
-    per_urn = np.linalg.solve(lhs, system.c)
+    try:
+        per_urn = np.linalg.solve(lhs, system.c)
+    except np.linalg.LinAlgError:  # M * rho(A) = 1 to rounding
+        raise UnstableSystemError(max(est.value, 1.0)) from None
     full = np.repeat(per_urn, M)
     residual = float(np.max(np.abs(system.apply(full)[::M] + system.c - per_urn)))
     if residual > RESIDUAL_TOL:

@@ -7,8 +7,8 @@ M+1 on, the addition made M steps earlier is retired right after each
 draw, so the total per urn is constant again.
 
 Randomness is counter-based: replicate r of a run always consumes the
-Philox stream keyed (master_seed, r), so results are independent of
-scheduling and worker count.
+Philox stream keyed (master_seed, r), so a run is reproduced bit for
+bit by its master seed.
 
 All stepping goes through one kernel, :func:`_advance`, which moves R
 replicates together as (R, N) count arrays: per step one (R, N) @ S^T
@@ -22,8 +22,6 @@ horizon.  :func:`step` and :func:`simulate` are the R = 1 case.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,57 +182,23 @@ class ReplicateSummary:
     master_seed: int
 
 
-def worker_count(threads: int, replicates: int, cpus: int | None) -> int:
-    """Pool size for a run: the requested threads, but never more than
-    the replicates to share out or the CPUs (``os.cpu_count()``) there are."""
-    return max(1, min(threads, replicates, cpus or 1))
-
-
-def _replicate_draws(config: RawConfig, t_max: int, master_seed: int,
-                     first: int, stop: int) -> np.ndarray:
-    """(T, stop - first, N) int8 draws of replicates first..stop-1."""
-    draws = np.empty((t_max, stop - first, config.n_urns), dtype=np.int8)
-    rngs = [replicate_stream(master_seed, r) for r in range(first, stop)]
-    _advance(_new_batch(config, stop - first), config, rngs, draws)
-    return draws
-
-
 def average_replicates(
-    config: RawConfig,
-    t_max: int,
-    replicates: int,
-    master_seed: int,
-    jobs: int = 1,
+    config: RawConfig, t_max: int, replicates: int, master_seed: int
 ) -> ReplicateSummary:
     """Mean over seeded replicates of the running draw averages.
 
-    Replicate r always consumes stream (master_seed, r).  With
-    ``jobs > 1`` the replicates are split into contiguous chunks, one
-    per worker process (see :func:`worker_count`), and each worker
-    returns its chunk's draws.  The running averages are then summed
-    one replicate at a time in replicate order, so the summary is
-    identical for any ``jobs`` value.
+    Replicate r always consumes stream (master_seed, r).  All replicates
+    are stepped as one batch, and their running averages are then summed
+    one replicate at a time in replicate order.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    workers = worker_count(jobs, replicates, os.cpu_count())
-    if workers > 1:
-        bounds = [replicates * i // workers for i in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                _replicate_draws,
-                [config] * workers,
-                [t_max] * workers,
-                [master_seed] * workers,
-                bounds[:-1],
-                bounds[1:],
-            ))
-    else:
-        chunks = [_replicate_draws(config, t_max, master_seed, 0, replicates)]
+    draws = np.empty((t_max, replicates, config.n_urns), dtype=np.int8)
+    rngs = [replicate_stream(master_seed, r) for r in range(replicates)]
+    _advance(_new_batch(config, replicates), config, rngs, draws)
     acc = np.zeros((t_max, config.n_urns))
-    for chunk in chunks:
-        for r in range(chunk.shape[1]):
-            acc += empirical_sum(chunk[:, r])
+    for r in range(replicates):
+        acc += empirical_sum(draws[:, r])
     per_urn = acc / replicates
     return ReplicateSummary(
         times=np.arange(1, t_max + 1),

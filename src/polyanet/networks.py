@@ -93,13 +93,15 @@ def row_normalize(adjacency, self_weight: float = 0.0) -> np.ndarray:
         raise ValueError("adjacency must be a square matrix")
     if np.any(adj < 0) or self_weight < 0:
         raise ValueError("weights must be nonnegative")
-    work = adj + self_weight * np.eye(adj.shape[0])
+    # one N x N copy, normalized in place; ``+ 0.0`` turns -0.0 into +0.0
+    work = adj + 0.0
+    work.flat[:: adj.shape[0] + 1] += self_weight
     totals = work.sum(axis=1)
     if np.any(totals == 0):
         bad = int(np.argmin(totals))
         raise ValueError(f"row {bad} has zero total weight; cannot normalize")
-    S = work / totals[:, None]
-    return check_interaction_matrix(S)
+    work /= totals[:, None]
+    return check_interaction_matrix(work)
 
 
 def save_edge_list(adjacency, path: str) -> None:

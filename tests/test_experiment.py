@@ -553,6 +553,22 @@ class TestCli:
         assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "run_montecarlo.csv").exists()
 
+    def test_reproduce_fig_negative_seed_rejected(self, tmp_path, capsys):
+        assert cli.main(["reproduce-fig", "2", "--out", str(tmp_path / "f"),
+                         "--t-max", "5", "--replicates", "1", "--seed", "-1"]) == 2
+        assert "seed: must be at least 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_boundary_equilibrium_declined(self, tmp_path, capsys):
+        # M * rho(A) = 1 exactly: the N x N solve is singular
+        path = self.write_config(
+            tmp_path, modes=["equilibrium"], memory=3,
+            network={"kind": "matrix", "values": [[0, 0, 1], [0, 0, 1], [0, 0.5, 0.5]]},
+            initial_red=[0, 0, 0], initial_total=[1, 1, 1],
+            reinforce_red=[0, 0, 2], reinforce_black=[0, 0, 0])
+        assert cli.main(["equilibrium", "--config", path]) == 3
+        assert "spectral radius 1 >= 1; equilibrium declined" in capsys.readouterr().out
+
     def test_reproduce_fig_small(self, tmp_path):
         out = str(tmp_path / "fig3")
         code = cli.main([

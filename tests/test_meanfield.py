@@ -324,6 +324,17 @@ class TestEquilibrium:
             equilibrium(sys)
         assert err.value.radius > 1.0
 
+    def test_boundary_system_declined(self):
+        # M * rho(A) = 3 * 1/3 = 1: I - M*A is singular, while the power
+        # iteration stops just below 1
+        par = NetworkParams(3, [0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0])
+        S = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
+        system = build_linear_system(par, S)
+        assert spectral_radius(system).value < 1.0
+        with pytest.raises(UnstableSystemError) as err:
+            equilibrium(system)
+        assert err.value.radius == 1.0
+
 
 class TestIterate:
     def test_linear_equals_nonlinear_for_memory_one(self, rng):

@@ -12,7 +12,6 @@ from polyanet.montecarlo import (
     replicate_stream,
     simulate,
     step,
-    worker_count,
 )
 from polyanet.params import normalize
 
@@ -130,13 +129,6 @@ class TestEmpiricalSum:
 
 
 class TestReplicates:
-    def test_streams_are_independent_of_worker_count(self, rng):
-        raw = homogeneous_raw(2, 3, 12, 25, 11, random_interaction(rng, 3))
-        serial = average_replicates(raw, 60, 6, master_seed=77, jobs=1)
-        pooled = average_replicates(raw, 60, 6, master_seed=77, jobs=3)
-        assert np.array_equal(serial.per_urn, pooled.per_urn)
-        assert np.array_equal(serial.network_avg, pooled.network_avg)
-
     def test_replicate_streams_distinct(self):
         a = replicate_stream(10, 0).random(5)
         b = replicate_stream(10, 1).random(5)
@@ -205,18 +197,15 @@ class TestBatchedEngine:
         assert np.array_equal(traj.draws, draws)
         assert np.array_equal(traj.ratios, ratios)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("replicates", [1, 7])
     @pytest.mark.parametrize("memory", [1, 2, 3])
-    def test_matches_one_replicate_at_a_time(self, memory, replicates, jobs, rng,
-                                             monkeypatch):
+    def test_matches_one_replicate_at_a_time(self, memory, replicates, rng, monkeypatch):
         raw = heterogeneous_raw(memory, rng)
         # four steps per block for the whole batch: 23 steps are five
-        # full blocks and a partial one (fewer, longer blocks per chunk
-        # when two workers split the replicates)
+        # full blocks and a partial one
         monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES",
                             4 * 8 * replicates * raw.n_urns)
-        summary = average_replicates(raw, 23, replicates, master_seed=5, jobs=jobs)
+        summary = average_replicates(raw, 23, replicates, master_seed=5)
         expected = replicate_oracle(raw, 23, replicates, master_seed=5)
         assert np.array_equal(summary.per_urn, expected)
 
@@ -244,20 +233,3 @@ class TestBatchedEngine:
         assert 0 < draws[:, :, 1].sum() < draws[:, :, 1].size
         summary = average_replicates(raw, 40, 5, master_seed=13)
         assert np.array_equal(summary.per_urn, replicate_oracle(raw, 40, 5, 13))
-
-
-class TestWorkerCount:
-    @pytest.mark.parametrize(
-        "threads, replicates, cpus, expected",
-        [
-            (1, 100, 8, 1),
-            (4, 100, 8, 4),
-            (16, 100, 8, 8),
-            (16, 3, 8, 3),
-            (3, 6, 2, 2),
-            (4, 1, 8, 1),
-            (4, 10, None, 1),
-        ],
-    )
-    def test_clamped_to_replicates_and_cpus(self, threads, replicates, cpus, expected):
-        assert worker_count(threads, replicates, cpus) == expected

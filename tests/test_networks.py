@@ -100,6 +100,20 @@ class TestRowNormalize:
         S = row_normalize(np.zeros((3, 3)), self_weight=2.0)
         assert np.array_equal(S, np.eye(3))
 
+    @pytest.mark.parametrize("self_weight", [0.0, 1.0, 2.5])
+    def test_equals_identity_sum_bit_for_bit(self, rng, self_weight):
+        # the plain formula (A + w I) / row totals, with -0.0 entries
+        # turned into +0.0 as that sum does; the input is left unchanged
+        adj = rng.random((7, 7)) * (rng.random((7, 7)) < 0.5) + np.eye(7)
+        adj[(rng.random((7, 7)) < 0.3) & ~np.eye(7, dtype=bool)] = -0.0
+        before = adj.copy()
+        work = adj + self_weight * np.eye(7)
+        expected = work / work.sum(axis=1)[:, None]
+        S = row_normalize(adj, self_weight)
+        assert S.tobytes() == expected.tobytes()
+        assert not np.any(np.signbit(S))
+        assert adj.tobytes() == before.tobytes()
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             row_normalize(-np.eye(2))
