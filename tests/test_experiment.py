@@ -534,6 +534,21 @@ class TestCli:
         with open(tmp_path / "run_summary.json") as fh:
             assert json.load(fh)["config"]["threads"] == 1
 
+    @pytest.mark.parametrize("threads", ["2", "3", "16"])
+    def test_threads_have_no_effect(self, tmp_path, monkeypatch, threads):
+        path = self.write_config(tmp_path, modes=["montecarlo"], replicates=6)
+        assert cli.main(["simulate", "--config", path, "--threads", "1"]) == 0
+        serial = (tmp_path / "run_montecarlo.csv").read_bytes()
+        assert cli.main(["simulate", "--config", path, "--threads", threads,
+                         "--out", str(tmp_path / "flag")]) == 0
+        monkeypatch.setenv(cli.THREADS_ENV, threads)
+        assert cli.main(["simulate", "--config", path,
+                         "--out", str(tmp_path / "env")]) == 0
+        for prefix in ("flag", "env"):
+            assert (tmp_path / f"{prefix}_montecarlo.csv").read_bytes() == serial
+            with open(tmp_path / f"{prefix}_summary.json") as fh:
+                assert json.load(fh)["config"]["threads"] == int(threads)
+
     @pytest.mark.parametrize("overrides", [{"t_max": "abc"}, {"replicates": None},
                                            {"threads": 0}])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides):

@@ -43,6 +43,38 @@ def test_import_loads_no_deferred_stack():
     assert loaded == []
 
 
+def test_threaded_run_starts_no_pool(tmp_path):
+    # --threads above 1 is accepted but runs the replicates in-process
+    config = {
+        "schema_version": 1,
+        "network": {"kind": "complete", "nodes": 3},
+        "memory": 2,
+        "initial_red": [5, 12, 3],
+        "initial_total": [25, 25, 20],
+        "reinforce_red": [11, 8, 4],
+        "reinforce_black": [11, 9, 2],
+        "modes": ["montecarlo"],
+        "t_max": 20,
+        "replicates": 6,
+        "master_seed": 3,
+        "out_prefix": str(tmp_path / "run"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = run_fresh(f"""
+        import contextlib, io, json, sys
+        from polyanet import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["simulate", "--config", {str(path)!r}, "--threads", "3"])
+        print(json.dumps({{"code": code, "loaded": sorted(
+            name for name in sys.modules
+            if any(name == p or name.startswith(p + ".") for p in {DEFERRED!r})
+        )}}))
+    """)
+    assert out == {"code": 0, "loaded": []}
+    assert (tmp_path / "run_montecarlo.csv").exists()
+
+
 def test_structural_functions_load_scipy_on_first_call(tmp_path):
     out = run_fresh(f"""
         import hashlib, json, sys

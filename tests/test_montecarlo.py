@@ -129,6 +129,26 @@ class TestEmpiricalSum:
 
 
 class TestReplicates:
+    @pytest.mark.parametrize("split", [[6], [3, 3], [1, 5], [4, 2], [2, 2, 2], [1] * 6])
+    def test_streams_are_independent_of_batch_split(self, rng, monkeypatch, split):
+        # replicate r consumes stream (77, r) whichever replicates share
+        # its batch; four steps per block for the whole batch, so smaller
+        # batches draw fewer, longer blocks
+        raw = homogeneous_raw(2, 3, 12, 25, 11, random_interaction(rng, 3))
+        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES", 4 * 8 * 6 * raw.n_urns)
+        whole = average_replicates(raw, 60, 6, master_seed=77)
+        acc = np.zeros_like(whole.per_urn)
+        first = 0
+        for size in split:
+            draws = np.empty((60, size, raw.n_urns), dtype=np.int8)
+            rngs = [replicate_stream(77, r) for r in range(first, first + size)]
+            montecarlo._advance(montecarlo._new_batch(raw, size), raw, rngs, draws)
+            for r in range(size):
+                acc += empirical_sum(draws[:, r])
+            first += size
+        assert np.array_equal(whole.per_urn, acc / 6)
+        assert np.array_equal(whole.network_avg, (acc / 6).mean(axis=1))
+
     def test_replicate_streams_distinct(self):
         a = replicate_stream(10, 0).random(5)
         b = replicate_stream(10, 1).random(5)
