@@ -2,27 +2,27 @@
 
 The one-step map sends the last M per-urn infection probabilities to
 the next vector.  Its defining form is an expectation over every joint
-outcome of the N*M window bits; per urn that collapses to a polynomial
-in the urn's M lags, evaluated here through elementary symmetric
-functions with alternating binomial coefficients of the red-ratio
-table, at O(N*M^2 + N^2) cost.  The coefficients depend only on the
-parameters, so :func:`iterate` computes them once per run and
+outcome of the N*M window bits; per urn that collapses to the blossom
+of the Bernstein polynomial whose control points are the urn's row of
+the red-ratio table, taken at the urn's M lags.  De Casteljau's
+algorithm evaluates it with convex combinations only, at
+O(N*M^2 + N^2) cost.  :func:`iterate` reads the table once per run and
 :func:`step_nonlinear` is the same map for a single, validated step.
 
-Dropping every term of degree >= 2 yields the linear variant, kept as
+Dropping every term of degree >= 2 yields the linear variant, whose
+slope per lag is the table's first forward difference.  It is kept as
 the N x N matrix A = S @ diag(slope) >= 0 and stepped through a
 structured companion product: no (N*M)**2 matrix is formed, the
 equilibrium is an N x N solve, and it is stable iff M * rho(A) < 1.
 For memory 1 the nonlinear map is already affine, so both variants
-coincide; with the identity interaction matrix it reproduces the exact
-chain marginals step for step.
+coincide and reproduce the exact chain marginals step for step, for
+any interaction matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -50,46 +50,24 @@ def _check_history(history, params: NetworkParams) -> np.ndarray:
     return clamp_probability(hist, what="history probabilities")
 
 
-def _symmetric_polys(history: np.ndarray) -> np.ndarray:
-    """Elementary symmetric polynomials of each urn's M lags, (N, M+1)."""
-    M, N = history.shape
-    E = np.zeros((N, M + 1))
-    E[:, 0] = 1.0
-    for l in range(M):
-        x = history[l]
-        for n in range(min(l + 1, M), 0, -1):
-            E[:, n] += E[:, n - 1] * x
-    return E
-
-
-def _difference_coeffs(table: np.ndarray) -> np.ndarray:
-    """Alternating binomial combinations of the red-ratio table.
-
-    Column n holds sum_{k<=n} (-1)**(n-k) C(n,k) table[:, k]; these are
-    the coefficients of the degree-n symmetric products in the
-    polynomial form of the map (column 0 is the constant term).
-    """
-    M = table.shape[1] - 1
-    coeffs = np.zeros_like(table)
-    for n in range(M + 1):
-        for k in range(n + 1):
-            coeffs[:, n] += ((-1) ** (n - k)) * comb(n, k) * table[:, k]
-    return coeffs
-
-
 def _nonlinear_map(params: NetworkParams, S: np.ndarray):
     """The map as a function of a checked history, for a checked ``S``.
 
-    Per urn j the expectation over window outcomes collapses to
-    ``beta_j(0) + sum_n coeff_j(n) * e_n(lags of j)`` with ``e_n`` the
-    elementary symmetric polynomial, after which the interaction matrix
-    mixes the per-urn values.  The coefficients are computed here, once.
+    Per urn the expectation over window outcomes is the blossom of the
+    Bernstein polynomial whose control points are the urn's table row,
+    evaluated at its M lags by de Casteljau's algorithm: each lag x
+    replaces the control points by the convex combinations
+    ``(1 - x) * v[k] + x * v[k + 1]``, one fewer per lag, so no
+    cancellation builds up at any M.  The interaction matrix then mixes
+    the per-urn values.
     """
-    coeffs = _difference_coeffs(red_ratio_table(params))
+    table = red_ratio_table(params).T  # (M+1, N): control points per urn
 
     def step(hist: np.ndarray) -> np.ndarray:
-        per_urn = (coeffs * _symmetric_polys(hist)).sum(axis=1)
-        return clamp_probability(S @ per_urn, what="infection probabilities")
+        v = table.copy()
+        for n, x in zip(range(len(hist), 0, -1), hist):
+            v[:n] += x * (v[1 : n + 1] - v[:n])
+        return clamp_probability(S @ v[0], what="infection probabilities")
 
     return step
 

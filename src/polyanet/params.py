@@ -76,7 +76,7 @@ def check_interaction_matrix(S) -> np.ndarray:
     worst = int(np.argmax(err))
     if err[worst] > ROW_SUM_TOL:
         raise ValueError(
-            f"interaction matrix row {worst} sums to {S[worst].sum()!r}; "
+            f"interaction matrix row {worst} sums to {float(S[worst].sum())}; "
             f"rows must sum to 1 within {ROW_SUM_TOL}"
         )
     return S

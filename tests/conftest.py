@@ -8,6 +8,7 @@ compare two independent routes to the same quantity.
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -321,6 +322,18 @@ def step_direct(history, params, S):
         vals = table[np.arange(N)[None, :], counts]
         out += weights @ (vals @ S.T)
     return clamp_probability(out, what="infection probabilities")
+
+
+def window_expectation_exact(history, table):
+    """Per urn j, E[table[j, K]] in exact rational arithmetic, where K
+    counts red draws among independent Bernoulli(history[:, j]) lags."""
+    out = []
+    for lags, row in zip(np.asarray(history, dtype=float).T, table):
+        law = [Fraction(1)]  # law[k] = P(k red draws so far)
+        for x in map(Fraction, lags):
+            law = [a * (1 - x) + b * x for a, b in zip(law + [0], [0] + law)]
+        out.append(float(sum(p * Fraction(v) for p, v in zip(law, row))))
+    return np.array(out)
 
 
 class DenseLinearSystem(NamedTuple):

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyanet.chain import build_kernel, marginal_infection, point_mass
+from polyanet.chain import build_kernel, lag_marginals, marginal_infection, point_mass
 from polyanet.errors import CapExceededError, UnstableSystemError
 from polyanet.meanfield import (
     LinearSystem,
@@ -30,8 +30,10 @@ from conftest import (
     homogeneous_raw,
     isolated_equilibrium,
     linear_system_by_blocks,
+    make_raw,
     random_interaction,
     step_direct,
+    window_expectation_exact,
 )
 
 
@@ -70,6 +72,48 @@ class TestStepEquivalence:
             a = step_direct(hist, par, S)
             b = step_nonlinear(hist, par, S)
             assert np.max(np.abs(a - b)) < 1e-12
+
+    @pytest.mark.parametrize("m", [20, 40, 60, 80])
+    def test_large_memory_matches_exact_rationals(self, m):
+        # Exact to rounding at any memory: no error that grows with M.
+        g = np.random.default_rng(5000 + m)
+        par = random_params(g, 2, m)
+        table = red_ratio_table(par)
+        for _ in range(2):
+            hist = g.random((m, 2))
+            got = step_nonlinear(hist, par, np.eye(2))
+            assert np.max(np.abs(got - window_expectation_exact(hist, table))) <= 1e-14
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_networks_match_enumeration(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        m = data.draw(st.integers(1, min(3, 8 // n)), label="m")
+        counts = st.lists(st.integers(0, 40), min_size=n, max_size=n)
+        total = data.draw(st.lists(st.integers(1, 40), min_size=n, max_size=n), label="total")
+        red = [data.draw(st.integers(0, t), label="red") for t in total]
+        d_red, d_black = data.draw(counts, label="d_red"), data.draw(counts, label="d_black")
+        assume(any(d_red) or any(d_black))
+        weights = data.draw(
+            st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=n, max_size=n),
+            label="weights",
+        )
+        assume(all(map(any, weights)))
+        S = row_normalize(weights)
+        par = normalize(make_raw(m, red, total, d_red, d_black, S))
+        hist = np.array(
+            data.draw(st.lists(st.floats(0.0, 1.0), min_size=m * n, max_size=m * n), label="hist")
+        ).reshape(m, n)
+        assert np.max(np.abs(step_nonlinear(hist, par, S) - step_direct(hist, par, S))) <= 1e-12
+        if m == 1:
+            # the marginal recursion is closed at memory 1: the map steps
+            # the exact chain's law from the product of the history
+            kern = build_kernel(par, S)
+            mu = configuration_weights(hist, par)
+            traj = iterate("nonlinear", par, S, 20, initial_history=hist)
+            for t in range(20):
+                mu = kern.apply(mu)
+                assert np.max(np.abs(traj.per_urn[t] - lag_marginals(mu, 0, 1))) <= 1e-12
 
     def test_single_bit_expectation(self):
         # one urn, memory 1: the step is an affine function of history

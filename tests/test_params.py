@@ -54,6 +54,13 @@ class TestInteractionMatrix:
         with pytest.raises(ValueError, match="sums to"):
             check_interaction_matrix(S)
 
+    def test_bad_row_sum_printed_as_plain_number(self):
+        S = np.array([[0.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(ValueError) as err:
+            check_interaction_matrix(S)
+        assert "row 0 sums to 0.0;" in str(err.value)
+        assert "np.float64" not in str(err.value)
+
     def test_tolerates_rounding_noise(self):
         S = np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.25, 0.25, 0.5]])
         S[0, 0] += 1e-13
