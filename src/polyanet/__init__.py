@@ -36,14 +36,11 @@ from .meanfield import (
 )
 from .montecarlo import (
     ReplicateSummary,
-    SimState,
     Trajectory,
     average_replicates,
     empirical_sum,
-    new_state,
     replicate_stream,
     simulate,
-    step,
 )
 from .networks import (
     barabasi_albert,

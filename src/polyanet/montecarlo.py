@@ -13,11 +13,13 @@ bit by its master seed.
 All stepping goes through one kernel, :func:`_advance`, which moves R
 replicates together as (R, N) count arrays: per step one (R, N) @ S^T
 product, one probability clamp and one comparison with pre-drawn
-uniforms.  Each replicate's uniforms come from its own stream in
-(T_block, N) blocks, the same numbers as T_block successive
+uniforms.  Every draw is kept in a (T, R, N) int8 record, and that
+record is also the memory window: the draw retired at step t is read
+back from row t - M.  Each replicate's uniforms come from its own
+stream in (T_block, N) blocks, the same numbers as T_block successive
 ``random(N)`` calls; the block buffer stays under
 :data:`UNIFORM_BLOCK_BYTES`, so only the int8 draws grow with the
-horizon.  :func:`step` and :func:`simulate` are the R = 1 case.
+horizon.  :func:`simulate` is the R = 1 case.
 """
 
 from __future__ import annotations
@@ -34,70 +36,28 @@ from .params import RawConfig, clamp_probability
 UNIFORM_BLOCK_BYTES = 1 << 20
 
 
-@dataclass
-class SimState:
-    """Mutable per-run state: exact counts plus the circular draw window.
+def _advance(config: RawConfig, rngs, draws, ratios=None) -> None:
+    """Step R replicates from the initial counts for ``len(draws)`` steps.
 
-    For a lone run ``red``/``total`` are (N,) and ``window`` is (N, M);
-    a batch of R replicates prepends an R axis to all three.
-    """
-
-    red: np.ndarray
-    total: np.ndarray
-    window: np.ndarray  # (..., N, M) most recent draws; column ``head`` is oldest
-    head: int
-    t: int
-
-
-def new_state(config: RawConfig) -> SimState:
-    return SimState(
-        red=config.initial_red.copy(),
-        total=config.initial_total.copy(),
-        window=np.zeros((config.n_urns, config.memory), dtype=np.int8),
-        head=0,
-        t=0,
-    )
-
-
-def _new_batch(config: RawConfig, replicates: int) -> SimState:
-    """Initial state of ``replicates`` runs stepped together."""
-    return SimState(
-        red=np.tile(config.initial_red, (replicates, 1)),
-        total=np.tile(config.initial_total, (replicates, 1)),
-        window=np.zeros((replicates, config.n_urns, config.memory), dtype=np.int8),
-        head=0,
-        t=0,
-    )
-
-
-def red_ratios(state: SimState) -> np.ndarray:
-    return state.red / state.total
-
-
-def _advance(state: SimState, config: RawConfig, rngs, draws, ratios=None) -> None:
-    """Advance a batch of R replicates by ``len(draws)`` steps in place.
-
-    ``state`` holds (R, N) counts and an (R, N, M) window; replicate r
-    draws from ``rngs[r]``.  Step k writes the (R, N) 0/1 draws to
-    ``draws[k]`` (int8) and, when ``ratios`` is given, the red fractions
-    after the update to ``ratios[k]``.
+    Replicate r draws from ``rngs[r]``.  Step t writes the (R, N) 0/1
+    draws to ``draws[t]`` (int8) and, when ``ratios`` is given, the red
+    fractions after the update to ``ratios[t]``.
 
     All N draws of a replicate are sampled simultaneously from the
-    pre-step red fractions, reinforcement is added, and once past the
-    warm-up the addition from M steps back is retired.  Counts stay
-    exact integers: after the warm-up a step changes red by
-    ``reinforce_red * (new - old)`` and the total by
-    ``(reinforce_red - reinforce_black) * (new - old)``.
+    pre-step red fractions and reinforcement is added; once past the
+    warm-up the addition made M steps back is retired, read from the
+    draw record ``draws[t - M]``.  Counts stay exact integers: after
+    the warm-up a step changes red by ``reinforce_red * (new - old)``
+    and the total by ``(reinforce_red - reinforce_black) * (new - old)``.
     """
-    red, total, window = state.red, state.total, state.window
-    n_rep, n_urns = red.shape
+    n_steps, n_rep, n_urns = draws.shape
     memory = config.memory
+    red = np.tile(config.initial_red, (n_rep, 1))
+    total = np.tile(config.initial_total, (n_rep, 1))
     s_t = config.interaction.T
     add_red = config.reinforce_red
     add_black = config.reinforce_black
     add_net = add_red - add_black
-    head, t = state.head, state.t
-    n_steps = len(draws)
     block = max(1, min(n_steps, UNIFORM_BLOCK_BYTES // (8 * n_rep * n_urns)))
     uniforms = np.empty((n_rep, block, n_urns))
     for start in range(0, n_steps, block):
@@ -105,33 +65,19 @@ def _advance(state: SimState, config: RawConfig, rngs, draws, ratios=None) -> No
         for r, rng in enumerate(rngs):
             rng.random(out=u[r])
         for k in range(u.shape[1]):
+            t = start + k
             probs = clamp_probability((red / total) @ s_t, what="draw probability")
-            z = draws[start + k]
+            z = draws[t]
             np.less(u[:, k], probs, out=z)
             if t >= memory:
-                change = z - window[:, :, head]
+                change = z - draws[t - memory]
                 red += add_red * change
                 total += add_net * change
             else:
                 red += add_red * z
                 total += add_black + add_net * z
-            window[:, :, head] = z
-            head = (head + 1) % memory
-            t += 1
             if ratios is not None:
-                np.divide(red, total, out=ratios[start + k])
-    state.head, state.t = head, t
-
-
-def step(state: SimState, config: RawConfig, rng: np.random.Generator):
-    """Advance one epoch (the batch kernel with R = 1); returns the
-    mutated state and the new draws."""
-    batch = SimState(state.red[None], state.total[None], state.window[None],
-                     state.head, state.t)
-    draws = np.empty((1, 1, config.n_urns), dtype=np.int8)
-    _advance(batch, config, [rng], draws)
-    state.head, state.t = batch.head, batch.t
-    return state, draws[0, 0]
+                np.divide(red, total, out=ratios[t])
 
 
 def replicate_stream(master_seed: int, replicate: int) -> np.random.Generator:
@@ -161,7 +107,7 @@ def simulate(config: RawConfig, t_max: int, seed) -> Trajectory:
     rng = seed if isinstance(seed, np.random.Generator) else replicate_stream(int(seed), 0)
     draws = np.empty((t_max, 1, config.n_urns), dtype=np.int8)
     ratios = np.empty((t_max, 1, config.n_urns))
-    _advance(_new_batch(config, 1), config, [rng], draws, ratios)
+    _advance(config, [rng], draws, ratios)
     return Trajectory(draws=draws[:, 0], ratios=ratios[:, 0])
 
 
@@ -195,7 +141,7 @@ def average_replicates(
         raise ValueError("replicates must be at least 1")
     draws = np.empty((t_max, replicates, config.n_urns), dtype=np.int8)
     rngs = [replicate_stream(master_seed, r) for r in range(replicates)]
-    _advance(_new_batch(config, replicates), config, rngs, draws)
+    _advance(config, rngs, draws)
     acc = np.zeros((t_max, config.n_urns))
     for r in range(replicates):
         acc += empirical_sum(draws[:, r])

@@ -59,10 +59,7 @@ def ring(n_nodes: int) -> np.ndarray:
     """Directed cycle: urn i listens only to urn i+1 (mod n)."""
     if n_nodes < 2:
         raise ValueError("ring needs at least 2 nodes")
-    S = np.zeros((n_nodes, n_nodes))
-    for i in range(n_nodes):
-        S[i, (i + 1) % n_nodes] = 1.0
-    return S
+    return np.roll(np.eye(n_nodes), 1, axis=1)
 
 
 def complete(n_nodes: int) -> np.ndarray:
@@ -107,11 +104,8 @@ def row_normalize(adjacency, self_weight: float = 0.0) -> np.ndarray:
 def save_edge_list(adjacency, path: str) -> None:
     """Write the upper triangle of a symmetric adjacency as u,v,weight rows."""
     adj = np.asarray(adjacency, dtype=float)
-    rows = []
-    for u in range(adj.shape[0]):
-        for v in range(u + 1, adj.shape[1]):
-            if adj[u, v] != 0:
-                rows.append((u, v, float(adj[u, v])))
+    us, vs = np.nonzero(np.triu(adj, 1))
+    rows = zip(us.tolist(), vs.tolist(), adj[us, vs].tolist())
     write_csv(path, ("u", "v", "weight"), rows)
 
 

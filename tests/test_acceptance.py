@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import polyanet as pn
-from polyanet import experiment, meanfield
+from polyanet import experiment, meanfield, montecarlo
 from polyanet.experiment import figure_configs, read_curve, run
 from polyanet.params import NetworkParams, normalize, red_ratio_table
 
@@ -287,10 +287,11 @@ def test_c10_montecarlo_vs_exact_marginals():
     exact = np.array([pn.marginal_infection(pi, urn, 1, 2) for urn in (0, 1)])
 
     replicates, t_max, burn = 200, 1600, 800
-    means = np.empty((replicates, 2))
-    for r in range(replicates):
-        traj = pn.simulate(raw, t_max, pn.replicate_stream(2024, r))
-        means[r] = traj.draws[burn:].mean(axis=0)
+    # one batch; replicate r consumes stream (2024, r) as a lone run would
+    draws = np.empty((t_max, replicates, 2), dtype=np.int8)
+    rngs = [pn.replicate_stream(2024, r) for r in range(replicates)]
+    montecarlo._advance(raw, rngs, draws)
+    means = draws[burn:].mean(axis=0)
     sample_mean = means.mean(axis=0)
     se = means.std(axis=0, ddof=1) / np.sqrt(replicates)
     z = np.abs(sample_mean - exact) / se

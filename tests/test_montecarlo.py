@@ -7,11 +7,8 @@ from polyanet import montecarlo
 from polyanet.montecarlo import (
     average_replicates,
     empirical_sum,
-    new_state,
-    red_ratios,
     replicate_stream,
     simulate,
-    step,
 )
 from polyanet.params import normalize
 
@@ -21,62 +18,41 @@ from conftest import homogeneous_raw, make_raw, random_interaction, red_ratio
 class TestStep:
     def test_frozen_deltas_keep_counts(self, rng):
         raw = make_raw(1, [3, 7], [10, 10], 0, 0, random_interaction(rng, 2))
-        state = new_state(raw)
-        g = replicate_stream(1, 0)
-        for _ in range(20):
-            state, z = step(state, raw, g)
-            assert state.red.tolist() == [3, 7]
-            assert state.total.tolist() == [10, 10]
-            assert set(z.tolist()) <= {0, 1}
+        traj = simulate(raw, 20, replicate_stream(1, 0))
+        assert np.all(traj.ratios == [0.3, 0.7])
+        assert set(traj.draws.ravel().tolist()) <= {0, 1}
 
     def test_warmup_grows_then_total_constant(self):
-        raw = homogeneous_raw(2, 1, 5, 25, 11)
-        state = new_state(raw)
-        g = replicate_stream(7, 0)
-        totals = []
-        for _ in range(8):
-            state, _ = step(state, raw, g)
-            totals.append(int(state.total[0]))
         # two warm-up additions of 11 balls, then steady at 25 + 2*11
-        assert totals[0] == 36
-        assert totals[1] == 47
-        assert all(v == 47 for v in totals[1:])
+        raw = homogeneous_raw(2, 1, 5, 25, 11)
+        traj = simulate(raw, 8, replicate_stream(7, 0))
+        z = traj.draws[:, 0].tolist()
+        assert traj.ratios[0, 0] == (5 + 11 * z[0]) / 36
+        for t in range(1, 8):
+            assert traj.ratios[t, 0] == (5 + 11 * (z[t] + z[t - 1])) / 47
 
     def test_absorbing_all_red(self):
         raw = make_raw(1, 10, 10, 3, 0, np.eye(1))
-        state = new_state(raw)
-        g = replicate_stream(3, 0)
-        for _ in range(30):
-            state, z = step(state, raw, g)
-            assert z[0] == 1
-            assert state.red[0] == state.total[0]
+        traj = simulate(raw, 30, replicate_stream(3, 0))
+        assert np.all(traj.draws == 1)
+        assert np.all(traj.ratios == 1)
 
     def test_counts_match_window_formula(self, rng):
-        # after warm-up the normalized ratio is determined by the window
+        # once M draws exist the normalized ratio is determined by them
         raw = make_raw(3, [4, 9], [20, 30], [7, 3], [2, 5], random_interaction(rng, 2))
         par = normalize(raw)
-        state = new_state(raw)
-        g = replicate_stream(11, 0)
-        for _ in range(40):
-            state, _ = step(state, raw, g)
-            if state.t <= raw.memory:
-                continue
+        traj = simulate(raw, 40, replicate_stream(11, 0))
+        for t in range(raw.memory - 1, 40):
             for urn in range(2):
-                # column order: head is the oldest remembered draw
-                window = np.roll(state.window[urn], -state.head)
-                assert red_ratios(state)[urn] == pytest.approx(
+                window = traj.draws[t - raw.memory + 1 : t + 1, urn]
+                assert traj.ratios[t, urn] == pytest.approx(
                     red_ratio(par, urn, window), abs=1e-12
                 )
 
     def test_red_never_exceeds_total(self, rng):
         raw = make_raw(2, [1, 19], [20, 20], [9, 0], [0, 6], random_interaction(rng, 2))
-        state = new_state(raw)
-        g = replicate_stream(5, 0)
-        for _ in range(200):
-            state, _ = step(state, raw, g)
-            assert np.all(state.red >= 0)
-            assert np.all(state.red <= state.total)
-            assert np.all(state.total > 0)
+        traj = simulate(raw, 200, replicate_stream(5, 0))
+        assert np.all((traj.ratios >= 0) & (traj.ratios <= 1))
 
 
 class TestSimulate:
@@ -142,7 +118,7 @@ class TestReplicates:
         for size in split:
             draws = np.empty((60, size, raw.n_urns), dtype=np.int8)
             rngs = [replicate_stream(77, r) for r in range(first, first + size)]
-            montecarlo._advance(montecarlo._new_batch(raw, size), raw, rngs, draws)
+            montecarlo._advance(raw, rngs, draws)
             for r in range(size):
                 acc += empirical_sum(draws[:, r])
             first += size
@@ -209,9 +185,12 @@ def heterogeneous_raw(memory, rng):
 
 
 class TestBatchedEngine:
-    @pytest.mark.parametrize("memory", [1, 2, 3])
-    def test_simulate_matches_loop_reference(self, memory, rng):
+    @pytest.mark.parametrize("memory", [1, 2, 3, 7])
+    def test_simulate_matches_loop_reference(self, memory, rng, monkeypatch):
         raw = heterogeneous_raw(memory, rng)
+        # four steps per block, so retirement reads draws M steps back
+        # across block boundaries
+        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES", 4 * 8 * raw.n_urns)
         traj = simulate(raw, 60, replicate_stream(21, 4))
         draws, ratios = loop_reference(raw, 60, replicate_stream(21, 4))
         assert np.array_equal(traj.draws, draws)
@@ -241,13 +220,11 @@ class TestBatchedEngine:
         # always does
         raw = make_raw(2, [0, 3, 10], [10, 10, 10], 0, 0, np.eye(3))
         monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES", 3 * 8 * 5 * 3)
-        state = montecarlo._new_batch(raw, 5)
         draws = np.empty((40, 5, 3), dtype=np.int8)
+        ratios = np.empty((40, 5, 3))
         rngs = [replicate_stream(13, r) for r in range(5)]
-        montecarlo._advance(state, raw, rngs, draws)
-        assert np.all(state.red == [0, 3, 10])
-        assert np.all(state.total == 10)
-        assert state.t == 40
+        montecarlo._advance(raw, rngs, draws, ratios)
+        assert np.all(ratios == [0, 0.3, 1])
         assert np.all(draws[:, :, 0] == 0)
         assert np.all(draws[:, :, 2] == 1)
         assert 0 < draws[:, :, 1].sum() < draws[:, :, 1].size

@@ -138,6 +138,19 @@ class TestRoundTrips:
         assert back.shape == (5, 5)
         assert np.array_equal(adj, back)
 
+    @pytest.mark.parametrize("n_nodes", [7, 50, 300])
+    def test_edge_list_bytes_match_loop_writer(self, tmp_path, n_nodes):
+        adj = barabasi_albert(n_nodes, 2, seed=n_nodes)
+        adj[0, n_nodes - 1] = adj[n_nodes - 1, 0] = 0.25  # a non-unit weight
+        lines = ["u,v,weight"]
+        for u in range(n_nodes):
+            for v in range(u + 1, n_nodes):
+                if adj[u, v] != 0:
+                    lines.append(f"{u},{v},{float(adj[u, v]):.17g}")
+        path = tmp_path / "g_edges.csv"
+        save_edge_list(adj, str(path))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_edge_list_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n0,1,1.0\n")
