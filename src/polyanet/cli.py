@@ -2,17 +2,19 @@
 
 Subcommands: gen-network, simulate, exact, meanfield, equilibrium,
 compare, reproduce-fig.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure, 4 exact-chain work cap exceeded.
+3 numerical failure, 4 exact-chain work cap or machine memory exceeded.
+The run subcommands share one handler, :func:`_cmd_run`; artifacts are
+written through ``csvio.open_artifact``, JSON through ``csvio.write_json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import experiment, networks
+from .csvio import write_json
 from .errors import CapExceededError, ConfigError, ConvergenceError, UnstableSystemError
 
 THREADS_ENV = "POLYANET_THREADS"
@@ -22,34 +24,25 @@ def _threads(args) -> int:
     """``--threads``, else ``$POLYANET_THREADS``, else 1; below 1 is a
     configuration error.  The value is validated and recorded but has no
     effect on a run."""
-    value = args.threads if args.threads is not None else os.environ.get(THREADS_ENV, 1)
+    value = args.threads
+    if value is None:
+        value = os.environ.get(THREADS_ENV, "1")
+        try:
+            value = int(value)
+        except ValueError:
+            pass  # check_integer refuses the text and names the field
     return experiment.check_integer(value, "threads", minimum=1)
 
 
-def _add_run_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="path to a JSON experiment config")
-    sub.add_argument("--seed", type=int, default=None, help="override the master seed")
-    sub.add_argument("--out", default=None, help="override the artifact prefix")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"accepted and validated, no effect (default ${THREADS_ENV} or 1)",
-    )
-
-
-def _load_for_run(args, modes: list[str]) -> experiment.ExperimentConfig:
+def _cmd_run(args) -> int:
     cfg = experiment.load_config(args.config)
-    cfg.modes = modes
+    cfg.modes = args.modes or [f"meanfield-{system}" for system in ("nonlinear", "linear")
+                               if args.system in (system, "both")]
     if args.seed is not None:
         cfg.master_seed = args.seed
     if args.out is not None:
         cfg.out_prefix = args.out
     cfg.threads = _threads(args)
-    return cfg
-
-
-def _run_and_report(cfg: experiment.ExperimentConfig) -> int:
     summary = experiment.run(cfg)
     for mode, path in summary["artifacts"].items():
         print(f"{mode}: {path}")
@@ -97,12 +90,7 @@ def _cmd_reproduce(args) -> int:
         threads=_threads(args),
     )
     for cfg in configs:
-        config_path = f"{cfg.out_prefix}_config.json"
-        parent = os.path.dirname(os.path.abspath(config_path))
-        os.makedirs(parent, exist_ok=True)
-        with open(config_path, "w") as fh:
-            json.dump(experiment.config_to_dict(cfg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(f"{cfg.out_prefix}_config.json", experiment.config_to_dict(cfg))
         summary = experiment.run(cfg)
         print(f"memory {cfg.raw.memory}: {summary['summary_path']}")
     return 0
@@ -136,14 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("equilibrium", ["equilibrium"], "mean-field equilibrium report"),
     ):
         p = sub.add_parser(name, help=helptext)
-        _add_run_args(p)
-        if name == "meanfield":
-            p.add_argument(
-                "--system",
-                choices=["nonlinear", "linear", "both"],
-                default="both",
-            )
-        p.set_defaults(func=_make_run_handler(name, modes))
+        p.add_argument("--config", required=True, help="path to a JSON experiment config")
+        p.add_argument("--seed", type=int, default=None, help="override the master seed")
+        p.add_argument("--out", default=None, help="override the artifact prefix")
+        p.add_argument("--threads", type=int, default=None,
+                       help=f"accepted and validated, no effect (default ${THREADS_ENV} or 1)")
+        if modes is None:
+            p.add_argument("--system", choices=["nonlinear", "linear", "both"], default="both")
+        p.set_defaults(func=_cmd_run, modes=modes)
 
     c = sub.add_parser("compare", help="distances between two curve CSVs")
     c.add_argument("curve_a")
@@ -163,22 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=_cmd_reproduce)
 
     return parser
-
-
-def _make_run_handler(name: str, modes):
-    def handler(args) -> int:
-        if name == "meanfield":
-            selected = (
-                ["meanfield-nonlinear", "meanfield-linear"]
-                if args.system == "both"
-                else [f"meanfield-{args.system}"]
-            )
-        else:
-            selected = modes
-        cfg = _load_for_run(args, selected)
-        return _run_and_report(cfg)
-
-    return handler
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,5 @@
-"""CSV helpers shared by every exporter.
+"""Artifact writers shared by every exporter: :func:`open_artifact` is the
+one opener (it creates the directory), and JSON goes through :func:`write_json`.
 
 All floating-point values are written with 17 significant digits and a
 '.' decimal separator, independent of locale, so repeated runs with the
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 from typing import Iterable
 
@@ -33,14 +35,21 @@ def format_value(x) -> str:
     return str(x)
 
 
-def _open(path: str):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+def open_artifact(path: str):
+    """Open ``path`` for writing text, creating its directory first."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     return open(path, "w", newline="")
 
 
+def write_json(path: str, obj) -> None:
+    """JSON artifact: indent 2, sorted keys, final newline."""
+    with open_artifact(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    with _open(path) as fh:
+    with open_artifact(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         for row in rows:
@@ -69,7 +78,7 @@ def write_curve_csv(path: str, header: Iterable[str], times, per_urn,
     step = lines.getvalue()
     steps_per_chunk = max(1, CHUNK_VALUES // (n + 1))
     block = np.empty((steps_per_chunk, n + 1))
-    with _open(path) as fh:
+    with open_artifact(path) as fh:
         csv.writer(fh, lineterminator="\n").writerow(list(header))
         for lo in range(0, len(times), steps_per_chunk):
             hi = min(lo + steps_per_chunk, len(times))

@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import chain, meanfield, montecarlo, networks
-from .csvio import write_csv
+from .csvio import write_csv, write_json
 from .errors import CapExceededError, ConfigError, UnstableSystemError
 from .params import NetworkParams, RawConfig, check_interaction_matrix, normalize
 
@@ -47,9 +47,9 @@ class ExperimentConfig:
     replicates: int
     master_seed: int
     out_prefix: str
+    network_spec: dict
     threads: int = 1  # validated and echoed, no effect on a run
     exact_cap_bits: int = chain.DEFAULT_CAP_BITS
-    network_spec: dict = field(default_factory=dict)
 
 
 def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
@@ -88,15 +88,15 @@ def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
 def check_integer(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int, or a ConfigError naming ``name``.
 
-    Booleans, strings that are not integers, nulls and non-integral
-    numbers are rejected rather than coerced.
+    Booleans, strings (``"7"`` included), nulls and non-integral numbers
+    are rejected rather than coerced.
     """
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     inexact = isinstance(value, float) and number != value
-    if number is None or inexact or isinstance(value, bool):
+    if number is None or inexact or isinstance(value, (bool, str, bytes)):
         raise ConfigError(name, f"must be an integer, got {value!r}")
     if minimum is not None and number < minimum:
         raise ConfigError(name, f"must be at least {minimum}")
@@ -141,7 +141,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     for m in modes:
         if m not in MODES:
             raise ConfigError("modes", f"unknown mode {m!r}; options: {MODES}")
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         raw=raw,
         modes=list(modes),
         t_max=check_integer(data.get("t_max", 1000), "t_max", minimum=1),
@@ -152,9 +152,8 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
         exact_cap_bits=check_integer(
             data.get("exact_cap_bits", chain.DEFAULT_CAP_BITS), "exact_cap_bits"
         ),
-        network_spec=dict(data.get("network", {})),
+        network_spec=dict(data["network"]),
     )
-    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -169,15 +168,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Serializable echo of a config (network given as explicit matrix
-    when no generator spec is available)."""
-    network = dict(cfg.network_spec) if cfg.network_spec else {
-        "kind": "matrix",
-        "values": cfg.raw.interaction.tolist(),
-    }
+    """Serializable echo of a config; ``config_from_dict`` reads it back."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "network": network,
+        "network": dict(cfg.network_spec),
         "memory": cfg.raw.memory,
         "initial_red": cfg.raw.initial_red.tolist(),
         "initial_total": cfg.raw.initial_total.tolist(),
@@ -209,6 +203,26 @@ def _exact_trajectory(
     )
 
 
+def _admit_memory(cfg: ExperimentConfig) -> None:
+    """Raise :class:`CapExceededError` unless the modes' arrays fit in physical
+    memory: the Monte Carlo int8 draw record, each (t_max, N) float64 curve,
+    the exact chain's two 8 * 2**(N*M)-byte distributions, and the mean
+    field's (M + 1, N) table and (M, N) history."""
+    n, t_max, memory = cfg.raw.n_urns, cfg.t_max, cfg.raw.memory
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    curve, table = 8 * t_max * n, 8 * (memory + 1) * n
+    # 2**(N*M) is clipped where it already exceeds the machine
+    states = 1 << min(n * memory, have.bit_length())
+    mean_field = curve + 2 * table
+    cost = {"montecarlo": t_max * cfg.replicates * n + curve, "exact": 16 * states + curve,
+            "meanfield-nonlinear": mean_field, "meanfield-linear": mean_field,
+            "equilibrium": table}
+    need = sum(cost[mode] for mode in cfg.modes)
+    if need > have:
+        raise CapExceededError(f"the run's arrays need at least {need} bytes; "
+                               f"the machine has {have} bytes of physical memory")
+
+
 def run(cfg: ExperimentConfig) -> dict:
     """Execute every requested mode; returns the summary dictionary.
 
@@ -216,7 +230,8 @@ def run(cfg: ExperimentConfig) -> dict:
     ``{out_prefix}_summary.json``.  The summary carries the config echo,
     per-mode artifact paths, the equilibrium report when requested, and
     pairwise sup-distances between the produced network-average curves
-    on their common horizon.
+    on their common horizon.  A run over the exact-chain work cap, or
+    whose arrays exceed physical memory, raises before any mode runs.
     """
     artifacts: dict[str, str] = {}
     curves: dict[str, np.ndarray] = {}
@@ -228,15 +243,10 @@ def run(cfg: ExperimentConfig) -> dict:
         "equilibrium_declined": False,
         "comparisons": {},
     }
-    params = None
-    needs_params = [m for m in cfg.modes if m != "montecarlo"]
-    if needs_params:
-        try:
-            params = normalize(cfg.raw)
-        except ValueError as exc:
-            raise ConfigError("urns", str(exc)) from None
+    params = normalize(cfg.raw)
     if "exact" in cfg.modes:
         chain.check_admission(cfg.raw.n_urns, cfg.raw.memory, cfg.exact_cap_bits)
+    _admit_memory(cfg)
     S = cfg.raw.interaction
     for mode in cfg.modes:
         path = f"{cfg.out_prefix}_{mode}.csv"
@@ -274,11 +284,7 @@ def run(cfg: ExperimentConfig) -> dict:
             gap = float(np.max(np.abs(curves[a][:horizon] - curves[b][:horizon])))
             summary["comparisons"][f"{a}|{b}"] = gap
     summary_path = f"{cfg.out_prefix}_summary.json"
-    parent = os.path.dirname(os.path.abspath(summary_path))
-    os.makedirs(parent, exist_ok=True)
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary_path, summary)
     summary["summary_path"] = summary_path
     return summary
 
@@ -346,7 +352,6 @@ def compare_curves(path_a: str, path_b: str) -> CompareReport:
 # -- figure reproductions -----------------------------------------------------
 
 FIGURE_SEED = 1789
-_FIG_MODES = ["montecarlo", "meanfield-nonlinear", "meanfield-linear"]
 
 
 def figure_setup(which: str, seed: int = FIGURE_SEED) -> dict:
@@ -412,7 +417,7 @@ def figure_configs(
         data = {
             "schema_version": SCHEMA_VERSION,
             "memory": memory,
-            "modes": list(_FIG_MODES),
+            "modes": ["montecarlo", "meanfield-nonlinear", "meanfield-linear"],
             "t_max": t_max,
             "replicates": replicates,
             "master_seed": seed * 10 + memory,

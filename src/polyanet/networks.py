@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import csv
-import os
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import open_artifact, write_csv
 from .params import check_interaction_matrix
 
 
@@ -132,9 +131,7 @@ def load_edge_list(path: str, n_nodes: int | None = None) -> np.ndarray:
 def save_matrix(matrix, path: str) -> None:
     """Dense CSV dump, one row per line, 17 significant digits."""
     mat = np.asarray(matrix, dtype=float)
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open_artifact(path) as fh:
         for row in mat:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 

@@ -105,7 +105,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "field, value",
         [("t_max", "abc"), ("t_max", 2.5), ("replicates", None),
-         ("master_seed", [1]), ("threads", 0), ("threads", True)],
+         ("master_seed", [1]), ("threads", 0), ("threads", True),
+         ("memory", "2"), ("t_max", " 7 "), ("master_seed", "-5"),
+         ("threads", "2"), ("exact_cap_bits", "30")],
     )
     def test_malformed_integer_reported_by_name(self, tmp_path, field, value):
         with pytest.raises(ConfigError) as info:
@@ -419,6 +421,33 @@ class TestCli:
         assert code == 3
         assert "declined" in capsys.readouterr().out
 
+    UNSTABLE = {"memory": 3, "reinforce_red": [40, 40], "reinforce_black": [0, 0]}
+    SUMMARY = "summary: {p}_summary.json"
+    NONLINEAR = "meanfield-nonlinear: {p}_meanfield-nonlinear.csv"
+    LINEAR = "meanfield-linear: {p}_meanfield-linear.csv"
+
+    @pytest.mark.parametrize("argv, overrides, lines, code", [
+        (["simulate"], {}, ["montecarlo: {p}_montecarlo.csv", SUMMARY], 0),
+        (["exact"], {}, ["exact: {p}_exact.csv", SUMMARY], 0),
+        (["meanfield"], {}, [NONLINEAR, LINEAR, SUMMARY], 0),
+        (["meanfield", "--system", "both"], {}, [NONLINEAR, LINEAR, SUMMARY], 0),
+        (["meanfield", "--system", "nonlinear"], {}, [NONLINEAR, SUMMARY], 0),
+        (["meanfield", "--system", "linear"], {}, [LINEAR, SUMMARY], 0),
+        (["equilibrium"], {}, ["equilibrium: {p}_equilibrium.csv", SUMMARY,
+                               "spectral radius 0.27136441019375518"], 0),
+        (["equilibrium"], UNSTABLE, [
+            "equilibrium: {p}_equilibrium.csv", SUMMARY,
+            "spectral radius 1.073427092138806 >= 1; equilibrium declined"], 3),
+    ])
+    def test_run_subcommand_output_pinned(self, tmp_path, capsys, argv, overrides,
+                                          lines, code):
+        path = self.write_config(tmp_path, **overrides)
+        assert cli.main([argv[0], "--config", path, *argv[1:]]) == code
+        out, err = capsys.readouterr()
+        prefix = str(tmp_path / "run")
+        assert out.splitlines() == [line.format(p=prefix) for line in lines]
+        assert err == ""
+
     def test_cap_exceeded_exit_code(self, tmp_path, capsys):
         path = self.write_config(
             tmp_path,
@@ -550,7 +579,8 @@ class TestCli:
                 assert json.load(fh)["config"]["threads"] == int(threads)
 
     @pytest.mark.parametrize("overrides", [{"t_max": "abc"}, {"replicates": None},
-                                           {"threads": 0}])
+                                           {"threads": 0}, {"t_max": "7"},
+                                           {"replicates": "2"}, {"threads": "2"}])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides):
         path = self.write_config(tmp_path, modes=["montecarlo"], **overrides)
         assert cli.main(["simulate", "--config", path]) == 2
@@ -636,6 +666,32 @@ class TestExactAdmission:
         cfg.exact_cap_bits = 3
         with pytest.raises(CapExceededError):
             run(cfg)
+
+
+class TestMemoryAdmission:
+    # Each case asks for at least 2**63 bytes, so without the admission
+    # NumPy refuses its first array outright instead of allocating.
+    @pytest.mark.parametrize("command, overrides", [
+        ("simulate", {"t_max": 2**62}),
+        ("exact", {"t_max": 2**62}),
+        ("meanfield", {"t_max": 2**62}),
+        ("simulate", {"replicates": 2**62}),
+        ("simulate", {"t_max": 1e300}),
+        ("meanfield", {"memory": 2**62}),
+        ("equilibrium", {"memory": 2**62}),
+        ("exact", {"network": {"kind": "complete", "nodes": 10}, "memory": 7,
+                   "initial_red": 12, "initial_total": 25, "reinforce_red": 11,
+                   "reinforce_black": 11, "exact_cap_bits": 80}),
+    ])
+    def test_oversized_run_exits_4_before_any_mode(self, tmp_path, capsys,
+                                                   command, overrides):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path, **overrides)))
+        assert cli.main([command, "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded: the run's arrays need at least ")
+        assert "bytes of physical memory" in err
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCompareBadRows:
