@@ -30,7 +30,6 @@ vector-matrix product per row, and the per-step work is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,9 +42,6 @@ from .params import (
     red_ratio_table,
 )
 
-if TYPE_CHECKING:  # SciPy is imported only where the structural analysis needs it
-    import scipy.sparse as sp
-
 DEFAULT_CAP_BITS = 24
 SPARSE_NNZ_CAP = 1 << 26
 # Factor entries per enumerated block, so the block workspace stays
@@ -57,6 +53,7 @@ BLOCK_ENTRIES = 1 << 16
 # default cap: N = 1, M = 23 or N = 2, M = 11) and rebuild the blocks.
 KERNEL_CACHE_BYTES = 32 << 20
 DIST_SUM_TOL = 1e-10
+SEARCH_LEVELS = 1 << 20  # states x searches held by one batch of breadth-first searches
 
 
 def state_bit(urn: int, lag: int, memory: int) -> int:
@@ -88,11 +85,12 @@ class TransitionKernel:
     """One-step transition operator, enumerated as factor blocks.
 
     Every reader goes through one enumeration core, :meth:`_blocks`:
-    ``apply`` contracts a distribution with each block, ``to_sparse``
-    materializes the nonzero entries as CSR, and ``successors`` reads
-    one source's row of its block.  The first full pass keeps the
-    blocks when they total at most ``KERNEL_CACHE_BYTES``, and the
-    draw probabilities of every source otherwise.
+    ``apply`` contracts a distribution with each block, ``successors``
+    reads one source's row of its block, and the structural check and
+    the kernel CSV walk its edges with positive probability.  The first
+    full pass keeps the blocks when they total at most
+    ``KERNEL_CACHE_BYTES``, and the draw probabilities of every source
+    otherwise.
     """
 
     def __init__(self, params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS):
@@ -223,26 +221,6 @@ class TransitionKernel:
         vals = F[0, oldest]
         keep = vals > 0.0
         return dst[0][keep], vals[keep]
-
-    def to_sparse(self) -> sp.csr_matrix:
-        """Materialize the kernel as CSR; at most 2**N entries per row."""
-        import scipy.sparse as sp
-
-        nnz = self.n_states << self.n_urns
-        if nnz > SPARSE_NNZ_CAP:
-            raise CapExceededError(
-                f"materializing {nnz} entries exceeds cap {SPARSE_NNZ_CAP}"
-            )
-        rows, cols, vals = [], [], []
-        for src, dst, F in self._all_blocks():
-            keep = F > 0.0
-            rows.append(np.broadcast_to(src[:, :, None], F.shape)[keep])
-            cols.append(np.broadcast_to(dst[:, None, :], F.shape)[keep])
-            vals.append(F[keep])
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_states, self.n_states),
-        )
 
 
 def build_kernel(params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS) -> TransitionKernel:
@@ -397,37 +375,58 @@ class KernelStructure:
         return self.ok
 
 
+def _edges(kernel: TransitionKernel):
+    """Per block, flat (from, to, probability) arrays of its positive entries."""
+    for src, dst, F in kernel._all_blocks():
+        keep = F > 0.0
+        yield (np.broadcast_to(src[:, :, None], F.shape)[keep],
+               np.broadcast_to(dst[:, None, :], F.shape)[keep], F[keep])
+
+
+def _reach(kernel: TransitionKernel, starts, live, backward: bool = False) -> np.ndarray:
+    """(states, searches) BFS levels, -1 where never reached, of one search
+    from each live state in ``starts`` over the edges with positive
+    probability, forward or ``backward``, inside the boolean mask ``live``."""
+    level = np.where(np.arange(kernel.n_states)[:, None] == starts, 0, -1)
+    front, depth = level == 0, 0
+    while front.any():
+        depth += 1
+        hit = np.empty(front.shape, dtype=np.float32)
+        for src, dst, F in kernel._all_blocks():
+            edge = (F > 0.0).astype(np.float32)
+            src, dst, edge = (dst, src, edge) if backward else (src, dst, edge.transpose(0, 2, 1))
+            # every state is the target of one (row, column): one write per pass
+            hit[dst] = edge @ front[src].astype(np.float32)
+        front = (hit > 0.0) & live[:, None] & (level < 0)
+        level[front] = depth
+    return level
+
+
 def check_irreducible_aperiodic(
     kernel: TransitionKernel, diameter_limit: int = 4096
 ) -> KernelStructure:
     """Structural check of the chain via its directed transition graph.
 
-    Strong connectivity gives irreducibility; the gcd of level
-    differences along edges from a breadth-first search gives the
-    period of the class reachable from state 0.
+    Components are peeled off in rounds from the lowest unpeeled states,
+    each the intersection of its forward and backward reach among them,
+    and counted at their lowest state.  The period is the gcd of
+    ``level[from] + 1 - level[to]`` over the edges reached from state 0.
     """
-    from scipy.sparse import csgraph
-
-    Q = kernel.to_sparse()
-    n_comp, _ = csgraph.connected_components(Q, directed=True, connection="strong")
+    n, everywhere = kernel.n_states, np.ones(kernel.n_states, dtype=bool)
+    batch = max(1, SEARCH_LEVELS // n)
+    live, n_comp = everywhere.copy(), 0
+    while live.any():
+        pivots = np.flatnonzero(live)[:batch]
+        comp = (_reach(kernel, pivots, live) >= 0) & (_reach(kernel, pivots, live, True) >= 0)
+        n_comp += int(np.count_nonzero(~np.tril(comp[pivots], -1).any(axis=1)))
+        live &= ~comp.any(axis=1)
+    level, period = _reach(kernel, [0], everywhere)[:, 0], 0
+    for a, b, _ in _edges(kernel):
+        period = int(np.gcd(period, np.gcd.reduce(np.abs(level[a] + 1 - level[b])[level[a] >= 0])))
     irreducible = n_comp == 1
-    dist = csgraph.shortest_path(Q, method="D", unweighted=True, indices=0)
-    coo = Q.tocoo()
-    reach = np.isfinite(dist[coo.row]) & np.isfinite(dist[coo.col])
-    diffs = (dist[coo.row[reach]] + 1 - dist[coo.col[reach]]).astype(np.int64)
-    period = int(np.gcd.reduce(np.abs(diffs))) if diffs.size else None
-    aperiodic = bool(irreducible and period == 1)
-    diameter = None
-    if irreducible and kernel.n_states <= diameter_limit:
-        all_dist = csgraph.shortest_path(Q, method="D", unweighted=True)
-        diameter = int(all_dist.max())
-    return KernelStructure(
-        irreducible=irreducible,
-        aperiodic=aperiodic,
-        period=period,
-        n_components=int(n_comp),
-        diameter=diameter,
-    )
+    diameter = max(int(_reach(kernel, np.arange(lo, min(lo + batch, n)), everywhere).max())
+                   for lo in range(0, n, batch)) if irreducible and n <= diameter_limit else None
+    return KernelStructure(irreducible, irreducible and period == 1, period, n_comp, diameter)
 
 
 def save_distribution_csv(mu, path: str) -> None:
@@ -437,10 +436,10 @@ def save_distribution_csv(mu, path: str) -> None:
 
 
 def save_kernel_csv(kernel: TransitionKernel, path: str) -> None:
-    """Materialized transitions as (from_state, to_state, probability) rows."""
-    Q = kernel.to_sparse().tocoo()
-    order = np.lexsort((Q.col, Q.row))
-    rows = (
-        (int(Q.row[k]), int(Q.col[k]), float(Q.data[k])) for k in order
-    )
-    write_csv(path, ("from_state", "to_state", "probability"), rows)
+    """Positive transitions as (from_state, to_state, probability) rows, sorted."""
+    nnz = kernel.n_states << kernel.n_urns
+    if nnz > SPARSE_NNZ_CAP:
+        raise CapExceededError(f"materializing {nnz} entries exceeds cap {SPARSE_NNZ_CAP}")
+    a, b, p = map(np.concatenate, zip(*_edges(kernel)))
+    order = np.lexsort((b, a))
+    write_csv(path, ("from_state", "to_state", "probability"), zip(a[order], b[order], p[order]))

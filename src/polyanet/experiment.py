@@ -69,7 +69,8 @@ def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             return check_interaction_matrix(networks.load_matrix(path))
-        nodes = int(spec["nodes"])
+        nodes = check_integer(spec["nodes"], "nodes", minimum=1)
+        _admit_bytes(16 * nodes * nodes, "the network's two N x N float64 arrays")
         if kind == "ring":
             return networks.ring(nodes)
         if kind == "identity":
@@ -77,7 +78,8 @@ def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
         self_weight = float(spec.get("self_weight", 1.0))
         if kind == "complete":
             return networks.row_normalize(networks.complete(nodes), self_weight)
-        adj = networks.barabasi_albert(nodes, int(spec.get("attach", 2)), int(spec.get("seed", 0)))
+        adj = networks.barabasi_albert(nodes, check_integer(spec.get("attach", 2), "attach"),
+                                       check_integer(spec.get("seed", 0), "seed"))
         return networks.row_normalize(adj, self_weight)
     except KeyError as exc:
         raise ConfigError("network", f"missing entry {exc.args[0]!r} for kind {kind!r}") from None
@@ -203,24 +205,28 @@ def _exact_trajectory(
     )
 
 
+def _admit_bytes(need: int, what: str) -> None:
+    """Raise :class:`CapExceededError` when ``need`` bytes exceed physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise CapExceededError(f"{what} need at least {need} bytes; "
+                               f"the machine has {have} bytes of physical memory")
+
+
 def _admit_memory(cfg: ExperimentConfig) -> None:
     """Raise :class:`CapExceededError` unless the modes' arrays fit in physical
     memory: the Monte Carlo int8 draw record, each (t_max, N) float64 curve,
     the exact chain's two 8 * 2**(N*M)-byte distributions, and the mean
     field's (M + 1, N) table and (M, N) history."""
     n, t_max, memory = cfg.raw.n_urns, cfg.t_max, cfg.raw.memory
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     curve, table = 8 * t_max * n, 8 * (memory + 1) * n
-    # 2**(N*M) is clipped where it already exceeds the machine
-    states = 1 << min(n * memory, have.bit_length())
+    # 2**(N*M) is clipped where 16 * 2**64 bytes already exceeds any machine
+    states = 1 << min(n * memory, 64)
     mean_field = curve + 2 * table
     cost = {"montecarlo": t_max * cfg.replicates * n + curve, "exact": 16 * states + curve,
             "meanfield-nonlinear": mean_field, "meanfield-linear": mean_field,
             "equilibrium": table}
-    need = sum(cost[mode] for mode in cfg.modes)
-    if need > have:
-        raise CapExceededError(f"the run's arrays need at least {need} bytes; "
-                               f"the machine has {have} bytes of physical memory")
+    _admit_bytes(sum(cost[mode] for mode in cfg.modes), "the run's arrays")
 
 
 def run(cfg: ExperimentConfig) -> dict:

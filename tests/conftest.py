@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 from hypothesis import settings
 
 from polyanet.csvio import write_csv
@@ -138,6 +140,42 @@ def dense_transition_matrix(kernel):
         e[a] = 1.0
         Q[a] = kernel.apply(e)
     return Q
+
+
+def to_sparse(kernel):
+    """The kernel's positive entries as a CSR matrix, read from its blocks.
+
+    At most 2**N entries per row; the oracle for the structural checks,
+    which SciPy's ``csgraph`` runs on it.
+    """
+    rows, cols, vals = [], [], []
+    for src, dst, F in kernel._all_blocks():
+        keep = F > 0.0
+        rows.append(np.broadcast_to(src[:, :, None], F.shape)[keep])
+        cols.append(np.broadcast_to(dst[:, None, :], F.shape)[keep])
+        vals.append(F[keep])
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(kernel.n_states, kernel.n_states),
+    )
+
+
+def csgraph_structure(kernel, diameter_limit=4096):
+    """``check_irreducible_aperiodic``'s fields, from SciPy's graph routines
+    on :func:`to_sparse`: strong components, unweighted shortest paths
+    from state 0 for the period, and all pairs for the diameter."""
+    Q = to_sparse(kernel)
+    n_comp, _ = csgraph.connected_components(Q, directed=True, connection="strong")
+    irreducible = bool(n_comp == 1)
+    dist = csgraph.shortest_path(Q, method="D", unweighted=True, indices=0)
+    coo = Q.tocoo()
+    reach = np.isfinite(dist[coo.row]) & np.isfinite(dist[coo.col])
+    diffs = (dist[coo.row[reach]] + 1 - dist[coo.col[reach]]).astype(np.int64)
+    period = int(np.gcd.reduce(np.abs(diffs))) if diffs.size else None
+    diameter = None
+    if irreducible and kernel.n_states <= diameter_limit:
+        diameter = int(csgraph.shortest_path(Q, method="D", unweighted=True).max())
+    return [irreducible, bool(irreducible and period == 1), period, int(n_comp), diameter]
 
 
 def stationary_by_eig(Q):

@@ -27,11 +27,13 @@ from polyanet.params import NetworkParams, normalize
 from polyanet.networks import ring
 
 from conftest import (
+    csgraph_structure,
     make_raw,
     pair_raw,
     pair_stationary,
     random_interaction,
     realized_pair,
+    to_sparse,
     transition_prob,
 )
 
@@ -75,13 +77,13 @@ class TestKernelOperator:
         for n, m in ((1, 1), (2, 1), (2, 2), (3, 2), (2, 4)):
             par = random_params(rng, n, m)
             kern = build_kernel(par, random_interaction(rng, n))
-            Q = kern.to_sparse()
+            Q = to_sparse(kern)
             assert np.allclose(np.asarray(Q.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
     def test_apply_matches_sparse(self, rng):
         par = random_params(rng, 3, 2)
         kern = build_kernel(par, random_interaction(rng, 3))
-        Q = kern.to_sparse()
+        Q = to_sparse(kern)
         mu = rng.dirichlet(np.ones(kern.n_states))
         assert np.allclose(kern.apply(mu), mu @ Q, atol=1e-14)
 
@@ -173,7 +175,7 @@ class TestStationary:
             S = random_interaction(rng, n)
             kern = build_kernel(par, S)
             pi = stationary_distribution(kern)
-            Q = brute_force_matrix(par, S) if n * m <= 6 else kern.to_sparse().toarray()
+            Q = brute_force_matrix(par, S) if n * m <= 6 else to_sparse(kern).toarray()
             vals, vecs = np.linalg.eig(Q.T)
             k = int(np.argmin(np.abs(vals - 1.0)))
             ref = np.abs(np.real(vecs[:, k]))
@@ -185,7 +187,7 @@ class TestStationary:
         S = random_interaction(rng, 3)
         kern = build_kernel(par, S)
         pi = stationary_distribution(kern)
-        vals, vecs = spla.eigs(kern.to_sparse().T.tocsc(), k=1, which="LM")
+        vals, vecs = spla.eigs(to_sparse(kern).T.tocsc(), k=1, which="LM")
         ref = np.abs(np.real(vecs[:, 0]))
         ref /= ref.sum()
         assert np.max(np.abs(pi - ref)) < 1e-9
@@ -303,6 +305,57 @@ class TestStructure:
         assert info.n_components == 2
         assert not info.ok and not bool(info)
 
+    @pytest.mark.parametrize("levels", [None, 1 << 8])
+    def test_certificate_matches_csgraph(self, kernel_path, levels, monkeypatch):
+        # 48 seeded kernels (N <= 5, N*M <= 9): each urn's rho is 0 or 1 with
+        # probability 1/2 and one reinforcement is zero, so some chains have
+        # absorbing windows.  In case 48, urn 0 listens only to urn 1, whose
+        # rho is 1, so only the upper half of the states has eccentricity
+        # M + 1.  With 2**8 levels per batch, components are peeled and the
+        # diameter searched in batches of 1 to 16 searches; at the default,
+        # only the two kernels of 2048 states split into batches.
+        cases = [structure_case(seed) for seed in range(48)]
+        cases.append((NetworkParams(3, [0.4, 1.0], [0.5, 0.7], [0.6, 0.3]),
+                      np.array([[0.0, 1.0], [0.5, 0.5]])))
+        if levels is None:
+            cases += [(random_params(np.random.default_rng(7), 1, 11), np.eye(1)),
+                      (NetworkParams(11, [1.0], [0.8], [0.0]), np.eye(1))]
+        else:
+            monkeypatch.setattr(chain, "SEARCH_LEVELS", levels)
+        found = []
+        for par, S in cases:
+            kern = build_kernel(par, S)
+            info = check_irreducible_aperiodic(kern)
+            found.append([info.irreducible, info.aperiodic, info.period,
+                          info.n_components, info.diameter])
+            assert found[-1] == csgraph_structure(kern), (par, S)
+        assert 9 <= sum(not f[0] for f in found) <= len(found) - 9
+        assert found[48][4] == 4
+        if levels is None:
+            assert found[-2][4] == 11 and found[-1][3] == 2048
+
+    def test_diameter_limit(self):
+        kern = build_kernel(*structure_case(9))
+        assert check_irreducible_aperiodic(kern, diameter_limit=kern.n_states).diameter == 3
+        assert check_irreducible_aperiodic(kern, diameter_limit=kern.n_states - 1).diameter is None
+
+
+def structure_case(seed):
+    """Kernel inputs for the certificate sweep: N <= 5 urns, N*M <= 9 bits.
+
+    Each urn's rho is 0 or 1 with probability 1/2, one urn's red or black
+    reinforcement is zero, and each off-diagonal interaction weight is
+    dropped with probability 1/3.
+    """
+    g = np.random.default_rng(seed)
+    n = int(g.integers(1, 6))
+    m = int(g.integers(1, 9 // n + 1))
+    rho = np.where(g.random(n) < 0.5, g.integers(0, 2, n), g.uniform(0.05, 0.95, n))
+    delta = [g.uniform(0.0, 2.0, n), g.uniform(0.05, 2.0, n)]
+    delta[int(g.integers(0, 2))][int(g.integers(0, n))] = 0.0
+    S = random_interaction(g, n) * ((g.random((n, n)) < 2 / 3) | np.eye(n, dtype=bool))
+    return NetworkParams(m, rho, *delta), S / S.sum(axis=1, keepdims=True)
+
 
 class TestExports:
     def test_distribution_csv(self, tmp_path):
@@ -365,8 +418,9 @@ def kernel_path(request, monkeypatch):
 
 
 class TestKernelPaths:
-    """apply, to_sparse and successors agree with transition_prob whether
-    the factor blocks are streamed or kept, and wherever blocks split."""
+    """apply, the blocks (read through the to_sparse oracle) and successors
+    agree with transition_prob whether the factor blocks are streamed or
+    kept, and wherever blocks split."""
 
     @pytest.mark.parametrize("rows_per_block", [None, 3])
     @pytest.mark.parametrize("case", PATH_CASES)
@@ -383,7 +437,7 @@ class TestKernelPaths:
             assert np.max(np.abs(kern.apply(mu) - mu @ Q)) <= 1e-15
         assert (kern._cache is not None) == (kernel_path == "cached")
         assert (kern._probs is not None) == (kernel_path == "streamed")
-        sparse = kern.to_sparse()
+        sparse = to_sparse(kern)
         assert sparse.nnz == np.count_nonzero(Q)
         assert np.max(np.abs(sparse.toarray() - Q)) <= 1e-15
         for state in range(kern.n_states):
@@ -435,6 +489,27 @@ class TestKernelPaths:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "9af3015f4554bf5d2bf786f2944a818320471d5d8d18979ae4793ce0096c8e08"
         )
+
+    def test_kernel_csv_bytes_on_every_path(self, tmp_path, kernel_path, monkeypatch):
+        # The digest pinned above, with the rows split over blocks of three
+        monkeypatch.setattr(chain, "BLOCK_ENTRIES", 3 << 6)
+        par = NetworkParams(
+            memory=2, rho=[0.3, 0.65, 0.5], delta_r=[0.4, 1.1, 0.25],
+            delta_b=[0.9, 0.2, 0.6],
+        )
+        S = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(build_kernel(par, S), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9af3015f4554bf5d2bf786f2944a818320471d5d8d18979ae4793ce0096c8e08"
+        )
+
+    def test_kernel_csv_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(chain, "SPARSE_NNZ_CAP", 63)
+        kern = build_kernel(NetworkParams.homogeneous(2, 2, 0.5, 1.0), np.eye(2))
+        with pytest.raises(CapExceededError, match="materializing 64 entries"):
+            save_kernel_csv(kern, str(tmp_path / "kernel.csv"))
+        assert not (tmp_path / "kernel.csv").exists()
 
     def test_successors_rejects_out_of_range(self, rng):
         kern = build_kernel(random_params(rng, 2, 2), random_interaction(rng, 2))

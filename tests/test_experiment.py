@@ -693,6 +693,33 @@ class TestMemoryAdmission:
         assert "bytes of physical memory" in err
         assert list(tmp_path.iterdir()) == [path]
 
+    # 10**9 urns need 1.6e19 bytes of N x N arrays: refused before any is built
+    def test_huge_network_config_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(
+            tmp_path, network={"kind": "complete", "nodes": 10**9})))
+        assert cli.main(["simulate", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded: the network's two N x N float64 arrays need "
+                              "at least 16000000000000000000 bytes")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_huge_gen_network_exits_4(self, tmp_path, capsys):
+        argv = ["gen-network", "--kind", "ring", "--nodes", str(10**9),
+                "--out", str(tmp_path / "net")]
+        assert cli.main(argv) == 4
+        assert "the network's two N x N float64 arrays" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_fractional_nodes_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(
+            tmp_path, network={"kind": "complete", "nodes": 2.7})))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: network: nodes: must be an integer, got 2.7\n")
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestCompareBadRows:
     @pytest.mark.parametrize("row", ["1.5,avg,0.3", "1,avg,nan_x", "x,avg,0.3"])
@@ -802,7 +829,11 @@ class TestMalformedEntries:
         [{"kind": "ring", "nodes": None}, {"kind": "ring", "nodes": []},
          {"kind": "matrix", "values": {}}, {"kind": "matrix-file", "path": None},
          {"kind": "barabasi-albert", "nodes": 5, "attach": None},
-         {"kind": "matrix", "values": [[float("nan")]]}],
+         {"kind": "matrix", "values": [[float("nan")]]},
+         {"kind": "complete", "nodes": 2.7}, {"kind": "ring", "nodes": "3"},
+         {"kind": "identity", "nodes": True},
+         {"kind": "barabasi-albert", "nodes": 5, "attach": 2.9},
+         {"kind": "barabasi-albert", "nodes": 5, "attach": 2, "seed": "1"}],
     )
     def test_malformed_network_entry(self, spec):
         with pytest.raises(ConfigError) as info:

@@ -1,8 +1,7 @@
 """What a fresh interpreter loads, checked in a subprocess.
 
-The in-process suite cannot see this: other test modules import
-``scipy.sparse`` themselves, so a module-level SciPy import in the
-package, or a function-local one that no longer works, would go
+The in-process suite cannot see this: the test oracles import SciPy
+themselves, so a SciPy import anywhere in the package would go
 unnoticed there.
 """
 
@@ -15,7 +14,7 @@ import textwrap
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Heavy stacks that no subcommand needs at start-up.
-DEFERRED = ("scipy.sparse", "multiprocessing", "concurrent.futures")
+DEFERRED = ("scipy", "multiprocessing", "concurrent.futures")
 
 
 def run_fresh(code: str) -> dict:
@@ -43,8 +42,8 @@ def test_import_loads_no_deferred_stack():
     assert loaded == []
 
 
-def test_threaded_run_starts_no_pool(tmp_path):
-    # --threads above 1 is accepted but runs the replicates in-process
+def write_config(tmp_path) -> str:
+    """A three-urn, memory-2 config with short runs; returns its path."""
     config = {
         "schema_version": 1,
         "network": {"kind": "complete", "nodes": 3},
@@ -61,11 +60,17 @@ def test_threaded_run_starts_no_pool(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_threaded_run_starts_no_pool(tmp_path):
+    # --threads above 1 is accepted but runs the replicates in-process
+    path = write_config(tmp_path)
     out = run_fresh(f"""
         import contextlib, io, json, sys
         from polyanet import cli
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["simulate", "--config", {str(path)!r}, "--threads", "3"])
+            code = cli.main(["simulate", "--config", {path!r}, "--threads", "3"])
         print(json.dumps({{"code": code, "loaded": sorted(
             name for name in sys.modules
             if any(name == p or name.startswith(p + ".") for p in {DEFERRED!r})
@@ -75,41 +80,53 @@ def test_threaded_run_starts_no_pool(tmp_path):
     assert (tmp_path / "run_montecarlo.csv").exists()
 
 
-def test_structural_functions_load_scipy_on_first_call(tmp_path):
-    out = run_fresh(f"""
-        import hashlib, json, sys
+def test_runtime_runs_with_scipy_blocked(tmp_path):
+    # None in sys.modules makes every ``import scipy...`` raise ImportError
+    config = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    calls = [
+        ["gen-network", "--kind", "barabasi-albert", "--nodes", "6", "--attach", "2",
+         "--out", out],
+        ["simulate", "--config", config, "--out", out],
+        ["exact", "--config", config, "--out", out],
+        ["meanfield", "--config", config, "--out", out],
+        ["equilibrium", "--config", config, "--out", out],
+        ["compare", out + "_exact.csv", out + "_meanfield-nonlinear.csv"],
+        ["reproduce-fig", "3", "--out", out + "_fig", "--t-max", "5", "--replicates", "2"],
+    ]
+    result = run_fresh(f"""
+        import contextlib, hashlib, io, json, sys
+        sys.modules["scipy"] = None
         import numpy as np
-        import polyanet
-        from polyanet.chain import build_kernel, save_kernel_csv
+        from polyanet import cli
+        from polyanet.chain import build_kernel, check_irreducible_aperiodic, save_kernel_csv
         from polyanet.params import NetworkParams
 
-        before = "scipy.sparse" in sys.modules
-        info = polyanet.check_irreducible_aperiodic(
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in {calls!r}]
+        info = check_irreducible_aperiodic(
             build_kernel(NetworkParams.homogeneous(2, 2, 0.5, 0.7), np.full((2, 2), 0.5)))
         par = NetworkParams(memory=2, rho=[0.3, 0.65, 0.5], delta_r=[0.4, 1.1, 0.25],
                             delta_b=[0.9, 0.2, 0.6])
         S = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
-        Q = build_kernel(par, S).to_sparse()
         path = {str(tmp_path / "kernel.csv")!r}
         save_kernel_csv(build_kernel(par, S), path)
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         print(json.dumps({{
-            "before": before,
-            "after": "scipy.sparse.csgraph" in sys.modules,
+            "codes": codes,
             "info": [info.irreducible, info.aperiodic, info.period,
                      info.n_components, info.diameter],
-            "sparse": [type(Q).__name__, Q.shape[0], Q.nnz,
-                       float(np.abs(Q.sum(axis=1) - 1.0).max())],
             "digest": digest,
+            "scipy": sorted(name for name in sys.modules if name.startswith("scipy.")),
         }}))
     """)
-    assert out["before"] is False
-    assert out["after"] is True
-    assert out["info"] == [True, True, 1, 1, 2]
-    name, n_states, nnz, row_err = out["sparse"]
-    assert name == "csr_matrix"
-    assert n_states == 64 and 0 < nnz <= 64 * 8
-    assert row_err < 1e-12
-    # the digest pinned by test_chain.py's kernel CSV test
-    assert out["digest"] == "9af3015f4554bf5d2bf786f2944a818320471d5d8d18979ae4793ce0096c8e08"
+    assert result == {
+        "codes": [0] * len(calls),
+        "info": [True, True, 1, 1, 2],
+        # the digest pinned by test_chain.py's kernel CSV test
+        "digest": "9af3015f4554bf5d2bf786f2944a818320471d5d8d18979ae4793ce0096c8e08",
+        "scipy": [],
+    }
+    assert (tmp_path / "out_matrix.csv").exists()
+    assert (tmp_path / "out_fig_m3_summary.json").exists()
