@@ -72,7 +72,7 @@ def _cmd_gen_network(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    report = experiment.compare_curves(args.curve_a, args.curve_b)
+    report = experiment.compare_curves(args.curve_a, args.curve_b, args.t_min)
     print(f"points: {report.n_points}")
     print(f"linf: {report.linf:.17g}")
     print(f"l1_mean: {report.l1_mean:.17g}")
@@ -136,6 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="distances between two curve CSVs")
     c.add_argument("curve_a")
     c.add_argument("curve_b")
+    c.add_argument("--t-min", type=int, default=1, dest="t_min",
+                   help="compare only the times >= T_MIN (default 1, every time)")
     c.set_defaults(func=_cmd_compare)
 
     r = sub.add_parser(
@@ -154,8 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

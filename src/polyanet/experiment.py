@@ -10,6 +10,7 @@ compared on their network-average rows.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -75,7 +76,10 @@ def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
             return networks.ring(nodes)
         if kind == "identity":
             return networks.identity(nodes)
-        self_weight = float(spec.get("self_weight", 1.0))
+        self_weight = spec.get("self_weight", 1.0)
+        if isinstance(self_weight, (bool, str, bytes)):
+            raise TypeError(f"self_weight must be a number, got {self_weight!r}")
+        self_weight = float(self_weight)
         if kind == "complete":
             return networks.row_normalize(networks.complete(nodes), self_weight)
         adj = networks.barabasi_albert(nodes, check_integer(spec.get("attach", 2), "attach"),
@@ -235,8 +239,8 @@ def run(cfg: ExperimentConfig) -> dict:
     Artifacts land at ``{out_prefix}_{mode}.csv`` plus
     ``{out_prefix}_summary.json``.  The summary carries the config echo,
     per-mode artifact paths, the equilibrium report when requested, and
-    pairwise sup-distances between the produced network-average curves
-    on their common horizon.  A run over the exact-chain work cap, or
+    the pairwise :func:`curve_gap` sup distance between the produced
+    network-average curves.  A run over the exact-chain work cap, or
     whose arrays exceed physical memory, raises before any mode runs.
     """
     artifacts: dict[str, str] = {}
@@ -283,12 +287,8 @@ def run(cfg: ExperimentConfig) -> dict:
                 summary["spectral_radius"] = eq.spectral_radius
                 summary["equilibrium"] = [float(v) for v in eq.per_urn]
         artifacts[mode] = path
-    names = sorted(curves)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            horizon = min(len(curves[a]), len(curves[b]))
-            gap = float(np.max(np.abs(curves[a][:horizon] - curves[b][:horizon])))
-            summary["comparisons"][f"{a}|{b}"] = gap
+    for a, b in itertools.combinations(sorted(curves), 2):
+        summary["comparisons"][f"{a}|{b}"] = curve_gap(curves[a], curves[b]).linf
     summary_path = f"{cfg.out_prefix}_summary.json"
     write_json(summary_path, summary)
     summary["summary_path"] = summary_path
@@ -336,8 +336,20 @@ def read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(times)[order], np.asarray(values)[order]
 
 
-def compare_curves(path_a: str, path_b: str) -> CompareReport:
-    """Sup, mean-absolute and final differences of two average curves.
+def curve_gap(values_a, values_b) -> CompareReport:
+    """Sup, mean-absolute and final differences of two curves' values on
+    one time grid; the one evaluator of the distance between two curves."""
+    diff = np.abs(values_a - values_b)
+    return CompareReport(
+        linf=float(diff.max()),
+        l1_mean=float(diff.mean()),
+        final_abs_diff=float(diff[-1]),
+        n_points=len(diff),
+    )
+
+
+def compare_curves(path_a: str, path_b: str, t_min: int = 1) -> CompareReport:
+    """:func:`curve_gap` of two average-curve files over the times >= ``t_min``.
 
     The two files must cover the same time grid; misaligned grids are a
     configuration error, not something to silently interpolate over.
@@ -346,13 +358,10 @@ def compare_curves(path_a: str, path_b: str) -> CompareReport:
     tb, vb = read_curve(path_b)
     if ta.shape != tb.shape or np.any(ta != tb):
         raise ConfigError("curves", "time grids differ; curves are not comparable")
-    diff = np.abs(va - vb)
-    return CompareReport(
-        linf=float(diff.max()),
-        l1_mean=float(diff.mean()),
-        final_abs_diff=float(diff[-1]),
-        n_points=len(diff),
-    )
+    window = ta >= t_min
+    if not window.any():
+        raise ConfigError("t_min", f"no curve time is at least {t_min}; the last is {ta[-1]}")
+    return curve_gap(va[window], vb[window])
 
 
 # -- figure reproductions -----------------------------------------------------

@@ -101,10 +101,12 @@ def row_normalize(adjacency, self_weight: float = 0.0) -> np.ndarray:
 
 
 def save_edge_list(adjacency, path: str) -> None:
-    """Write the upper triangle of a symmetric adjacency as u,v,weight rows."""
-    adj = np.asarray(adjacency, dtype=float)
-    us, vs = np.nonzero(np.triu(adj, 1))
-    rows = zip(us.tolist(), vs.tolist(), adj[us, vs].tolist())
+    """Write the upper triangle of a symmetric adjacency as u,v,weight rows,
+    one matrix row at a time, so the memory beyond the adjacency is O(N)."""
+    adj = np.asarray(adjacency)
+    upper = (np.flatnonzero(adj[u, u + 1 :]) + (u + 1) for u in range(adj.shape[0]))
+    rows = ((u, v, w) for u, vs in enumerate(upper)
+            for v, w in zip(vs.tolist(), adj[u, vs].astype(float).tolist()))
     write_csv(path, ("u", "v", "weight"), rows)
 
 

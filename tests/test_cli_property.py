@@ -2,8 +2,8 @@
 
 ``cli.main`` on an argv drawn from the subcommands, with small JSON-like
 configs (N <= 4, t_max <= 5, replicates <= 3), returns 0, 2, 3 or 4 and
-never raises.  Every number drawn is small, so no draw can ask for a
-large allocation.
+never raises, also when argparse refuses an option value (``--t-min x1``).
+Every number drawn is small, so no draw can ask for a large allocation.
 """
 
 import json
@@ -98,6 +98,8 @@ def calls(draw, root):
                 with open(path, "w") as fh:
                     fh.write("\n".join(lines) + "\n")
             argv.append(path)
+        if draw(st.booleans()):
+            argv += ["--t-min", draw(st.sampled_from(["0", "1", "3", str(10**9), "-5", "x1"]))]
         return argv
     if command == "reproduce-fig":
         return [command, draw(st.sampled_from(["1", "2", "3"])), "--out", out,

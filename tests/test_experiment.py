@@ -549,6 +549,36 @@ class TestCli:
         assert "linf: 0" in out
         assert "points: 30" in out
 
+    def test_compare_t_min_matches_masked_sup(self, tmp_path, capsys):
+        # reproduce-fig 2 then compare --t-min: the late-window Monte Carlo
+        # vs nonlinear mean-field gap, per memory, as the masked sup of the
+        # curves read back from their CSVs
+        out = str(tmp_path / "f2")
+        assert cli.main(["reproduce-fig", "2", "--out", out, "--t-max", "40",
+                         "--replicates", "3", "--seed", "35"]) == 0
+        for memory in (1, 2, 3):
+            mc, mf = (f"{out}_m{memory}_{mode}.csv"
+                      for mode in ("montecarlo", "meanfield-nonlinear"))
+            capsys.readouterr()
+            assert cli.main(["compare", "--t-min", "10", mc, mf]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            times, v_mc = read_curve(mc)
+            _, v_mf = read_curve(mf)
+            window = times >= 10
+            assert lines[0] == "points: 31"
+            assert float(lines[1].removeprefix("linf: ")) == float(
+                np.max(np.abs(v_mc[window] - v_mf[window])))
+
+    def test_compare_t_min_past_last_time_exits_2(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, modes=["meanfield-nonlinear"])
+        cli.main(["meanfield", "--config", path, "--system", "nonlinear"])
+        curve = str(tmp_path / "run_meanfield-nonlinear.csv")
+        capsys.readouterr()
+        assert cli.main(["compare", "--t-min", "31", curve, curve]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: t_min:")
+        assert captured.out == ""
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "2")
         path = self.write_config(tmp_path, modes=["montecarlo"], replicates=4)
@@ -833,7 +863,11 @@ class TestMalformedEntries:
          {"kind": "complete", "nodes": 2.7}, {"kind": "ring", "nodes": "3"},
          {"kind": "identity", "nodes": True},
          {"kind": "barabasi-albert", "nodes": 5, "attach": 2.9},
-         {"kind": "barabasi-albert", "nodes": 5, "attach": 2, "seed": "1"}],
+         {"kind": "barabasi-albert", "nodes": 5, "attach": 2, "seed": "1"},
+         {"kind": "complete", "nodes": 3, "self_weight": "2.5"},
+         {"kind": "complete", "nodes": 3, "self_weight": True},
+         {"kind": "complete", "nodes": 3, "self_weight": None},
+         {"kind": "barabasi-albert", "nodes": 5, "attach": 2, "self_weight": b"1"}],
     )
     def test_malformed_network_entry(self, spec):
         with pytest.raises(ConfigError) as info:

@@ -1,5 +1,7 @@
 """Interaction-matrix builders and graph round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,19 @@ class TestRoundTrips:
         path = tmp_path / "g_edges.csv"
         save_edge_list(adj, str(path))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_edge_list_memory_is_linear(self, tmp_path):
+        # as gen-network does, on the boolean S > 0: the edges of a complete
+        # graph are written without an N x N float64 (8 N^2 bytes) copy
+        n_nodes = 1000
+        adj = complete(n_nodes) > 0
+        tracemalloc.start()
+        try:
+            save_edge_list(adj, str(tmp_path / "g_edges.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_nodes**2
 
     def test_edge_list_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
