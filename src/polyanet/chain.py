@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import chunked, write_csv
 from .errors import CapExceededError, ConvergenceError
 from .params import (
     NetworkParams,
@@ -432,7 +432,7 @@ def check_irreducible_aperiodic(
 def save_distribution_csv(mu, path: str) -> None:
     """Rows of (packed state index, probability)."""
     mu = np.asarray(mu, dtype=float)
-    write_csv(path, ("state", "probability"), ((i, float(v)) for i, v in enumerate(mu)))
+    write_csv(path, ("state", "probability"), "%d,%.17g\n", chunked(np.arange(len(mu)), mu))
 
 
 def save_kernel_csv(kernel: TransitionKernel, path: str) -> None:
@@ -442,4 +442,5 @@ def save_kernel_csv(kernel: TransitionKernel, path: str) -> None:
         raise CapExceededError(f"materializing {nnz} entries exceeds cap {SPARSE_NNZ_CAP}")
     a, b, p = map(np.concatenate, zip(*_edges(kernel)))
     order = np.lexsort((b, a))
-    write_csv(path, ("from_state", "to_state", "probability"), zip(a[order], b[order], p[order]))
+    write_csv(path, ("from_state", "to_state", "probability"), "%d,%d,%.17g\n",
+              chunked(a[order], b[order], p[order]))

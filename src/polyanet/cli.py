@@ -50,9 +50,9 @@ def _cmd_run(args) -> int:
     if "equilibrium" in cfg.modes:
         radius = summary["spectral_radius"]
         if summary["equilibrium_declined"]:
-            print(f"spectral radius {radius:.17g} >= 1; equilibrium declined")
+            print("spectral radius %.17g >= 1; equilibrium declined" % radius)
             return 3
-        print(f"spectral radius {radius:.17g}")
+        print("spectral radius %.17g" % radius)
     return 0
 
 
@@ -74,9 +74,9 @@ def _cmd_gen_network(args) -> int:
 def _cmd_compare(args) -> int:
     report = experiment.compare_curves(args.curve_a, args.curve_b, args.t_min)
     print(f"points: {report.n_points}")
-    print(f"linf: {report.linf:.17g}")
-    print(f"l1_mean: {report.l1_mean:.17g}")
-    print(f"final_abs_diff: {report.final_abs_diff:.17g}")
+    print("linf: %.17g" % report.linf)
+    print("l1_mean: %.17g" % report.l1_mean)
+    print("final_abs_diff: %.17g" % report.final_abs_diff)
     return 0
 
 

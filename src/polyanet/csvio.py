@@ -1,17 +1,13 @@
 """Artifact writers shared by every exporter: :func:`open_artifact` is the
-one opener (it creates the directory), and JSON goes through :func:`write_json`.
+one opener (it creates the directory), JSON goes through
+:func:`write_json` and every CSV through the one writer :func:`write_csv`.
 
-All floating-point values are written with 17 significant digits and a
-'.' decimal separator, independent of locale, so repeated runs with the
-same inputs produce byte-identical files.
-
-Small tables go through :func:`write_csv`, one ``csv.writer`` row at a
-time.  Curve files (one line per urn and one ``avg`` line per time step)
-go through :func:`write_curve_csv`, which formats a chunk of time steps
-with one ``%``-template and writes each chunk as soon as it is
-formatted.  Both give the same bytes for the same rows: ``'%.17g' % x``
-is ``f"{x:.17g}"`` for every float, and the constant cells of a curve
-line are rendered once by ``csv.writer``, so its quoting is kept.
+A CSV is a ``csv.writer`` header row (the matrix file has none) and then
+a ``%``-template record of one or more lines, filled and written one
+chunk of records at a time.  Floats take ``%.17g``: 17 significant
+digits and a '.' separator whatever the locale, so the same inputs give
+byte-identical files.  Constant cells, such as a curve line's urn index
+and tail, are part of the template.
 """
 
 from __future__ import annotations
@@ -19,20 +15,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from typing import Iterable
 
 import numpy as np
 
-# Values (urn and average cells) formatted per chunk of a curve file.
+# Values formatted per chunk of a table.
 CHUNK_VALUES = 8192
-
-
-def format_value(x) -> str:
-    """Render one cell; floats keep 17 significant digits."""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
 
 
 def open_artifact(path: str):
@@ -48,12 +38,31 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+def write_csv(path: str, header: Iterable[str] | None, record: str, chunks) -> None:
+    """``header`` (no header line if None), then ``record`` once per record.
+
+    ``chunks`` yields tuples of columns that broadcast against each other,
+    records on the first axis (a 2-D column fills one slot per entry); the
+    slots take the columns in turn, so ``"%d,%.17g\\n"`` with ``(i, x)``
+    writes ``i[k],x[k]`` per record ``k``.
+    """
     with open_artifact(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([format_value(x) for x in row])
+        if header is not None:
+            csv.writer(fh, lineterminator="\n").writerow(list(header))
+        for chunk in chunks:
+            columns = np.broadcast_arrays(*chunk)
+            args = [None] * sum(c.size for c in columns)
+            for i, column in enumerate(columns):
+                args[i :: len(columns)] = column.ravel().tolist()
+            fh.write((record * len(columns[0])) % tuple(args))
+
+
+def chunked(*columns):
+    """Whole columns cut into chunks of about ``CHUNK_VALUES`` values."""
+    width = sum(math.prod(np.shape(c)[1:]) for c in columns)
+    step = max(1, CHUNK_VALUES // max(1, width))
+    for lo in range(0, len(columns[0]), step):
+        yield tuple(c[lo : lo + step] for c in columns)
 
 
 def write_curve_csv(path: str, header: Iterable[str], times, per_urn,
@@ -61,31 +70,17 @@ def write_curve_csv(path: str, header: Iterable[str], times, per_urn,
     """Curve CSV: per time step, one line per urn and one ``avg`` line.
 
     Line ``j`` of step ``k`` is ``time, j, per_urn[k, j], tail`` and the
-    last is ``time, avg, network_avg[k], tail``; the bytes equal those of
-    :func:`write_csv` on the same rows.
+    last is ``time, avg, network_avg[k], tail``.
     """
     times = np.asarray(times).astype(np.int64)
     per_urn = np.asarray(per_urn, dtype=float)
-    n = per_urn.shape[1]
-    # The constant cells of a step's N+1 lines go through csv.writer once;
-    # '%' in the tail is escaped, so each line is a template with two
-    # slots, the time and the value.
-    cell = format_value(tail).replace("%", "%%")
+    # A step's N+1 lines are one record with two slots per line (time, value);
+    # the constant cells go through csv.writer once, '%' in the tail escaped.
     lines = io.StringIO()
     csv.writer(lines, lineterminator="\n").writerows(
-        ("%d", urn, "%.17g", cell) for urn in [*range(n), "avg"]
+        ("%d", urn, "%.17g", str(tail).replace("%", "%%"))
+        for urn in [*range(per_urn.shape[1]), "avg"]
     )
-    step = lines.getvalue()
-    steps_per_chunk = max(1, CHUNK_VALUES // (n + 1))
-    block = np.empty((steps_per_chunk, n + 1))
-    with open_artifact(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(list(header))
-        for lo in range(0, len(times), steps_per_chunk):
-            hi = min(lo + steps_per_chunk, len(times))
-            chunk = block[: hi - lo]
-            chunk[:, :n] = per_urn[lo:hi]
-            chunk[:, n] = network_avg[lo:hi]
-            args = [None] * (2 * chunk.size)
-            args[0::2] = np.repeat(times[lo:hi], n + 1).tolist()
-            args[1::2] = chunk.ravel().tolist()
-            fh.write((step * (hi - lo)) % tuple(args))
+    chunks = ((t[:, None], np.column_stack((p, a)))
+              for t, p, a in chunked(times, per_urn, network_avg))
+    write_csv(path, header, lines.getvalue(), chunks)

@@ -62,9 +62,13 @@ def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
         raise ConfigError("network.kind", f"unknown kind {kind!r}; options: {NETWORK_KINDS}")
     try:
         if kind == "matrix":
-            return networks.row_normalize(np.asarray(spec["values"], dtype=float), 0.0) \
-                if spec.get("normalize", False) else \
-                check_interaction_matrix(np.asarray(spec["values"], dtype=float))
+            values, norm = np.asarray(spec["values"], dtype=object), spec.get("normalize", False)
+            # refused before NumPy coerces them: "1" and true would become 1.0
+            if not isinstance(norm, bool) or any(isinstance(x, (bool, str, bytes))
+                                                 for x in values.ravel()):
+                raise TypeError("matrix values must be numbers and normalize true or false")
+            values = values.astype(float)
+            return networks.row_normalize(values, 0.0) if norm else check_interaction_matrix(values)
         if kind == "matrix-file":
             path = spec["path"]
             if not os.path.isabs(path):
@@ -87,7 +91,7 @@ def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
         return networks.row_normalize(adj, self_weight)
     except KeyError as exc:
         raise ConfigError("network", f"missing entry {exc.args[0]!r} for kind {kind!r}") from None
-    except (TypeError, ValueError, OSError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise ConfigError("network", str(exc)) from None
 
 
@@ -144,16 +148,19 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     modes = data["modes"]
     if not isinstance(modes, list) or not modes:
         raise ConfigError("modes", "must be a nonempty list")
-    for m in modes:
-        if m not in MODES:
-            raise ConfigError("modes", f"unknown mode {m!r}; options: {MODES}")
+    for k, m in enumerate(modes):
+        if m not in MODES or m in modes[:k]:
+            raise ConfigError("modes", f"unknown or repeated mode {m!r}; options: {MODES}")
+    out_prefix = data["out_prefix"]
+    if not isinstance(out_prefix, str) or not out_prefix:
+        raise ConfigError("out_prefix", f"must be a nonempty string, got {out_prefix!r}")
     return ExperimentConfig(
         raw=raw,
         modes=list(modes),
         t_max=check_integer(data.get("t_max", 1000), "t_max", minimum=1),
         replicates=check_integer(data.get("replicates", 100), "replicates", minimum=1),
         master_seed=check_integer(data.get("master_seed", 0), "master_seed"),
-        out_prefix=str(data["out_prefix"]),
+        out_prefix=out_prefix,
         threads=check_integer(data.get("threads", 1), "threads", minimum=1),
         exact_cap_bits=check_integer(
             data.get("exact_cap_bits", chain.DEFAULT_CAP_BITS), "exact_cap_bits"
@@ -281,7 +288,7 @@ def run(cfg: ExperimentConfig) -> dict:
             except UnstableSystemError as exc:
                 summary["spectral_radius"] = exc.radius
                 summary["equilibrium_declined"] = True
-                write_csv(path, ("urn", "value"), [("spectral_radius", exc.radius)])
+                write_csv(path, ("urn", "value"), "spectral_radius,%.17g\n", [([exc.radius],)])
             else:
                 meanfield.save_equilibrium_csv(eq, path)
                 summary["spectral_radius"] = eq.spectral_radius

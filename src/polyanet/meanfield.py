@@ -262,6 +262,5 @@ def save_trajectory_csv(traj: InfectionTrajectory, path: str) -> None:
 
 def save_equilibrium_csv(eq: Equilibrium, path: str) -> None:
     """Per-urn equilibrium rows followed by one spectral-radius line."""
-    rows = [(j, float(v)) for j, v in enumerate(eq.per_urn)]
-    rows.append(("spectral_radius", float(eq.spectral_radius)))
-    write_csv(path, ("urn", "value"), rows)
+    record = "".join(f"{j},%.17g\n" for j in range(len(eq.per_urn))) + "spectral_radius,%.17g\n"
+    write_csv(path, ("urn", "value"), record, [(np.append(eq.per_urn, eq.spectral_radius)[None],)])

@@ -6,7 +6,7 @@ import csv
 
 import numpy as np
 
-from .csvio import open_artifact, write_csv
+from .csvio import chunked, write_csv
 from .params import check_interaction_matrix
 
 
@@ -105,9 +105,8 @@ def save_edge_list(adjacency, path: str) -> None:
     one matrix row at a time, so the memory beyond the adjacency is O(N)."""
     adj = np.asarray(adjacency)
     upper = (np.flatnonzero(adj[u, u + 1 :]) + (u + 1) for u in range(adj.shape[0]))
-    rows = ((u, v, w) for u, vs in enumerate(upper)
-            for v, w in zip(vs.tolist(), adj[u, vs].astype(float).tolist()))
-    write_csv(path, ("u", "v", "weight"), rows)
+    chunks = ((u, vs, adj[u, vs].astype(float)) for u, vs in enumerate(upper))
+    write_csv(path, ("u", "v", "weight"), "%d,%d,%.17g\n", chunks)
 
 
 def load_edge_list(path: str, n_nodes: int | None = None) -> np.ndarray:
@@ -133,9 +132,7 @@ def load_edge_list(path: str, n_nodes: int | None = None) -> np.ndarray:
 def save_matrix(matrix, path: str) -> None:
     """Dense CSV dump, one row per line, 17 significant digits."""
     mat = np.asarray(matrix, dtype=float)
-    with open_artifact(path) as fh:
-        for row in mat:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    write_csv(path, None, ",".join(["%.17g"] * mat.shape[1]) + "\n", chunked(mat))
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -7,6 +7,7 @@ compare two independent routes to the same quantity.
 
 from __future__ import annotations
 
+import csv
 import os
 from fractions import Fraction
 from typing import NamedTuple
@@ -17,7 +18,6 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 from hypothesis import settings
 
-from polyanet.csvio import write_csv
 from polyanet.errors import CapExceededError
 from polyanet.params import (
     RawConfig,
@@ -187,8 +187,22 @@ def stationary_by_eig(Q):
     return v / v.sum()
 
 
+def write_rows(path, header, rows):
+    """CSV written one ``csv.writer`` row at a time, floats as ``f"{x:.17g}"``.
+
+    The reference for every table :mod:`polyanet.csvio` writes; a
+    ``header`` of None writes no header line, as for the matrix file.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(list(header))
+        for row in rows:
+            writer.writerow([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row])
+
+
 def write_curve_rows(path, header, times, per_urn, network_avg, tail):
-    """Curve CSV written one ``csv.writer`` row at a time.
+    """Curve CSV through :func:`write_rows`.
 
     The reference for :func:`polyanet.csvio.write_curve_csv`: per time
     step, one row per urn and one ``avg`` row, each ending in ``tail``.
@@ -201,7 +215,7 @@ def write_curve_rows(path, header, times, per_urn, network_avg, tail):
                 yield (int(t), j, float(per_urn[k, j]), tail)
             yield (int(t), "avg", float(network_avg[k]), tail)
 
-    write_csv(path, header, rows())
+    write_rows(path, header, rows())
 
 
 # -- scalar and exponential oracles for the library's evaluators -------------

@@ -74,6 +74,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="modes"):
             config_from_dict(base_config(tmp_path, modes=[]))
 
+    def test_repeated_mode(self, tmp_path):
+        modes = ["meanfield-nonlinear", "exact", "meanfield-nonlinear"]
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(base_config(tmp_path, modes=modes))
+        assert info.value.field == "modes"
+
+    @pytest.mark.parametrize("value", [None, 5, ["a"], ""])
+    def test_out_prefix_must_be_nonempty_text(self, tmp_path, value):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(base_config(tmp_path, out_prefix=value))
+        assert info.value.field == "out_prefix"
+
     def test_bad_t_max(self, tmp_path):
         with pytest.raises(ConfigError, match="t_max"):
             config_from_dict(base_config(tmp_path, t_max=0))
@@ -616,6 +628,19 @@ class TestCli:
         assert cli.main(["simulate", "--config", path]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"out_prefix": None}, {"out_prefix": 5}, {"out_prefix": ["a"]}, {"out_prefix": ""},
+        {"modes": ["meanfield-nonlinear", "meanfield-nonlinear"]},
+    ])
+    def test_bad_prefix_or_repeated_mode_writes_nothing(self, tmp_path, monkeypatch,
+                                                         capsys, overrides):
+        path = self.write_config(tmp_path, **overrides)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["meanfield", "--config", path]) == 2
+        field = next(iter(overrides))
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_threads_below_one_rejected(self, tmp_path, monkeypatch, capsys):
         path = self.write_config(tmp_path, modes=["montecarlo"])
         assert cli.main(["simulate", "--config", path, "--threads", "0"]) == 2
@@ -867,7 +892,13 @@ class TestMalformedEntries:
          {"kind": "complete", "nodes": 3, "self_weight": "2.5"},
          {"kind": "complete", "nodes": 3, "self_weight": True},
          {"kind": "complete", "nodes": 3, "self_weight": None},
-         {"kind": "barabasi-albert", "nodes": 5, "attach": 2, "self_weight": b"1"}],
+         {"kind": "barabasi-albert", "nodes": 5, "attach": 2, "self_weight": b"1"},
+         {"kind": "matrix", "values": [["1", "0"], ["0", "1"]]},
+         {"kind": "matrix", "values": [[True, False], [False, True]]},
+         {"kind": "matrix", "values": [[1.0, 0.0], [0.0, 1.0]], "normalize": "no"},
+         {"kind": "matrix", "values": [[1.0, 0.0], [0.0, 1.0]], "normalize": 0},
+         {"kind": "matrix", "values": [[10**400]]},
+         {"kind": "complete", "nodes": 3, "self_weight": 10**400}],
     )
     def test_malformed_network_entry(self, spec):
         with pytest.raises(ConfigError) as info:
