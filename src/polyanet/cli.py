@@ -20,29 +20,26 @@ from .errors import CapExceededError, ConfigError, ConvergenceError, UnstableSys
 THREADS_ENV = "POLYANET_THREADS"
 
 
-def _threads(args) -> int:
-    """``--threads``, else ``$POLYANET_THREADS``, else 1; below 1 is a
-    configuration error.  The value is validated and recorded but has no
-    effect on a run."""
-    value = args.threads
-    if value is None:
-        value = os.environ.get(THREADS_ENV, "1")
-        try:
-            value = int(value)
-        except ValueError:
-            pass  # check_integer refuses the text and names the field
-    return experiment.check_integer(value, "threads", minimum=1)
+def _threads(args):
+    """``--threads``, else ``$POLYANET_THREADS``, else 1, for the ``threads``
+    rule to check; the value is recorded but has no effect on a run."""
+    if args.threads is not None:
+        return args.threads
+    value = os.environ.get(THREADS_ENV, "1")
+    try:
+        return int(value)
+    except ValueError:
+        return value  # the threads rule refuses the text and names the field
 
 
 def _cmd_run(args) -> int:
-    cfg = experiment.load_config(args.config)
-    cfg.modes = args.modes or [f"meanfield-{system}" for system in ("nonlinear", "linear")
-                               if args.system in (system, "both")]
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.out is not None:
-        cfg.out_prefix = args.out
-    cfg.threads = _threads(args)
+    overrides = {"modes": args.modes or [f"meanfield-{system}" for system in ("nonlinear", "linear")
+                                         if args.system in (system, "both")],
+                 "threads": _threads(args)}
+    for name, value in (("master_seed", args.seed), ("out_prefix", args.out)):
+        if value is not None:
+            overrides[name] = value
+    cfg = experiment.load_config(args.config, overrides)
     summary = experiment.run(cfg)
     for mode, path in summary["artifacts"].items():
         print(f"{mode}: {path}")

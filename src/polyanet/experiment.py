@@ -40,7 +40,16 @@ NETWORK_KINDS = (
 )
 
 
-@dataclass
+# The optional integer entries: default and minimum (None: any integer).
+# threads is validated and echoed, but has no effect on a run.
+INTEGER_ENTRIES = {"t_max": (1000, 1), "replicates": (100, 1), "master_seed": (0, None),
+                   "threads": (1, 1), "exact_cap_bits": (chain.DEFAULT_CAP_BITS, None)}
+URN_ENTRIES = ("initial_red", "initial_total", "reinforce_red", "reinforce_black")
+ENTRIES = ("schema_version", "network", "memory", *URN_ENTRIES, "modes", "out_prefix",
+           *INTEGER_ENTRIES)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     raw: RawConfig
     modes: list[str]
@@ -49,8 +58,8 @@ class ExperimentConfig:
     master_seed: int
     out_prefix: str
     network_spec: dict
-    threads: int = 1  # validated and echoed, no effect on a run
-    exact_cap_bits: int = chain.DEFAULT_CAP_BITS
+    threads: int
+    exact_cap_bits: int
 
 
 def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
@@ -113,63 +122,58 @@ def check_integer(value, name: str, minimum: int | None = None) -> int:
     return number
 
 
-def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
-    """Validate a parsed JSON document into an :class:`ExperimentConfig`."""
+def _check_setting(name: str, value):
+    """The one rule for a run setting (``modes``, ``out_prefix`` or an
+    integer entry), whether the file gives it or an override replaces it."""
+    if name == "modes":
+        if not isinstance(value, list) or not value:
+            raise ConfigError("modes", "must be a nonempty list")
+        for k, m in enumerate(value):
+            if m not in MODES or m in value[:k]:
+                raise ConfigError("modes", f"unknown or repeated mode {m!r}; options: {MODES}")
+        return list(value)
+    if name == "out_prefix":
+        if not isinstance(value, str) or not value:
+            raise ConfigError("out_prefix", f"must be a nonempty string, got {value!r}")
+        return value
+    return check_integer(value, name, minimum=INTEGER_ENTRIES[name][1])
+
+
+def config_from_dict(data: dict, base_dir: str = ".", overrides=None) -> ExperimentConfig:
+    """Validate a parsed JSON document into an :class:`ExperimentConfig`.
+
+    An entry outside :data:`ENTRIES` is an error.  ``overrides`` maps run
+    settings (``modes``, ``out_prefix``, integer entries) to values that
+    replace the file's once its own entries pass; each goes through the
+    rule of the entry it replaces.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config", "top level must be a JSON object")
+    for key in data:
+        if key not in ENTRIES:
+            raise ConfigError(key, f"unknown entry; options: {ENTRIES}")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ConfigError(
-            "schema_version", f"expected {SCHEMA_VERSION}, got {version!r}"
-        )
+        raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
     S = resolve_network(data.get("network"), base_dir)
-    missing = [
-        k
-        for k in ("memory", "initial_red", "initial_total", "reinforce_red",
-                  "reinforce_black", "modes", "out_prefix")
-        if k not in data
-    ]
+    missing = [k for k in ("memory", *URN_ENTRIES, "modes", "out_prefix") if k not in data]
     if missing:
         raise ConfigError(missing[0], "required entry is missing")
     memory = check_integer(data["memory"], "memory", minimum=1)
     try:
-        raw = RawConfig(
-            memory=memory,
-            initial_red=data["initial_red"],
-            initial_total=data["initial_total"],
-            reinforce_red=data["reinforce_red"],
-            reinforce_black=data["reinforce_black"],
-            interaction=S,
-        )
+        raw = RawConfig(memory=memory, interaction=S, **{k: data[k] for k in URN_ENTRIES})
     except ValueError as exc:
         raise ConfigError("urns", str(exc)) from None
     if np.all(raw.reinforce_red + raw.reinforce_black == 0):
         raise ConfigError("reinforce_red", "reinforcement is zero for every urn")
-    modes = data["modes"]
-    if not isinstance(modes, list) or not modes:
-        raise ConfigError("modes", "must be a nonempty list")
-    for k, m in enumerate(modes):
-        if m not in MODES or m in modes[:k]:
-            raise ConfigError("modes", f"unknown or repeated mode {m!r}; options: {MODES}")
-    out_prefix = data["out_prefix"]
-    if not isinstance(out_prefix, str) or not out_prefix:
-        raise ConfigError("out_prefix", f"must be a nonempty string, got {out_prefix!r}")
-    return ExperimentConfig(
-        raw=raw,
-        modes=list(modes),
-        t_max=check_integer(data.get("t_max", 1000), "t_max", minimum=1),
-        replicates=check_integer(data.get("replicates", 100), "replicates", minimum=1),
-        master_seed=check_integer(data.get("master_seed", 0), "master_seed"),
-        out_prefix=out_prefix,
-        threads=check_integer(data.get("threads", 1), "threads", minimum=1),
-        exact_cap_bits=check_integer(
-            data.get("exact_cap_bits", chain.DEFAULT_CAP_BITS), "exact_cap_bits"
-        ),
-        network_spec=dict(data["network"]),
-    )
+    given = {"modes": data["modes"], "out_prefix": data["out_prefix"],
+             **{k: data.get(k, default) for k, (default, _) in INTEGER_ENTRIES.items()}}
+    settings = {name: _check_setting(name, value)
+                for name, value in [*given.items(), *(overrides or {}).items()]}
+    return ExperimentConfig(raw=raw, network_spec=dict(data["network"]), **settings)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, overrides=None) -> ExperimentConfig:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -177,7 +181,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from None
-    return config_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+    return config_from_dict(data, os.path.dirname(os.path.abspath(path)), overrides)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -186,17 +190,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "network": dict(cfg.network_spec),
         "memory": cfg.raw.memory,
-        "initial_red": cfg.raw.initial_red.tolist(),
-        "initial_total": cfg.raw.initial_total.tolist(),
-        "reinforce_red": cfg.raw.reinforce_red.tolist(),
-        "reinforce_black": cfg.raw.reinforce_black.tolist(),
+        **{k: getattr(cfg.raw, k).tolist() for k in URN_ENTRIES},
         "modes": list(cfg.modes),
-        "t_max": cfg.t_max,
-        "replicates": cfg.replicates,
-        "master_seed": cfg.master_seed,
         "out_prefix": cfg.out_prefix,
-        "threads": cfg.threads,
-        "exact_cap_bits": cfg.exact_cap_bits,
+        **{k: getattr(cfg, k) for k in INTEGER_ENTRIES},
     }
 
 
@@ -434,6 +431,7 @@ def figure_configs(
 ) -> list[ExperimentConfig]:
     """One config per memory value M = 1, 2, 3 for a figure family."""
     base = figure_setup(which, seed)
+    out_prefix = _check_setting("out_prefix", out_prefix)  # each memory's prefix extends it
     configs = []
     for memory in (1, 2, 3):
         data = {

@@ -124,7 +124,7 @@ class SpectralRadiusEstimate(NamedTuple):
 
 
 def spectral_radius(
-    system: LinearSystem, rtol: float = 1e-9, max_iters: int = 20000, allow_dense: bool = True
+    system: LinearSystem, rtol: float = 1e-9, max_iters: int = 2000, allow_dense: bool = True
 ) -> SpectralRadiusEstimate:
     """Dominant eigenvalue magnitude of the system's companion operator J.
 
@@ -178,8 +178,12 @@ def equilibrium(system: LinearSystem) -> Equilibrium:
     >= 1 (M * rho(A) >= 1, as A >= 0), and with radius 1 when the
     estimate falls just short of 1 but I - M*A is singular; callers
     should report the radius instead of an equilibrium in that case.
+    Raises :class:`ConvergenceError` naming the bound when the radius is
+    only bounded, since a bound decides neither stability nor the radius.
     """
     est = spectral_radius(system)
+    if not est.converged:
+        raise ConvergenceError(f"power iteration stalled; radius only bounded by {est.value:.6g}")
     if est.value >= 1.0:
         raise UnstableSystemError(est.value)
     N, M = system.n_urns, system.memory

@@ -1,15 +1,19 @@
-"""Property: the CLI ends every well-formed call with an exit code.
+"""Properties of the CLI.
 
 ``cli.main`` on an argv drawn from the subcommands, with small JSON-like
 configs (N <= 4, t_max <= 5, replicates <= 3), returns 0, 2, 3 or 4 and
 never raises, also when argparse refuses an option value (``--t-min x1``).
 Every number drawn is small, so no draw can ask for a large allocation.
+
+A ``--out``, ``--seed`` or ``--threads`` value is checked like the config
+entry it replaces: it exits as the same value written into the file does.
 """
 
 import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -130,3 +134,57 @@ def test_main_returns_an_exit_code(data):
     with tempfile.TemporaryDirectory() as root:
         argv = data.draw(calls(root), label="argv")
         assert cli.main(argv) in (0, 2, 3, 4)
+
+
+def _is_int_text(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# An integer is the same value as flag text and as a JSON number; other
+# text is refused by argparse and by the entry's rule alike.
+INT_OR_TEXT = st.integers() | st.text(max_size=4).filter(lambda s: not _is_int_text(s))
+# No "/" or NUL, so every prefix names files in the run's own directory.
+PREFIX = st.text(alphabet="ab.-_ %", max_size=6)
+FLAG_ENTRIES = {"--out": ("out_prefix", PREFIX), "--seed": ("master_seed", INT_OR_TEXT),
+                "--threads": ("threads", INT_OR_TEXT)}
+RUN_CONFIG = {
+    "schema_version": 1, "network": {"kind": "identity", "nodes": 2}, "memory": 1,
+    "initial_red": [3, 9], "initial_total": 25, "reinforce_red": 11, "reinforce_black": 7,
+    "modes": ["montecarlo"], "t_max": 3, "replicates": 2, "master_seed": 1, "threads": 1,
+    "out_prefix": "run",
+}
+
+
+def _simulate(root, name, config, flags):
+    """``simulate`` run in the fresh directory ``root/name``: exit code and
+    the names of the files it wrote."""
+    path, cwd = os.path.join(root, f"{name}.json"), os.path.join(root, name)
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    os.mkdir(cwd)
+    old = os.getcwd()
+    os.chdir(cwd)
+    try:
+        code = cli.main(["simulate", "--config", path, *flags])
+    finally:
+        os.chdir(old)
+    return code, sorted(os.listdir(cwd))
+
+
+@given(flag=st.sampled_from(sorted(FLAG_ENTRIES)), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_override_exits_like_its_entry(flag, data):
+    entry, values = FLAG_ENTRIES[flag]
+    value = data.draw(values, label="value")
+    with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ):
+        os.environ.pop(cli.THREADS_ENV, None)
+        by_flag = _simulate(root, "flag", RUN_CONFIG, [f"{flag}={value}"])
+        by_file = _simulate(root, "file", dict(RUN_CONFIG, **{entry: value}), [])
+    assert by_flag[0] == by_file[0] in (0, 2)
+    assert by_flag[1] == by_file[1]
+    if by_flag[0] == 2:
+        assert by_flag[1] == []

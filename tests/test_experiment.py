@@ -1,5 +1,6 @@
 """Experiment configs, run driver, curve comparison and the CLI."""
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -234,9 +235,9 @@ class TestRun:
     def test_montecarlo_thread_count_invisible(self, tmp_path):
         data = base_config(tmp_path, modes=["montecarlo"], replicates=6)
         serial = config_from_dict(dict(data, out_prefix=str(tmp_path / "s")))
-        serial.threads = 1
+        serial = dataclasses.replace(serial, threads=1)
         pooled = config_from_dict(dict(data, out_prefix=str(tmp_path / "p")))
-        pooled.threads = 3
+        pooled = dataclasses.replace(pooled, threads=3)
         run(serial)
         run(pooled)
         a = (tmp_path / "s_montecarlo.csv").read_text().splitlines()
@@ -718,7 +719,7 @@ class TestExactAdmission:
         cfg = config_from_dict(base_config(tmp_path, modes=["exact"], t_max=3,
                                            exact_cap_bits=4))
         run(cfg)
-        cfg.exact_cap_bits = 3
+        cfg = dataclasses.replace(cfg, exact_cap_bits=3)
         with pytest.raises(CapExceededError):
             run(cfg)
 
@@ -924,3 +925,60 @@ def test_any_field_any_json_value(field, value):
         config_from_dict({**VALID, field: value})
     except ConfigError:
         pass
+
+
+class TestOneRulePerEntry:
+    @pytest.mark.parametrize("key", ["t_maxx", "mode"])
+    def test_unknown_entry_refused(self, tmp_path, key):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(base_config(tmp_path, **{key: 5}))
+        assert info.value.field == key
+
+    @pytest.mark.parametrize("key", ["t_maxx", "mode"])
+    def test_unknown_entry_exits_2(self, tmp_path, capsys, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path, modes=["montecarlo"], **{key: 5})))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert f"configuration error: {key}: unknown entry" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"out_prefix": ""}, "out_prefix"), ({"out_prefix": None}, "out_prefix"),
+        ({"master_seed": "3"}, "master_seed"), ({"threads": 0}, "threads"),
+        ({"modes": ["exact", "exact"]}, "modes"), ({"modes": []}, "modes"),
+    ])
+    def test_override_checked_like_its_entry(self, tmp_path, overrides, field):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(base_config(tmp_path), overrides=overrides)
+        assert info.value.field == field
+
+    def test_file_entry_checked_before_its_override(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(base_config(tmp_path, threads="2"), overrides={"threads": 1})
+        assert info.value.field == "threads"
+
+    def test_overrides_replace_entries(self, tmp_path):
+        cfg = config_from_dict(base_config(tmp_path), overrides={
+            "modes": ["exact"], "master_seed": 5, "out_prefix": "x", "threads": 2})
+        assert (cfg.modes, cfg.master_seed, cfg.out_prefix, cfg.threads) == (["exact"], 5, "x", 2)
+        assert cfg.t_max == 30
+
+    def test_config_is_frozen(self, tmp_path):
+        cfg = config_from_dict(base_config(tmp_path))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.out_prefix = ""
+
+    def test_empty_out_on_meanfield_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path)))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["meanfield", "--config", str(path), "--out", ""]) == 2
+        assert "configuration error: out_prefix:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_empty_out_on_reproduce_fig_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["reproduce-fig", "3", "--out", "", "--t-max", "2",
+                         "--replicates", "1"]) == 2
+        assert "configuration error: out_prefix:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

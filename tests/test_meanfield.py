@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyanet.chain import build_kernel, lag_marginals, marginal_infection, point_mass
-from polyanet.errors import CapExceededError, UnstableSystemError
+from polyanet import meanfield
+from polyanet.errors import CapExceededError, ConvergenceError, UnstableSystemError
 from polyanet.meanfield import (
     LinearSystem,
     build_linear_system,
@@ -367,6 +368,17 @@ class TestEquilibrium:
         with pytest.raises(UnstableSystemError) as err:
             equilibrium(sys)
         assert err.value.radius > 1.0
+
+    @pytest.mark.parametrize("S, m", [(ring(6), 1), (row_normalize(ring(200), 1.0), 2)])
+    def test_unconverged_bound_is_not_a_radius(self, monkeypatch, S, m):
+        # Without the dense fallback a stalled power iteration leaves only
+        # the row-sum bound, which is neither the radius nor a verdict.
+        monkeypatch.setattr(meanfield, "DENSE_LIMIT", 0)
+        system = build_linear_system(NetworkParams.homogeneous(len(S), m, 0.2, 0.44), S)
+        est = spectral_radius(system)
+        assert not est.converged
+        with pytest.raises(ConvergenceError, match=f"bounded by {est.value:.6g}"):
+            equilibrium(system)
 
     def test_boundary_system_declined(self):
         # M * rho(A) = 3 * 1/3 = 1: I - M*A is singular, while the power
