@@ -20,11 +20,17 @@ value ``k`` of the N*(M-1) *kept* bits, lags 1..M-1 of every urn, which
 survive the step as lags 0..M-2.  The row holds the 2**N sources that
 add any *oldest* bits ``o`` (lag 0 of every urn, dropped by the step)
 and the 2**N successors that add any *new* draws ``x`` (lag M-1).
-Within a row the kernel is the dense 2**N x 2**N factor block
-``F[k, o, x]``, and every state is the source of exactly one (k, o) and
-the successor of exactly one (k, x).  One step is therefore a batched
-vector-matrix product per row, and the per-step work is
-2**(N*(M+1)) = states x fan-out; admission control bounds that number.
+Within a row the kernel is the 2**N x 2**N factor block ``F[k, o, x]``,
+and every state is the source of exactly one (k, o) and the successor
+of exactly one (k, x).  The new draws of different urns are independent
+given the source, so with h = N // 2 and ``x = xB * 2**h + xA`` the
+block factors into two half tables,
+``F[k, o, x] = A[k, o, xA] * B[k, xB, o]``: ``A`` holds the products of
+the factors of urns 0..h-1 and ``B`` those of urns h..N-1, together
+2**N * (2**h + 2**(N-h)) entries per row instead of 2**(2N).  One step
+is then one batched matrix product per block of rows,
+``(mu[src] * B) @ A``, and the per-step work is 2**(N*(M+1)) = states x
+fan-out; admission control bounds that number.
 """
 
 from __future__ import annotations
@@ -45,12 +51,14 @@ from .params import (
 DEFAULT_CAP_BITS = 24
 SPARSE_NNZ_CAP = 1 << 26
 # Factor entries per enumerated block, so the block workspace stays
-# cache-sized (a block is at least one row of 2**(2N) entries).
+# cache-sized (a block is at least one row): a row is 2**(2N) entries of
+# the full factor block, or 2**N * (2**h + 2**(N-h)) of the half tables.
 BLOCK_ENTRIES = 1 << 16
-# A kernel whose factor blocks total at most this many bytes keeps them
-# after its first full pass; larger kernels keep the draw probabilities
-# of every source instead (8*N*2**(N*M) bytes, at most 64 MiB under the
-# default cap: N = 1, M = 23 or N = 2, M = 11) and rebuild the blocks.
+# A kernel whose half tables total at most this many bytes keeps them
+# after its first apply.  Any other full pass keeps the draw
+# probabilities of every source (8*N*2**(N*M) bytes, at most 64 MiB
+# under the default cap: N = 1, M = 23 or N = 2, M = 11), from which the
+# tables and the full blocks are rebuilt on every later pass.
 KERNEL_CACHE_BYTES = 32 << 20
 DIST_SUM_TOL = 1e-10
 SEARCH_LEVELS = 1 << 20  # states x searches held by one batch of breadth-first searches
@@ -81,16 +89,34 @@ def check_admission(n_urns: int, memory: int, cap_bits: int) -> None:
         )
 
 
+def _products(P: np.ndarray) -> np.ndarray:
+    """The (2**n, S) table of products of an (n, S) table of red-draw
+    probabilities: row x holds, per column, the product over d of
+    ``P[d]`` where bit d of x is set and ``1 - P[d]`` where it is not.
+
+    It is built x-major, so that adding draw d doubles the filled rows
+    of contiguous memory.
+    """
+    F = np.empty((1 << len(P), P.shape[1]))
+    F[0] = 1.0
+    for d, p in enumerate(P):
+        width = 1 << d
+        np.multiply(F[:width], p, out=F[width : 2 * width])
+        np.multiply(F[:width], 1.0 - p, out=F[:width])
+    return F
+
+
 class TransitionKernel:
     """One-step transition operator, enumerated as factor blocks.
 
-    Every reader goes through one enumeration core, :meth:`_blocks`:
-    ``apply`` contracts a distribution with each block, ``successors``
-    reads one source's row of its block, and the structural check and
-    the kernel CSV walk its edges with positive probability.  The first
-    full pass keeps the blocks when they total at most
-    ``KERNEL_CACHE_BYTES``, and the draw probabilities of every source
-    otherwise.
+    Every reader goes through one enumeration core, :meth:`_blocks`,
+    which yields the draw probabilities of each block's sources.
+    ``apply`` contracts a distribution with the two half tables of each
+    block; ``successors`` reads one source's row of its full block, and
+    the structural check and the kernel CSV walk the full blocks' edges
+    with positive probability.  The first apply keeps the half tables
+    when they total at most ``KERNEL_CACHE_BYTES``; every other first
+    full pass keeps the draw probabilities of every source.
     """
 
     def __init__(self, params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS):
@@ -125,8 +151,11 @@ class TransitionKernel:
             oldest |= ((fan >> j) & 1) << (j * M)
         self._oldest = oldest  # o -> lag-0 bits of a source
         self._newest = oldest << (M - 1)  # x -> lag M-1 bits of a successor
-        self._rows_per_block = max(1, BLOCK_ENTRIES >> (2 * N))
-        self._cache: list | None = None
+        self._half = N // 2
+        self._half_entries = (1 << self._half) + (1 << (N - self._half))  # per source
+        self._full_rows = max(1, BLOCK_ENTRIES >> (2 * N))
+        self._half_rows = max(1, BLOCK_ENTRIES // (self._half_entries << N))
+        self._cache: list | None = None  # (src, dst, A, B) of every block
         self._probs: np.ndarray | None = None  # (N, states), enumeration order
 
     # -- per-state quantities -------------------------------------------------
@@ -149,50 +178,59 @@ class TransitionKernel:
 
     # -- enumeration core -----------------------------------------------------
 
-    def _blocks(self, start: int = 0, stop: int | None = None, keep: bool = False):
-        """Yield ``(src, dst, F)`` for rows ``start..stop`` in blocks.
+    def _blocks(self, rows: int, start: int = 0, stop: int | None = None, keep: bool = False):
+        """Yield ``(src, dst, P)`` for rows ``start..stop``, ``rows`` at a time.
 
-        ``src[k, o]`` and ``dst[k, x]`` are packed states and
-        ``F[k, o, x]`` the probability of moving from the first to the
-        second: the product of the urns' red/black factors, expanded in
-        urn order so that bit d of ``x`` is urn d's new draw.  A full
-        pass with ``keep`` stores the draw probabilities it computes,
-        and every later pass reads them.
+        ``src[k, o]`` and ``dst[k, x]`` are packed states, bit d of ``x``
+        being urn d's new draw, and ``P[d, k * 2**N + o]`` is urn d's
+        red-draw probability out of ``src[k, o]``.  A full pass with
+        ``keep`` stores the probabilities it computes, and every later
+        pass reads them.
         """
         stop = len(self._kept) if stop is None else stop
         fan = len(self._oldest)
         table = np.empty((self.n_urns, self.n_states)) if keep else None
-        for lo in range(start, stop, self._rows_per_block):
-            hi = min(lo + self._rows_per_block, stop)
+        for lo in range(start, stop, rows):
+            hi = min(lo + rows, stop)
             kept = self._kept[lo:hi]
             src = kept[:, None] + self._oldest[None, :]
             dst = (kept >> 1)[:, None] + self._newest[None, :]
-            probs = (self.draw_probabilities(src.ravel()).T if self._probs is None
-                     else self._probs[:, lo * fan : hi * fan])
+            P = (self.draw_probabilities(src.ravel()).T if self._probs is None
+                 else self._probs[:, lo * fan : hi * fan])
             if keep:
-                table[:, lo * fan : hi * fan] = probs
-            # Built x-major, so that adding urn d doubles the filled rows
-            # of contiguous memory: row x then holds the factors of urns
-            # 0..d, bit d of x choosing red (p) or black (1 - p).
-            F = np.empty((fan, src.size))
-            F[0] = 1.0
-            for d in range(self.n_urns):
-                p = probs[d]
-                width = 1 << d
-                np.multiply(F[:width], p, out=F[width : 2 * width])
-                np.multiply(F[:width], 1.0 - p, out=F[:width])
-            yield src, dst, F.reshape(fan, len(kept), fan).transpose(1, 2, 0)
+                table[:, lo * fan : hi * fan] = P
+            yield src, dst, P
         if keep:
             self._probs = table
 
-    def _all_blocks(self):
-        """Every block, from the cache when the kernel keeps one."""
+    def _all_blocks(self, start: int = 0, stop: int | None = None):
+        """Yield ``(src, dst, F)`` for rows ``start..stop``, ``F[k, o, x]``
+        being the probability of moving from ``src[k, o]`` to
+        ``dst[k, x]``: the product of the factors of all N urns."""
+        fan = len(self._oldest)
+        full = start == 0 and stop is None
+        for src, dst, P in self._blocks(self._full_rows, start, stop,
+                                        keep=full and self._probs is None):
+            yield src, dst, _products(P).reshape(fan, len(src), fan).transpose(1, 2, 0)
+
+    def _half_blocks(self):
+        """Every block's ``(src, dst, A, B)``, from the cache when the kernel
+        keeps one: ``A[k, o, xA]`` is the product of the factors of urns
+        0..h-1 and ``B[k, xB, o]`` that of urns h..N-1."""
         if self._cache is not None:
             return self._cache
-        if (self.n_states << self.n_urns) * 8 <= KERNEL_CACHE_BYTES:
-            self._cache = list(self._blocks())
+        fan, h = len(self._oldest), self._half
+        cache = (self.n_states * self._half_entries) * 8 <= KERNEL_CACHE_BYTES
+        blocks = (
+            (src, dst, _products(P[:h]).reshape(-1, len(src), fan).transpose(1, 2, 0),
+             _products(P[h:]).reshape(-1, len(src), fan).transpose(1, 0, 2))
+            for src, dst, P in self._blocks(self._half_rows,
+                                            keep=not cache and self._probs is None)
+        )
+        if cache:
+            self._cache = list(blocks)
             return self._cache
-        return self._blocks(keep=self._probs is None)
+        return blocks
 
     # -- operator -------------------------------------------------------------
 
@@ -202,8 +240,9 @@ class TransitionKernel:
         if mu.shape != (self.n_states,):
             raise ValueError(f"distribution must have length {self.n_states}")
         out = np.empty(self.n_states)
-        for src, dst, F in self._all_blocks():
-            out[dst] = np.matmul(mu[src][:, None, :], F)[:, 0, :]
+        for src, dst, A, B in self._half_blocks():
+            # out[k, xB * 2**h + xA] = sum_o mu[src[k, o]] B[k, xB, o] A[k, o, xA]
+            out[dst] = np.matmul(mu[src][:, None, :] * B, A).reshape(dst.shape)
         return out
 
     def successors(self, state: int):
@@ -217,7 +256,7 @@ class TransitionKernel:
             field = (state >> (j * M)) & self._field_mask
             row |= (field >> 1) << (j * (M - 1))
             oldest |= (field & 1) << j
-        _, dst, F = next(self._blocks(row, row + 1))
+        _, dst, F = next(self._all_blocks(row, row + 1))
         vals = F[0, oldest]
         keep = vals > 0.0
         return dst[0][keep], vals[keep]

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: gen-network, simulate, exact, meanfield, equilibrium,
-compare, reproduce-fig.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure, 4 exact-chain work cap or machine memory exceeded.
-The run subcommands share one handler, :func:`_cmd_run`; artifacts are
-written through ``csvio.open_artifact``, JSON through ``csvio.write_json``.
+compare, reproduce-fig.  Exit codes: 0 success, 2 configuration error
+or an output file that cannot be created, 3 numerical failure, 4
+exact-chain work cap or machine memory exceeded.  The run subcommands
+share one handler, :func:`_cmd_run`; artifacts are written through
+``csvio.open_artifact``, JSON through ``csvio.write_json``.
 """
 
 from __future__ import annotations
@@ -161,6 +162,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # csvio.open_artifact could not create an output file
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, UnstableSystemError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

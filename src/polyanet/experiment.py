@@ -133,8 +133,8 @@ def _check_setting(name: str, value):
                 raise ConfigError("modes", f"unknown or repeated mode {m!r}; options: {MODES}")
         return list(value)
     if name == "out_prefix":
-        if not isinstance(value, str) or not value:
-            raise ConfigError("out_prefix", f"must be a nonempty string, got {value!r}")
+        if not isinstance(value, str) or not value or "\0" in value:
+            raise ConfigError("out_prefix", f"must be a nonempty string with no NUL, got {value!r}")
         return value
     return check_integer(value, name, minimum=INTEGER_ENTRIES[name][1])
 

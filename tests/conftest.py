@@ -142,6 +142,19 @@ def dense_transition_matrix(kernel):
     return Q
 
 
+def apply_by_full_blocks(kernel, mu):
+    """One step of ``mu`` through the kernel's full factor blocks: a
+    batched vector-matrix product ``mu[src] @ F`` per block of rows.
+
+    The oracle for ``TransitionKernel.apply``, which contracts the two
+    half tables of each block instead.
+    """
+    out = np.empty(kernel.n_states)
+    for src, dst, F in kernel._all_blocks():
+        out[dst] = np.matmul(mu[src][:, None, :], F)[:, 0, :]
+    return out
+
+
 def to_sparse(kernel):
     """The kernel's positive entries as a CSR matrix, read from its blocks.
 

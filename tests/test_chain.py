@@ -24,9 +24,10 @@ from polyanet.chain import (
 )
 from polyanet.errors import CapExceededError
 from polyanet.params import NetworkParams, normalize
-from polyanet.networks import ring
+from polyanet.networks import barabasi_albert, ring, row_normalize
 
 from conftest import (
+    apply_by_full_blocks,
     csgraph_structure,
     make_raw,
     pair_raw,
@@ -516,6 +517,51 @@ class TestKernelPaths:
         for state in (-1, kern.n_states):
             with pytest.raises(ValueError):
                 kern.successors(state)
+
+
+HALF_CASES = [(n, m) for n in range(1, 8) for m in (1, 2, 3) if n * (m + 1) <= 16]
+
+
+def half_block_entries(n_urns, rows):
+    """``BLOCK_ENTRIES`` that gives ``apply`` blocks of ``rows`` rows."""
+    h = n_urns // 2
+    return rows * (((1 << h) + (1 << (n_urns - h))) << n_urns)
+
+
+class TestHalfTables:
+    """apply, which contracts two half tables per block, matches the
+    full-block oracle to 1e-15 on both cache paths, at odd N and h = 0,
+    and with blocks of one row, three rows (a partial last block where
+    there are more than three rows) and the default."""
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("n_urns, memory", HALF_CASES)
+    def test_matches_full_blocks(self, n_urns, memory, rows, kernel_path, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(chain, "BLOCK_ENTRIES", half_block_entries(n_urns, rows))
+        g = np.random.default_rng(100 * n_urns + memory)
+        kern = build_kernel(random_params(g, n_urns, memory), random_interaction(g, n_urns))
+        if rows is not None:
+            assert kern._half_rows == rows
+        for _ in range(2):  # the second pass reads the cache when one is kept
+            mu = g.dirichlet(np.ones(kern.n_states))
+            assert np.max(np.abs(kern.apply(mu) - apply_by_full_blocks(kern, mu))) <= 1e-15
+        assert (kern._cache is not None) == (kernel_path == "cached")
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_benchmark_network_steps(self, rows, kernel_path, monkeypatch):
+        # The exact benchmark's preferential-attachment chain: N = 8, M = 2,
+        # fan-out 256, stepped four times from the all-black state.
+        if rows is not None:
+            monkeypatch.setattr(chain, "BLOCK_ENTRIES", half_block_entries(8, rows))
+        g = np.random.default_rng(1789)
+        S = row_normalize(barabasi_albert(8, 2, 1789), self_weight=1.0)
+        kern = build_kernel(random_params(g, 8, 2), S)
+        mu = want = point_mass(kern, 0)
+        for _ in range(4):
+            mu, want = kern.apply(mu), apply_by_full_blocks(kern, want)
+            assert np.max(np.abs(mu - want)) <= 1e-15
+        assert (kern._cache is not None) == (kernel_path == "cached")
 
 
 class TestAdmission:

@@ -982,3 +982,38 @@ class TestOneRulePerEntry:
                          "--replicates", "1"]) == 2
         assert "configuration error: out_prefix:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+class TestUnwritableOutput:
+    """An output prefix that no file can be created under exits 2 with a
+    one-line message, before or instead of a traceback."""
+
+    def test_nul_in_out_prefix_refused(self, tmp_path):
+        for data, overrides in ((base_config(tmp_path, out_prefix=str(tmp_path / "a\0b")), None),
+                                (base_config(tmp_path), {"out_prefix": "a\0b"})):
+            with pytest.raises(ConfigError) as info:
+                config_from_dict(data, overrides=overrides)
+            assert info.value.field == "out_prefix"
+
+    @pytest.mark.parametrize("flags", [[], ["--out", "run\0x"]])
+    def test_nul_in_out_prefix_exits_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path, out_prefix=str(tmp_path / "run\0x"))))
+        assert cli.main(["meanfield", "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: out_prefix:") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["meanfield", "--config", "CONFIG"],
+        ["reproduce-fig", "3", "--t-max", "2", "--replicates", "1"],
+        ["gen-network", "--kind", "ring", "--nodes", "3"],
+    ])
+    def test_out_under_regular_file_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path)))
+        argv = [str(path) if a == "CONFIG" else a for a in argv]
+        assert cli.main([*argv, "--out", str(path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
