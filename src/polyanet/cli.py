@@ -55,6 +55,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_network(args) -> int:
+    out = experiment._check_setting("out_prefix", args.out)
     spec = {"kind": args.kind, "nodes": args.nodes, "seed": args.seed,
             "self_weight": args.self_weight}
     if args.kind == "barabasi-albert":
@@ -63,9 +64,9 @@ def _cmd_gen_network(args) -> int:
         spec["attach"] = args.attach
     S = experiment.resolve_network(spec)
     if args.kind in ("barabasi-albert", "complete"):
-        networks.save_edge_list(S > 0, f"{args.out}_edges.csv")
-    networks.save_matrix(S, f"{args.out}_matrix.csv")
-    print(f"matrix: {args.out}_matrix.csv")
+        networks.save_edge_list(S > 0, f"{out}_edges.csv")
+    networks.save_matrix(S, f"{out}_matrix.csv")
+    print(f"matrix: {out}_matrix.csv")
     return 0
 
 
@@ -94,8 +95,18 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An option given as ``--name=--`` takes the text ``--``, which
+    argparse before Python 3.13 drops, passing an empty list instead."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyanet",
         description=(
             "Finite-memory interacting Polya urn networks: simulation, exact "

@@ -17,6 +17,7 @@ maps read it.  :func:`check_interaction_matrix` and
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,13 +87,14 @@ def clamp_probability(x, what: str = "probability"):
     """Clip floating-point overshoot into [0, 1].
 
     Overshoot beyond ``PROB_TOL`` indicates a logic error, not rounding
-    noise, and raises.  Clamping events are logged at debug level.
+    noise, and raises, as does a NaN or an infinity.  Clamping events are
+    logged at debug level.
     """
     arr = np.asarray(x, dtype=float)
-    over = max(
-        float((-arr).max(initial=0.0)),
-        float((arr - 1.0).max(initial=0.0)),
-    )
+    # min and max carry a NaN through; the initial values make over >= 0
+    over = max(-float(arr.min(initial=0.0)), float(arr.max(initial=1.0)) - 1.0)
+    if not math.isfinite(over):
+        raise ValueError(f"{what} is not finite")
     if over > PROB_TOL:
         raise ValueError(f"{what} outside [0, 1] by {over:.3e}")
     if over > 0.0:

@@ -494,6 +494,44 @@ class TestCli:
         assert (tmp_path / "net_edges.csv").exists()
         assert (tmp_path / "net_matrix.csv").exists()
 
+    def test_double_dash_prefix_flag_like_entry(self, tmp_path, monkeypatch):
+        # argparse before Python 3.13 turns "--out=--" into an empty list
+        def simulate(name, flags, **overrides):
+            path = self.write_config(tmp_path, modes=["montecarlo"], **overrides)
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            code = cli.main(["simulate", "--config", path, *flags])
+            return code, sorted(p.name for p in (tmp_path / name).iterdir())
+
+        by_flag = simulate("flag", ["--out=--"])
+        by_file = simulate("file", [], out_prefix="--")
+        assert by_flag == by_file == (0, ["--_montecarlo.csv", "--_summary.json"])
+        assert ((tmp_path / "flag" / "--_montecarlo.csv").read_bytes()
+                == (tmp_path / "file" / "--_montecarlo.csv").read_bytes())
+
+    def test_reproduce_fig_double_dash_prefix(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["reproduce-fig", "3", "--out=--", "--t-max", "3",
+                         "--replicates", "1"]) == 0
+        for m in (1, 2, 3):
+            with open(tmp_path / f"--_m{m}_config.json") as fh:
+                assert json.load(fh)["out_prefix"] == f"--_m{m}"
+            assert (tmp_path / f"--_m{m}_montecarlo.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["ring", "complete", "barabasi-albert"])
+    def test_gen_network_empty_prefix_exits_2(self, tmp_path, monkeypatch, capsys, kind):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["gen-network", "--kind", kind, "--nodes", "3", "--attach", "1",
+                         "--out", ""])
+        assert code == 2
+        assert "configuration error: out_prefix:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_gen_network_double_dash_prefix(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gen-network", "--kind", "ring", "--nodes", "3", "--out=--"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["--_matrix.csv"]
+
     def test_gen_network_barabasi_requires_attach(self, tmp_path):
         code = cli.main(["gen-network", "--kind", "barabasi-albert",
                          "--nodes", "12", "--out", str(tmp_path / "net")])

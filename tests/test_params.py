@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyanet.meanfield import iterate
 from polyanet.params import (
     NetworkParams,
     RawConfig,
@@ -81,6 +82,20 @@ class TestClamp:
             clamp_probability(1.001)
         with pytest.raises(ValueError, match="outside"):
             clamp_probability(np.array([0.5, -0.01]))
+
+    @pytest.mark.parametrize("x", [np.nan, np.array([2.0, np.nan]),
+                                   np.array([np.nan, 0.5]), np.array(np.nan),
+                                   np.inf, np.array([0.5, -np.inf])])
+    def test_non_finite_raises(self, x):
+        # max over a NaN is NaN, which compares false with any tolerance
+        with pytest.raises(ValueError, match="history probabilities is not finite"):
+            clamp_probability(x, what="history probabilities")
+
+    def test_nan_history_refused(self):
+        params = NetworkParams(2, [0.3, 0.6], [0.4, 1.1], [0.9, 0.2])
+        with pytest.raises(ValueError, match="not finite"):
+            iterate("nonlinear", params, np.eye(2), 5,
+                    initial_history=[[np.nan, 0.5], [0.5, 0.5]])
 
     def test_array_shape_preserved(self):
         x = np.array([[0.1, 0.9], [1.0 + 1e-16, 0.0]])
