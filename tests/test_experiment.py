@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
+import tempfile
 import time
 import warnings
 
@@ -16,6 +18,7 @@ from polyanet import cli
 from polyanet.errors import CapExceededError, ConfigError
 from polyanet.experiment import (
     FIGURE_SEED,
+    _check_setting,
     compare_curves,
     config_from_dict,
     config_to_dict,
@@ -526,6 +529,26 @@ class TestCli:
         assert code == 2
         assert "configuration error: out_prefix:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @given(prefix=st.text(alphabet="ab.-_ %\0", max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_gen_network_prefix_follows_the_entry_rule(self, prefix):
+        # --out is accepted exactly when out_prefix would be, and names
+        # the files the same way
+        try:
+            _check_setting("out_prefix", prefix)
+            want = 0, [f"{prefix}_matrix.csv"]
+        except ConfigError:
+            want = 2, []
+        with tempfile.TemporaryDirectory() as root:
+            old = os.getcwd()
+            os.chdir(root)
+            try:
+                code = cli.main(["gen-network", "--kind", "ring", "--nodes", "3",
+                                 f"--out={prefix}"])
+            finally:
+                os.chdir(old)
+            assert (code, sorted(os.listdir(root))) == want
 
     def test_gen_network_double_dash_prefix(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
