@@ -19,6 +19,7 @@ from .csvio import write_json
 from .errors import CapExceededError, ConfigError, ConvergenceError, UnstableSystemError
 
 THREADS_ENV = "POLYANET_THREADS"
+OUT_DASH_HELP = "write a value that begins with '-' as --out=VALUE"
 
 
 def _threads(args):
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edges per new node (barabasi-albert)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--self-weight", type=float, default=1.0, dest="self_weight")
-    g.add_argument("--out", required=True, help="output path prefix")
+    g.add_argument("--out", required=True, help=f"output path prefix; {OUT_DASH_HELP}")
     g.set_defaults(func=_cmd_gen_network)
 
     for name, modes, helptext in (
@@ -135,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--out", default=None, help="override the artifact prefix")
+        p.add_argument("--out", default=None,
+                       help=f"override the artifact prefix; {OUT_DASH_HELP}")
         p.add_argument("--threads", type=int, default=None,
                        help=f"accepted and validated, no effect (default ${THREADS_ENV} or 1)")
         if modes is None:
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rerun a figure family (memory 1..3) with documented parameters",
     )
     r.add_argument("figure", choices=["1", "2", "3"])
-    r.add_argument("--out", required=True, help="artifact prefix")
+    r.add_argument("--out", required=True, help=f"artifact prefix; {OUT_DASH_HELP}")
     r.add_argument("--seed", type=int, default=experiment.FIGURE_SEED)
     r.add_argument("--t-max", type=int, default=1000, dest="t_max")
     r.add_argument("--replicates", type=int, default=100)

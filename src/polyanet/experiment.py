@@ -223,16 +223,17 @@ def _admit_bytes(need: int, what: str) -> None:
 
 def _admit_memory(cfg: ExperimentConfig) -> None:
     """Raise :class:`CapExceededError` unless the modes' arrays fit in physical
-    memory: the Monte Carlo int8 draw record, each (t_max, N) float64 curve,
-    the exact chain's two 8 * 2**(N*M)-byte distributions, and the mean
-    field's (M + 1, N) table and (M, N) history."""
+    memory: the Monte Carlo int8 draw record, each (t_max, N) float64 curve
+    (two for the nonlinear mean field, which keeps its unclamped rows for
+    the check), the exact chain's two 8 * 2**(N*M)-byte distributions, and
+    the mean field's (M + 1, N) table and (M, N) history."""
     n, t_max, memory = cfg.raw.n_urns, cfg.t_max, cfg.raw.memory
     curve, table = 8 * t_max * n, 8 * (memory + 1) * n
     # 2**(N*M) is clipped where 16 * 2**64 bytes already exceeds any machine
     states = 1 << min(n * memory, 64)
     mean_field = curve + 2 * table
     cost = {"montecarlo": t_max * cfg.replicates * n + curve, "exact": 16 * states + curve,
-            "meanfield-nonlinear": mean_field, "meanfield-linear": mean_field,
+            "meanfield-nonlinear": mean_field + curve, "meanfield-linear": mean_field,
             "equilibrium": table}
     _admit_bytes(sum(cost[mode] for mode in cfg.modes), "the run's arrays")
 

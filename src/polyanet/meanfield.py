@@ -14,15 +14,24 @@ slope per lag is the table's first forward difference.  It is kept as
 the N x N matrix A = S @ diag(slope) >= 0 and stepped through a
 structured companion product: no (N*M)**2 matrix is formed, the
 equilibrium is an N x N solve, and it is stable iff M * rho(A) < 1.
+Every linear step sums its lags row by row in one buffer, in the same
+order in :func:`iterate`, :meth:`LinearSystem.apply` and the power
+iteration of :func:`spectral_radius`, which reuses its vectors too.
 For memory 1 the nonlinear map is already affine, so both variants
 coincide and reproduce the exact chain marginals step for step, for
 any interaction matrix.
+
+Both systems step on buffers allocated once per run.  A nonlinear step
+writes its unclamped row, clips it into the trajectory, and the raw
+rows are checked by one :func:`clamp_probability` call after the last
+step, so an overshoot past the tolerance (or a NaN) raises at the end
+of the run and a clamp is logged once per run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +59,11 @@ def _check_history(history, params: NetworkParams) -> np.ndarray:
     return clamp_probability(hist, what="history probabilities")
 
 
+def _check_size(params: NetworkParams, S: np.ndarray) -> None:
+    if S.shape[0] != params.n_urns:
+        raise ValueError("interaction matrix size does not match params")
+
+
 def _nonlinear_map(params: NetworkParams, S: np.ndarray):
     """The map as a function of a checked history, for a checked ``S``.
 
@@ -60,14 +74,28 @@ def _nonlinear_map(params: NetworkParams, S: np.ndarray):
     ``(1 - x) * v[k] + x * v[k + 1]``, one fewer per lag, so no
     cancellation builds up at any M.  The interaction matrix then mixes
     the per-urn values.
-    """
-    table = red_ratio_table(params).T  # (M+1, N): control points per urn
 
-    def step(hist: np.ndarray) -> np.ndarray:
-        v = table.copy()
-        for n, x in zip(range(len(hist), 0, -1), hist):
-            v[:n] += x * (v[1 : n + 1] - v[:n])
-        return clamp_probability(S @ v[0], what="infection probabilities")
+    The returned ``step(window, out)`` takes the M lags oldest first
+    (newest last, as the rows of a trajectory) and writes the mixed
+    values into ``out`` unclamped; the caller checks them with
+    :func:`clamp_probability`.  The first lag's differences are the
+    table's, so they are taken once; the other lags run on two (M, N)
+    buffers shared by every step.
+    """
+    _check_size(params, S)
+    table = red_ratio_table(params).T.copy()  # (M+1, N): control points per urn
+    low, diff = table[:-1], table[1:] - table[:-1]
+    v, d = np.empty_like(low), np.empty_like(low)
+    shifts = [(v[1 : n + 1], v[:n], d[:n]) for n in range(len(low) - 1, 0, -1)]
+
+    def step(window, out: np.ndarray) -> np.ndarray:
+        np.multiply(window[-1], diff, out=v)
+        np.add(v, low, out=v)
+        for (upper, lower, delta), x in zip(shifts, window[-2::-1]):
+            np.subtract(upper, lower, out=delta)
+            np.multiply(delta, x, out=delta)
+            np.add(lower, delta, out=lower)
+        return S.dot(v[0], out)
 
     return step
 
@@ -76,7 +104,22 @@ def step_nonlinear(history, params: NetworkParams, S) -> np.ndarray:
     """One step of the map from ``history[l-1][j]``, urn j's infection
     probability l steps back."""
     S = check_interaction_matrix(S)
-    return _nonlinear_map(params, S)(_check_history(history, params))
+    window = _check_history(history, params)[::-1]
+    raw = _nonlinear_map(params, S)(window, np.empty(params.n_urns))
+    return clamp_probability(raw, what="infection probabilities")
+
+
+def _sum_lags(window, out: np.ndarray) -> np.ndarray:
+    """The M rows of ``window`` (oldest first) summed newest first, one
+    in-place add per row into ``out``; a single row is returned as it
+    is.  NumPy's own sums regroup past 8 rows, so every linear step sums
+    its lags here."""
+    if len(window) == 1:
+        return window[0]
+    np.add(window[-1], window[-2], out=out)
+    for lag in window[-3::-1]:
+        out += lag
+    return out
 
 
 @dataclass
@@ -95,24 +138,20 @@ class LinearSystem:
     n_urns: int
     memory: int
 
-    def newest(self, lags) -> np.ndarray:
-        """Newest lag of J @ x from the M rows of x's lags, newest first,
-        summed row by row so that :meth:`apply` and :func:`iterate` agree."""
-        return self.A @ reduce(np.add, lags)
-
-    def apply(self, x) -> np.ndarray:
-        """J @ x for a state of N*M values, returned in the shape of ``x``."""
+    def apply(self, x, out=None) -> np.ndarray:
+        """J @ x for a state of N*M values, returned in the shape of ``x``;
+        written into ``out`` (contiguous, of x's size) when it is given."""
         X = np.reshape(x, (self.n_urns, self.memory))
-        Y = np.empty_like(X)
-        Y[:, 0] = self.newest(X.T)
+        y = np.empty_like(X) if out is None else out
+        Y = y.reshape(X.shape)
+        Y[:, 0] = self.A @ _sum_lags(X.T[::-1], np.empty(self.n_urns))
         Y[:, 1:] = X[:, :-1]
-        return Y.reshape(np.shape(x))
+        return y.reshape(np.shape(x))
 
 
 def build_linear_system(params: NetworkParams, S) -> LinearSystem:
     S = check_interaction_matrix(S)
-    if S.shape[0] != params.n_urns:
-        raise ValueError("interaction matrix size does not match params")
+    _check_size(params, S)
     table = red_ratio_table(params)
     slope = table[:, 1] - table[:, 0]  # per-urn coefficient of each lag
     return LinearSystem(S * slope[None, :], S @ table[:, 0], params.n_urns, params.memory)
@@ -141,15 +180,20 @@ def spectral_radius(
     N, M = A.shape[0], system.memory
     x = np.random.default_rng(0).standard_normal(N * M)
     x /= np.linalg.norm(x)
+    # x, y and their differences live in buffers reused by every
+    # iteration; math.sqrt(v.dot(v)) is np.linalg.norm(v) bit for bit.
+    y, rx, d = np.empty(N * M), np.empty(N * M), np.empty(N * M)
     for _ in range(max_iters):
-        y = system.apply(x)
-        r = float(np.linalg.norm(y))
+        system.apply(x, out=y)
+        r = math.sqrt(y.dot(y))
         if r == 0.0:
             return SpectralRadiusEstimate(0.0, True)
-        resid = min(float(np.linalg.norm(y - r * x)), float(np.linalg.norm(y + r * x)))
+        np.multiply(x, r, out=rx)
+        resid = math.sqrt(np.subtract(y, rx, out=d).dot(d))
+        resid = min(resid, math.sqrt(np.add(y, rx, out=d).dot(d)))
         if resid <= rtol * max(r, 1e-30):
             return SpectralRadiusEstimate(r, True)
-        x = y / r
+        np.divide(y, r, out=x)
     if allow_dense and N <= DENSE_LIMIT:
         # One M x M companion matrix per eigenvalue of A.
         companion = np.zeros((N, M, M), dtype=complex)
@@ -240,12 +284,22 @@ def iterate(
     vals = np.zeros((max(t_max + 1, M), N))
     vals[:M] = hist[::-1]
     if kind == "nonlinear":
+        # Each step writes its raw row, clips it into vals for the next
+        # steps, and the raw rows are checked once at the end.
         step = _nonlinear_map(params, S)
+        raw = np.empty_like(vals)
+        zero, one = np.float64(0.0), np.float64(1.0)  # no float conversion per call
+        for t in range(M, t_max + 1):
+            row = vals[t]
+            np.minimum(np.maximum(step(vals[t - M : t], raw[t]), zero, out=row), one, out=row)
+        clamp_probability(raw[M : t_max + 1], what="infection probabilities")
     else:
         system = build_linear_system(params, S)
-        step = lambda lags: system.newest(lags) + system.c  # noqa: E731
-    for t in range(M, t_max + 1):
-        vals[t] = step(vals[t - M : t][::-1])
+        A, c, lag_sum = system.A, system.c, np.empty(N)
+        for t in range(M, t_max + 1):
+            row = vals[t]
+            A.dot(_sum_lags(vals[t - M : t], lag_sum), row)
+            row += c
     per = vals[1 : t_max + 1]
     times = np.arange(1, t_max + 1)
     return InfectionTrajectory(

@@ -11,15 +11,18 @@ Philox stream keyed (master_seed, r), so a run is reproduced bit for
 bit by its master seed.
 
 All stepping goes through one kernel, :func:`_advance`, which moves R
-replicates together as (R, N) count arrays: per step one (R, N) @ S^T
-product, one probability clamp and one comparison with pre-drawn
-uniforms.  Every draw is kept in a (T, R, N) int8 record, and that
-record is also the memory window: the draw retired at step t is read
-back from row t - M.  Each replicate's uniforms come from its own
-stream in (T_block, N) blocks, the same numbers as T_block successive
-``random(N)`` calls; the block buffer stays under
-:data:`UNIFORM_BLOCK_BYTES`, so only the int8 draws grow with the
-horizon.  :func:`simulate` is the R = 1 case.
+replicates together as (R, N) count arrays held in buffers allocated
+once per run: per step one (R, N) @ S^T product and one comparison with
+pre-drawn uniforms.  The draw probabilities are not clipped, since a
+uniform in [0, 1) is below a probability exactly when it is below the
+probability clipped into [0, 1]; their running minima and maxima are
+checked by one probability clamp per run instead.  Every draw is kept
+in a (T, R, N) int8 record, and that record is also the memory window:
+the draw retired at step t is read back from row t - M.  Each
+replicate's uniforms come from its own stream in (T_block, N) blocks,
+the same numbers as T_block successive ``random(N)`` calls; the block
+buffer stays under :data:`UNIFORM_BLOCK_BYTES`, so only the int8 draws
+grow with the horizon.  :func:`simulate` is the R = 1 case.
 """
 
 from __future__ import annotations
@@ -52,32 +55,49 @@ def _advance(config: RawConfig, rngs, draws, ratios=None) -> None:
     """
     n_steps, n_rep, n_urns = draws.shape
     memory = config.memory
-    red = np.tile(config.initial_red, (n_rep, 1))
-    total = np.tile(config.initial_total, (n_rep, 1))
+    # counts[0] is red and counts[1] the total.  A red draw adds per_draw
+    # to them (reinforce_red and reinforce_red - reinforce_black) and its
+    # retirement takes it away; a warm-up step adds reinforce_black to
+    # every total as well.
+    counts = np.empty((2, n_rep, n_urns), dtype=np.int64)
+    red, total = counts
+    red[:] = config.initial_red
+    total[:] = config.initial_total
+    per_draw = np.stack((config.reinforce_red, config.reinforce_red - config.reinforce_black))[:, None]
     s_t = config.interaction.T
-    add_red = config.reinforce_red
-    add_black = config.reinforce_black
-    add_net = add_red - add_black
     block = max(1, min(n_steps, UNIFORM_BLOCK_BYTES // (8 * n_rep * n_urns)))
     uniforms = np.empty((n_rep, block, n_urns))
+    ratio, probs = np.empty((n_rep, n_urns)), np.empty((n_rep, n_urns))
+    change, added = np.empty((n_rep, n_urns), np.int8), np.empty_like(counts)
+    # Running extremes of the draw probabilities, checked once after the
+    # last step.  Uniforms lie in [0, 1), so clipping a probability into
+    # [0, 1] would never change a draw; a NaN is carried to the check.
+    extremes = np.empty((2, n_rep, n_urns))
+    low, high = extremes
+    low.fill(1.0)
+    high.fill(0.0)
+    np.divide(red, total, out=ratio)
     for start in range(0, n_steps, block):
         u = uniforms[:, : min(block, n_steps - start)]
         for r, rng in enumerate(rngs):
             rng.random(out=u[r])
         for k in range(u.shape[1]):
             t = start + k
-            probs = clamp_probability((red / total) @ s_t, what="draw probability")
+            ratio.dot(s_t, probs)
+            np.minimum(low, probs, out=low)
+            np.maximum(high, probs, out=high)
             z = draws[t]
             np.less(u[:, k], probs, out=z)
             if t >= memory:
-                change = z - draws[t - memory]
-                red += add_red * change
-                total += add_net * change
+                counts += np.multiply(per_draw, np.subtract(z, draws[t - memory], out=change),
+                                      out=added)
             else:
-                red += add_red * z
-                total += add_black + add_net * z
+                counts += np.multiply(per_draw, z, out=added)
+                total += config.reinforce_black
+            np.divide(red, total, out=ratio)
             if ratios is not None:
-                np.divide(red, total, out=ratios[t])
+                ratios[t] = ratio
+    clamp_probability(extremes, what="draw probability")
 
 
 def replicate_stream(master_seed: int, replicate: int) -> np.random.Generator:

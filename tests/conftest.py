@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import os
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +20,7 @@ from scipy.sparse import csgraph
 from hypothesis import settings
 
 from polyanet.errors import CapExceededError
+from polyanet.meanfield import DENSE_LIMIT, SpectralRadiusEstimate, build_linear_system
 from polyanet.params import (
     RawConfig,
     check_interaction_matrix,
@@ -476,6 +478,102 @@ def dense_linear_curve(params, S, t_max):
         state = dense.J @ state + dense.C
         per[t - 1] = state[::M]
     return per
+
+
+# -- stepping loops that allocate and check every step ------------------------
+#
+# The library steps the mean field, the power iteration and Monte Carlo on
+# buffers allocated once per run and checks probabilities once per run.
+# These are the same loops one array and one check per step; every step
+# runs the same floating-point operations in the same order, so the
+# library must match them bit for bit.
+
+
+def iterate_by_steps(kind, params, S, t_max, initial_history=None):
+    """``meanfield.iterate(...).per_urn``, one fresh array and (nonlinear)
+    one ``clamp_probability`` per step."""
+    S = check_interaction_matrix(S)
+    N, M = params.n_urns, params.memory
+    hist = np.zeros((M, N)) if initial_history is None else _check_history(initial_history, params)
+    vals = np.zeros((max(t_max + 1, M), N))
+    vals[:M] = hist[::-1]
+    if kind == "nonlinear":
+        table = red_ratio_table(params).T
+
+        def step(lags):
+            v = table.copy()
+            for n, x in zip(range(len(lags), 0, -1), lags):
+                v[:n] += x * (v[1 : n + 1] - v[:n])
+            return clamp_probability(S @ v[0], what="infection probabilities")
+    else:
+        system = build_linear_system(params, S)
+
+        def step(lags):
+            return system.A @ reduce(np.add, lags) + system.c
+
+    for t in range(M, t_max + 1):
+        vals[t] = step(vals[t - M : t][::-1])
+    return vals[1 : t_max + 1]
+
+
+def spectral_radius_by_steps(system, rtol=1e-9, max_iters=2000, allow_dense=True):
+    """``meanfield.spectral_radius`` with fresh arrays every iteration and
+    ``np.linalg.norm`` for every norm."""
+    A = np.asarray(system.A, dtype=float)
+    N, M = A.shape[0], system.memory
+
+    def apply(x):
+        X = x.reshape(N, M)
+        Y = np.empty_like(X)
+        Y[:, 0] = A @ reduce(np.add, X.T)
+        Y[:, 1:] = X[:, :-1]
+        return Y.reshape(-1)
+
+    x = np.random.default_rng(0).standard_normal(N * M)
+    x /= np.linalg.norm(x)
+    for _ in range(max_iters):
+        y = apply(x)
+        r = float(np.linalg.norm(y))
+        if r == 0.0:
+            return SpectralRadiusEstimate(0.0, True)
+        resid = min(float(np.linalg.norm(y - r * x)), float(np.linalg.norm(y + r * x)))
+        if resid <= rtol * max(r, 1e-30):
+            return SpectralRadiusEstimate(r, True)
+        x = y / r
+    if allow_dense and N <= DENSE_LIMIT:
+        companion = np.zeros((N, M, M), dtype=complex)
+        companion[:, 0, :] = np.linalg.eigvals(A)[:, None]
+        lags = np.arange(M - 1)
+        companion[:, lags + 1, lags] = 1.0
+        return SpectralRadiusEstimate(float(np.max(np.abs(np.linalg.eigvals(companion)))), True)
+    bound = M * float(np.max(np.abs(A).sum(axis=1)))
+    return SpectralRadiusEstimate(max(bound, 1.0) if M > 1 else bound, False)
+
+
+def advance_by_steps(config, rngs, draws, ratios=None, block=1):
+    """``montecarlo._advance`` with fresh count arrays and one
+    ``clamp_probability`` per step, uniforms drawn ``block`` steps at a time."""
+    n_steps, n_rep, n_urns = draws.shape
+    memory = config.memory
+    red = np.tile(config.initial_red, (n_rep, 1))
+    total = np.tile(config.initial_total, (n_rep, 1))
+    add_net = config.reinforce_red - config.reinforce_black
+    for start in range(0, n_steps, block):
+        u = np.stack([rng.random((min(block, n_steps - start), n_urns)) for rng in rngs])
+        for k in range(u.shape[1]):
+            t = start + k
+            probs = clamp_probability((red / total) @ config.interaction.T, what="draw probability")
+            z = draws[t]
+            np.less(u[:, k], probs, out=z)
+            if t >= memory:
+                change = z - draws[t - memory]
+                red += config.reinforce_red * change
+                total += add_net * change
+            else:
+                red += config.reinforce_red * z
+                total += config.reinforce_black + add_net * z
+            if ratios is not None:
+                ratios[t] = red / total
 
 
 @pytest.fixture

@@ -512,6 +512,20 @@ class TestCli:
         assert ((tmp_path / "flag" / "--_montecarlo.csv").read_bytes()
                 == (tmp_path / "file" / "--_montecarlo.csv").read_bytes())
 
+    def test_dash_prefix_needs_the_equals_form(self, tmp_path, monkeypatch, capsys):
+        # after a space argparse reads "-x" as an option: one usage error
+        # line and exit 2, where "--out=-x" is the prefix "-x"
+        path = self.write_config(tmp_path, modes=["montecarlo"])
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--config", path, "--out=-x"]) == 0
+        assert (tmp_path / "-x_montecarlo.csv").exists()
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", path, "--out", "-x"]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "polyanet simulate: error: argument --out: expected one argument"]
+        assert "Traceback" not in err
+
     def test_reproduce_fig_double_dash_prefix(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["reproduce-fig", "3", "--out=--", "--t-max", "3",
