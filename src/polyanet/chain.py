@@ -30,7 +30,8 @@ the factors of urns 0..h-1 and ``B`` those of urns h..N-1, together
 2**N * (2**h + 2**(N-h)) entries per row instead of 2**(2N).  One step
 is then one batched matrix product per block of rows,
 ``(mu[src] * B) @ A``, and the per-step work is 2**(N*(M+1)) = states x
-fan-out; admission control bounds that number.
+fan-out; admission control bounds that number.  Only the kernel CSV
+multiplies out the full blocks.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ BLOCK_ENTRIES = 1 << 16
 # after its first apply.  Any other full pass keeps the draw
 # probabilities of every source (8*N*2**(N*M) bytes, at most 64 MiB
 # under the default cap: N = 1, M = 23 or N = 2, M = 11), from which the
-# tables and the full blocks are rebuilt on every later pass.
+# tables are rebuilt on every later pass.
 KERNEL_CACHE_BYTES = 32 << 20
 DIST_SUM_TOL = 1e-10
 SEARCH_LEVELS = 1 << 20  # states x searches held by one batch of breadth-first searches
@@ -112,11 +113,11 @@ class TransitionKernel:
     Every reader goes through one enumeration core, :meth:`_blocks`,
     which yields the draw probabilities of each block's sources.
     ``apply`` contracts a distribution with the two half tables of each
-    block; ``successors`` reads one source's row of its full block, and
-    the structural check and the kernel CSV walk the full blocks' edges
-    with positive probability.  The first apply keeps the half tables
-    when they total at most ``KERNEL_CACHE_BYTES``; every other first
-    full pass keeps the draw probabilities of every source.
+    block and the structural check searches their positive entries; the
+    kernel CSV multiplies the probabilities out into full blocks, and
+    ``successors`` those of one source.  The first apply keeps the half
+    tables when they total at most ``KERNEL_CACHE_BYTES``; every other
+    first full pass keeps the draw probabilities of every source.
     """
 
     def __init__(self, params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS):
@@ -153,7 +154,6 @@ class TransitionKernel:
         self._newest = oldest << (M - 1)  # x -> lag M-1 bits of a successor
         self._half = N // 2
         self._half_entries = (1 << self._half) + (1 << (N - self._half))  # per source
-        self._full_rows = max(1, BLOCK_ENTRIES >> (2 * N))
         self._half_rows = max(1, BLOCK_ENTRIES // (self._half_entries << N))
         self._cache: list | None = None  # (src, dst, A, B) of every block
         self._probs: np.ndarray | None = None  # (N, states), enumeration order
@@ -178,8 +178,8 @@ class TransitionKernel:
 
     # -- enumeration core -----------------------------------------------------
 
-    def _blocks(self, rows: int, start: int = 0, stop: int | None = None, keep: bool = False):
-        """Yield ``(src, dst, P)`` for rows ``start..stop``, ``rows`` at a time.
+    def _blocks(self, rows: int, keep: bool = False):
+        """Yield ``(src, dst, P)`` for every row, ``rows`` at a time.
 
         ``src[k, o]`` and ``dst[k, x]`` are packed states, bit d of ``x``
         being urn d's new draw, and ``P[d, k * 2**N + o]`` is urn d's
@@ -187,11 +187,10 @@ class TransitionKernel:
         ``keep`` stores the probabilities it computes, and every later
         pass reads them.
         """
-        stop = len(self._kept) if stop is None else stop
-        fan = len(self._oldest)
+        n_rows, fan = len(self._kept), len(self._oldest)
         table = np.empty((self.n_urns, self.n_states)) if keep else None
-        for lo in range(start, stop, rows):
-            hi = min(lo + rows, stop)
+        for lo in range(0, n_rows, rows):
+            hi = min(lo + rows, n_rows)
             kept = self._kept[lo:hi]
             src = kept[:, None] + self._oldest[None, :]
             dst = (kept >> 1)[:, None] + self._newest[None, :]
@@ -202,16 +201,6 @@ class TransitionKernel:
             yield src, dst, P
         if keep:
             self._probs = table
-
-    def _all_blocks(self, start: int = 0, stop: int | None = None):
-        """Yield ``(src, dst, F)`` for rows ``start..stop``, ``F[k, o, x]``
-        being the probability of moving from ``src[k, o]`` to
-        ``dst[k, x]``: the product of the factors of all N urns."""
-        fan = len(self._oldest)
-        full = start == 0 and stop is None
-        for src, dst, P in self._blocks(self._full_rows, start, stop,
-                                        keep=full and self._probs is None):
-            yield src, dst, _products(P).reshape(fan, len(src), fan).transpose(1, 2, 0)
 
     def _half_blocks(self):
         """Every block's ``(src, dst, A, B)``, from the cache when the kernel
@@ -250,16 +239,11 @@ class TransitionKernel:
         state = int(state)
         if not 0 <= state < self.n_states:
             raise ValueError("state out of range")
-        N, M = self.n_urns, self.memory
-        row = oldest = 0
-        for j in range(N):
-            field = (state >> (j * M)) & self._field_mask
-            row |= (field >> 1) << (j * (M - 1))
-            oldest |= (field & 1) << j
-        _, dst, F = next(self._all_blocks(row, row + 1))
-        vals = F[0, oldest]
+        # lag 0 of every urn drops out and the other lags move down one
+        dst = ((state & ~int(self._oldest[-1])) >> 1) + self._newest
+        vals = _products(self.draw_probabilities([state]).T)[:, 0]
         keep = vals > 0.0
-        return dst[0][keep], vals[keep]
+        return dst[keep], vals[keep]
 
 
 def build_kernel(params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS) -> TransitionKernel:
@@ -291,6 +275,8 @@ def stationary_distribution(
     reinforcement always do, and :func:`check_irreducible_aperiodic`
     certifies arbitrary ones.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if start is None:
         mu = np.full(kernel.n_states, 1.0 / kernel.n_states)
     else:
@@ -394,10 +380,10 @@ def two_fold_joint(pi, kernel: TransitionKernel, urn: int) -> np.ndarray:
 class KernelStructure:
     """Certificate produced by :func:`check_irreducible_aperiodic`.
 
-    ``diameter`` is the longest shortest path when small enough to
-    compute; for homogeneous networks with positive reinforcement it is
-    at most the memory M (any window content can be rewritten in M
-    draws).
+    ``diameter`` is the longest shortest path, computed only when the
+    chain is irreducible and ``diameter_limit`` reaches the number of
+    states; for homogeneous networks with positive reinforcement it is
+    at most the memory M (any window content can be rewritten in M draws).
     """
 
     irreducible: bool
@@ -414,12 +400,20 @@ class KernelStructure:
         return self.ok
 
 
-def _edges(kernel: TransitionKernel):
-    """Per block, flat (from, to, probability) arrays of its positive entries."""
-    for src, dst, F in kernel._all_blocks():
-        keep = F > 0.0
-        yield (np.broadcast_to(src[:, :, None], F.shape)[keep],
-               np.broadcast_to(dst[:, None, :], F.shape)[keep], F[keep])
+def _push(kernel: TransitionKernel, front, backward: bool = False) -> np.ndarray:
+    """(states, searches) mask of the states one step after, or ``backward``
+    before, a state of each column of ``front``.  A transition is positive
+    exactly where both of its half-table factors are."""
+    hit, fan = np.empty(front.shape, dtype=bool), len(kernel._oldest)
+    for src, dst, A, B in kernel._half_blocks():
+        # edge[k, o, xB * 2**h + xA] is 1 where B[k, xB, o] > 0 and A[k, o, xA] > 0
+        edge = (B > 0.0).transpose(0, 2, 1)[..., None] & (A > 0.0)[:, :, None]
+        edge = edge.reshape(len(src), fan, fan).astype(np.float32)
+        if backward:
+            hit[src] = np.matmul(edge, front[dst].astype(np.float32)) > 0.0
+        else:
+            hit[dst] = np.matmul(edge.transpose(0, 2, 1), front[src].astype(np.float32)) > 0.0
+    return hit
 
 
 def _reach(kernel: TransitionKernel, starts, live, backward: bool = False) -> np.ndarray:
@@ -430,39 +424,40 @@ def _reach(kernel: TransitionKernel, starts, live, backward: bool = False) -> np
     front, depth = level == 0, 0
     while front.any():
         depth += 1
-        hit = np.empty(front.shape, dtype=np.float32)
-        for src, dst, F in kernel._all_blocks():
-            edge = (F > 0.0).astype(np.float32)
-            src, dst, edge = (dst, src, edge) if backward else (src, dst, edge.transpose(0, 2, 1))
-            # every state is the target of one (row, column): one write per pass
-            hit[dst] = edge @ front[src].astype(np.float32)
-        front = (hit > 0.0) & live[:, None] & (level < 0)
+        front = _push(kernel, front, backward) & live[:, None] & (level < 0)
         level[front] = depth
     return level
 
 
 def check_irreducible_aperiodic(
-    kernel: TransitionKernel, diameter_limit: int = 4096
+    kernel: TransitionKernel, diameter_limit: int = 0
 ) -> KernelStructure:
     """Structural check of the chain via its directed transition graph.
 
-    Components are peeled off in rounds from the lowest unpeeled states,
-    each the intersection of its forward and backward reach among them,
-    and counted at their lowest state.  The period is the gcd of
-    ``level[from] + 1 - level[to]`` over the edges reached from state 0.
+    Each round removes the live states with no live predecessor or
+    successor, each a component of its own, or else the component of the
+    lowest live state: its forward and backward reach among them.  The
+    period is the gcd of ``level[from] + 1 - level[to]`` over the edges
+    reached from state 0.  The diameter, a search from every state, is
+    computed only when ``diameter_limit`` is at least the number of states.
     """
     n, everywhere = kernel.n_states, np.ones(kernel.n_states, dtype=bool)
-    batch = max(1, SEARCH_LEVELS // n)
     live, n_comp = everywhere.copy(), 0
     while live.any():
-        pivots = np.flatnonzero(live)[:batch]
-        comp = (_reach(kernel, pivots, live) >= 0) & (_reach(kernel, pivots, live, True) >= 0)
-        n_comp += int(np.count_nonzero(~np.tril(comp[pivots], -1).any(axis=1)))
-        live &= ~comp.any(axis=1)
+        # each state with no live edge in, or none out, is a component; else one is peeled
+        gone = live & ~(_push(kernel, live[:, None]) & _push(kernel, live[:, None], True))[:, 0]
+        n_comp += int(np.count_nonzero(gone)) or 1
+        if not gone.any():  # peel the component of the lowest live state
+            pivot = [int(np.argmax(live))]
+            ahead, behind = (_reach(kernel, pivot, live, back)[:, 0] >= 0 for back in (False, True))
+            gone = ahead & behind
+        live &= ~gone
     level, period = _reach(kernel, [0], everywhere)[:, 0], 0
-    for a, b, _ in _edges(kernel):
-        period = int(np.gcd(period, np.gcd.reduce(np.abs(level[a] + 1 - level[b])[level[a] >= 0])))
+    for depth in range(int(level.max()) + 1):
+        to = level[_push(kernel, (level == depth)[:, None])[:, 0]]
+        period = int(np.gcd(period, np.gcd.reduce(np.abs(depth + 1 - to))))
     irreducible = n_comp == 1
+    batch = max(1, SEARCH_LEVELS // n)
     diameter = max(int(_reach(kernel, np.arange(lo, min(lo + batch, n)), everywhere).max())
                    for lo in range(0, n, batch)) if irreducible and n <= diameter_limit else None
     return KernelStructure(irreducible, irreducible and period == 1, period, n_comp, diameter)
@@ -479,7 +474,11 @@ def save_kernel_csv(kernel: TransitionKernel, path: str) -> None:
     nnz = kernel.n_states << kernel.n_urns
     if nnz > SPARSE_NNZ_CAP:
         raise CapExceededError(f"materializing {nnz} entries exceeds cap {SPARSE_NNZ_CAP}")
-    a, b, p = map(np.concatenate, zip(*_edges(kernel)))
-    order = np.lexsort((b, a))
+    F = np.empty((kernel.n_states, len(kernel._newest)))  # F[a, x], the full blocks by source
+    to = np.empty(F.shape, dtype=np.int64)  # the successors of each a, rising with x
+    for src, dst, P in kernel._blocks(max(1, BLOCK_ENTRIES >> (2 * kernel.n_urns))):
+        F[src.ravel()] = _products(P).T
+        to[src] = dst[:, None]
+    a, x = np.nonzero(F > 0.0)
     write_csv(path, ("from_state", "to_state", "probability"), "%d,%d,%.17g\n",
-              chunked(a[order], b[order], p[order]))
+              chunked(a, to[a, x], F[a, x]))

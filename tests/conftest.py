@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 from hypothesis import settings
 
+from polyanet import chain
 from polyanet.errors import CapExceededError
 from polyanet.meanfield import DENSE_LIMIT, SpectralRadiusEstimate, build_linear_system
 from polyanet.params import (
@@ -144,6 +145,16 @@ def dense_transition_matrix(kernel):
     return Q
 
 
+def full_blocks(kernel):
+    """Yield ``(src, dst, F)`` for every block of the kernel's rows,
+    ``F[k, o, x]`` being the probability of moving from ``src[k, o]`` to
+    ``dst[k, x]``: the product of the factors of all N urns, built from
+    the block's draw probabilities in blocks of about ``BLOCK_ENTRIES``."""
+    fan = 1 << kernel.n_urns
+    for src, dst, P in kernel._blocks(max(1, chain.BLOCK_ENTRIES >> (2 * kernel.n_urns))):
+        yield src, dst, chain._products(P).reshape(fan, len(src), fan).transpose(1, 2, 0)
+
+
 def apply_by_full_blocks(kernel, mu):
     """One step of ``mu`` through the kernel's full factor blocks: a
     batched vector-matrix product ``mu[src] @ F`` per block of rows.
@@ -152,19 +163,20 @@ def apply_by_full_blocks(kernel, mu):
     half tables of each block instead.
     """
     out = np.empty(kernel.n_states)
-    for src, dst, F in kernel._all_blocks():
+    for src, dst, F in full_blocks(kernel):
         out[dst] = np.matmul(mu[src][:, None, :], F)[:, 0, :]
     return out
 
 
 def to_sparse(kernel):
-    """The kernel's positive entries as a CSR matrix, read from its blocks.
+    """The kernel's positive entries as a CSR matrix, read from its full
+    blocks.
 
     At most 2**N entries per row; the oracle for the structural checks,
     which SciPy's ``csgraph`` runs on it.
     """
     rows, cols, vals = [], [], []
-    for src, dst, F in kernel._all_blocks():
+    for src, dst, F in full_blocks(kernel):
         keep = F > 0.0
         rows.append(np.broadcast_to(src[:, :, None], F.shape)[keep])
         cols.append(np.broadcast_to(dst[:, None, :], F.shape)[keep])

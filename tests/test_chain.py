@@ -201,6 +201,12 @@ class TestStationary:
         b = stationary_distribution(kern, start=point_mass(kern, 5))
         assert np.max(np.abs(a - b)) < 1e-9
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_refuses_no_iterations(self, max_iters):
+        kern = build_kernel(NetworkParams.homogeneous(1, 1, 0.5, 1.0), np.eye(1))
+        with pytest.raises(ValueError, match="max_iters"):
+            stationary_distribution(kern, max_iters=max_iters)
+
 
 class TestEvolve:
     def test_ring_transient_law(self):
@@ -291,7 +297,7 @@ class TestStructure:
     def test_homogeneous_chain_certificate(self):
         par = NetworkParams.homogeneous(2, 2, 0.5, 0.7)
         kern = build_kernel(par, np.full((2, 2), 0.5))
-        info = check_irreducible_aperiodic(kern)
+        info = check_irreducible_aperiodic(kern, diameter_limit=kern.n_states)
         assert info.ok and bool(info)
         assert info.period == 1
         assert info.n_components == 1
@@ -312,28 +318,32 @@ class TestStructure:
         # probability 1/2 and one reinforcement is zero, so some chains have
         # absorbing windows.  In case 48, urn 0 listens only to urn 1, whose
         # rho is 1, so only the upper half of the states has eccentricity
-        # M + 1.  With 2**8 levels per batch, components are peeled and the
-        # diameter searched in batches of 1 to 16 searches; at the default,
-        # only the two kernels of 2048 states split into batches.
+        # M + 1.  With 2**8 levels per batch, the diameter is searched in
+        # batches of 1 to 16 searches; at the default, only the two kernels
+        # of 2048 states split into batches.  The last case has 4096
+        # singleton components: each state moves to its red-drawing
+        # successor, and only the all-red window returns to itself.
         cases = [structure_case(seed) for seed in range(48)]
         cases.append((NetworkParams(3, [0.4, 1.0], [0.5, 0.7], [0.6, 0.3]),
                       np.array([[0.0, 1.0], [0.5, 0.5]])))
         if levels is None:
             cases += [(random_params(np.random.default_rng(7), 1, 11), np.eye(1)),
-                      (NetworkParams(11, [1.0], [0.8], [0.0]), np.eye(1))]
+                      (NetworkParams(11, [1.0], [0.8], [0.0]), np.eye(1)),
+                      (NetworkParams(12, [1.0], [0.8], [0.0]), np.eye(1))]
         else:
             monkeypatch.setattr(chain, "SEARCH_LEVELS", levels)
         found = []
         for par, S in cases:
             kern = build_kernel(par, S)
-            info = check_irreducible_aperiodic(kern)
+            info = check_irreducible_aperiodic(kern, diameter_limit=4096)
             found.append([info.irreducible, info.aperiodic, info.period,
                           info.n_components, info.diameter])
             assert found[-1] == csgraph_structure(kern), (par, S)
         assert 9 <= sum(not f[0] for f in found) <= len(found) - 9
         assert found[48][4] == 4
         if levels is None:
-            assert found[-2][4] == 11 and found[-1][3] == 2048
+            assert found[-3][4] == 11 and found[-2][3] == 2048
+            assert found[-1][3] == 4096
 
     def test_diameter_limit(self):
         kern = build_kernel(*structure_case(9))
@@ -562,6 +572,31 @@ class TestHalfTables:
             mu, want = kern.apply(mu), apply_by_full_blocks(kern, want)
             assert np.max(np.abs(mu - want)) <= 1e-15
         assert (kern._cache is not None) == (kernel_path == "cached")
+
+
+class TestPush:
+    """The searches' one-step images, read from the positive entries of
+    the half tables, are those of the full blocks' F > 0, forward and
+    backward, on both cache paths and wherever blocks split."""
+
+    @pytest.mark.parametrize("rows", [3, None])
+    def test_images_match_full_blocks(self, rows, kernel_path, monkeypatch):
+        cases = [structure_case(seed) for seed in range(48)]
+        cases += [path_case(case)[:2] for case in PATH_CASES]
+        g = np.random.default_rng(48)
+        for par, S in cases:
+            if rows is not None:
+                monkeypatch.setattr(chain, "BLOCK_ENTRIES", half_block_entries(par.n_urns, rows))
+            kern = build_kernel(par, S)
+            edge = (to_sparse(kern).toarray() > 0.0).astype(np.int64)
+            # a dense front, a sparse one, and a single state
+            front = g.random((kern.n_states, 3)) < [0.5, 0.1, 0.0]
+            front[g.integers(kern.n_states), 2] = True
+            assert np.array_equal(chain._push(kern, front), edge.T @ front > 0), (par, S)
+            assert np.array_equal(chain._push(kern, front, True), edge @ front > 0), (par, S)
+            assert (kern._cache is not None) == (kernel_path == "cached")
+            if rows is not None:
+                assert kern._half_rows == rows
 
 
 class TestAdmission:

@@ -105,7 +105,8 @@ def test_runtime_runs_with_scipy_blocked(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main(argv) for argv in {calls!r}]
         info = check_irreducible_aperiodic(
-            build_kernel(NetworkParams.homogeneous(2, 2, 0.5, 0.7), np.full((2, 2), 0.5)))
+            build_kernel(NetworkParams.homogeneous(2, 2, 0.5, 0.7), np.full((2, 2), 0.5)),
+            diameter_limit=16)
         par = NetworkParams(memory=2, rho=[0.3, 0.65, 0.5], delta_r=[0.4, 1.1, 0.25],
                             delta_b=[0.9, 0.2, 0.6])
         S = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
