@@ -22,16 +22,21 @@ add any *oldest* bits ``o`` (lag 0 of every urn, dropped by the step)
 and the 2**N successors that add any *new* draws ``x`` (lag M-1).
 Within a row the kernel is the 2**N x 2**N factor block ``F[k, o, x]``,
 and every state is the source of exactly one (k, o) and the successor
-of exactly one (k, x).  The new draws of different urns are independent
-given the source, so with h = N // 2 and ``x = xB * 2**h + xA`` the
-block factors into two half tables,
-``F[k, o, x] = A[k, o, xA] * B[k, xB, o]``: ``A`` holds the products of
-the factors of urns 0..h-1 and ``B`` those of urns h..N-1, together
-2**N * (2**h + 2**(N-h)) entries per row instead of 2**(2N).  One step
-is then one batched matrix product per block of rows,
-``(mu[src] * B) @ A``, and the per-step work is 2**(N*(M+1)) = states x
-fan-out; admission control bounds that number.  Only the kernel CSV
-multiplies out the full blocks.
+of exactly one (k, x).  A draw probability depends on a window only
+through its red count, so ``F[k]`` depends on ``k`` only through its
+*count class*, the red kept draws ``c_j`` of every urn: the M**N classes
+hold prod_j C(M-1, c_j) rows each, and one table per class serves them
+all.  The new draws of different urns are independent given the source,
+so with ``x = xB * 2**h + xA`` a class table factors into
+``F[o, x] = A[o, xA] * B[xB, o]``: ``A`` holds the products of the
+factors of urns 0..h-1 and ``B`` those of urns h..N-1.  Where a class
+holds several rows (M >= 3) and the full tables fit the cache budget,
+h = N and ``F = A``; else h = N // 2.  One step is then one batched
+matrix product per block of the classes of one size,
+``(mu[src] * B) @ A`` with the rows of a class stacked, and the
+per-step work is 2**(N*(M+1)) = states x fan-out; admission control
+bounds that number.  Only the kernel CSV multiplies out the full blocks
+of every row.
 """
 
 from __future__ import annotations
@@ -52,14 +57,18 @@ from .params import (
 DEFAULT_CAP_BITS = 24
 SPARSE_NNZ_CAP = 1 << 26
 # Factor entries per enumerated block, so the block workspace stays
-# cache-sized (a block is at least one row): a row is 2**(2N) entries of
-# the full factor block, or 2**N * (2**h + 2**(N-h)) of the half tables.
+# cache-sized (a block is at least one row or class): a row is 2**(2N)
+# entries of the full factor block; a class 2**N * 2**N of its full
+# table or 2**N * (2**h + 2**(N-h)) of its half tables, or its rows'
+# share of the product's left operand where that is larger.
 BLOCK_ENTRIES = 1 << 16
-# A kernel whose half tables total at most this many bytes keeps them
-# after its first apply.  Any other full pass keeps the draw
-# probabilities of every source (8*N*2**(N*M) bytes, at most 64 MiB
-# under the default cap: N = 1, M = 23 or N = 2, M = 11), from which the
-# tables are rebuilt on every later pass.
+# A kernel whose class tables total at most this many bytes keeps them,
+# with the int64 source and successor of every state, after its first
+# apply.  Any other full pass keeps the draw probabilities of every
+# class's 2**N sources (8*N*M**N*2**N bytes), from which the tables are
+# rebuilt on every later pass.  No admissible kernel under the default
+# cap takes that path: the largest tables are N = 6, M = 3's full ones,
+# 23 MiB, and N = 8, M = 2's half ones, 16 MiB.
 KERNEL_CACHE_BYTES = 32 << 20
 DIST_SUM_TOL = 1e-10
 SEARCH_LEVELS = 1 << 20  # states x searches held by one batch of breadth-first searches
@@ -107,17 +116,50 @@ def _products(P: np.ndarray) -> np.ndarray:
     return F
 
 
-class TransitionKernel:
-    """One-step transition operator, enumerated as factor blocks.
+def _split(n_urns: int, memory: int) -> tuple[int, int]:
+    """Split point h of the class tables and their entries per source.
 
-    Every reader goes through one enumeration core, :meth:`_blocks`,
-    which yields the draw probabilities of each block's sources.
-    ``apply`` contracts a distribution with the two half tables of each
-    block and the structural check searches their positive entries; the
-    kernel CSV multiplies the probabilities out into full blocks, and
-    ``successors`` those of one source.  The first apply keeps the half
-    tables when they total at most ``KERNEL_CACHE_BYTES``; every other
-    first full pass keeps the draw probabilities of every source.
+    h = N, one table over all urns, where a class holds more rows than
+    one on average (M >= 3) and the M**N classes' full 2**N x 2**N
+    tables fit ``KERNEL_CACHE_BYTES``: each table entry then serves
+    every row of its class in one matrix product.  Else h = N // 2: at
+    M <= 2 every class is one row, and its full table, read once per
+    apply, made the apply 2-4x slower than half tables (N = 7, M = 2 and
+    N = 10, M = 1 on a 2-vCPU machine).
+    """
+    fan = 1 << n_urns
+    if memory >= 3 and memory**n_urns * fan * fan * 8 <= KERNEL_CACHE_BYTES:
+        return n_urns, fan
+    h = n_urns // 2
+    return h, (1 << h) + (1 << (n_urns - h))
+
+
+def kernel_bytes(n_urns: int, memory: int) -> int:
+    """Bytes a kernel keeps after its first apply: its class tables and the
+    int64 source and successor of every state when the tables fit
+    ``KERNEL_CACHE_BYTES``, else the classes' draw probabilities."""
+    sources = memory**n_urns << n_urns  # 2**N sources of each class
+    tables = sources * _split(n_urns, memory)[1] * 8
+    if tables <= KERNEL_CACHE_BYTES:
+        return tables + (16 << (n_urns * memory))
+    return sources * n_urns * 8
+
+
+class TransitionKernel:
+    """One-step transition operator, enumerated by count class.
+
+    A row's draw probabilities depend on its kept windows only through
+    their red counts, so the rows of one count class share its class
+    tables, built from the draw probabilities of one of its rows.
+    ``apply`` contracts a distribution with them in one batched product
+    per block of a group (the classes of one size) and the structural
+    check pushes its searches through their positive entries.
+    :meth:`_blocks` yields the draw probabilities of every source row by
+    row, which the kernel CSV multiplies out into full blocks, and
+    ``successors`` those of one source.  The first apply keeps the
+    tables, with the index arrays of every block, when the tables total
+    at most ``KERNEL_CACHE_BYTES``; otherwise it keeps the classes' draw
+    probabilities and every pass rebuilds the tables.
     """
 
     def __init__(self, params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS):
@@ -140,11 +182,14 @@ class TransitionKernel:
         self._field_mask = (1 << M) - 1
         self._pop = _popcounts(M)
         # Row k spreads its N*(M-1) kept bits, urn j's at bits j*(M-1)...,
-        # over lags 1..M-1 of each source window.
+        # over lags 1..M-1 of each source window; its class is the number
+        # c_j of red kept draws per urn, packed as sum_j c_j * M**j.
         rows = np.arange(1 << (N * (M - 1)), dtype=np.int64)
-        kept = np.zeros_like(rows)
+        kept, cls = np.zeros_like(rows), np.zeros_like(rows)
         for j in range(N):
-            kept |= ((rows >> (j * (M - 1))) & (self._field_mask >> 1)) << (j * M + 1)
+            field = (rows >> (j * (M - 1))) & (self._field_mask >> 1)
+            kept |= field << (j * M + 1)
+            cls += self._pop[field] * M**j
         self._kept = kept
         fan = np.arange(1 << N, dtype=np.int64)
         oldest = np.zeros_like(fan)
@@ -152,11 +197,27 @@ class TransitionKernel:
             oldest |= ((fan >> j) & 1) << (j * M)
         self._oldest = oldest  # o -> lag-0 bits of a source
         self._newest = oldest << (M - 1)  # x -> lag M-1 bits of a successor
-        self._half = N // 2
-        self._half_entries = (1 << self._half) + (1 << (N - self._half))  # per source
-        self._half_rows = max(1, BLOCK_ENTRIES // (self._half_entries << N))
+        self._half, self._table_entries = _split(N, M)
+        # Rows by class, and classes by size prod_j C(M-1, c_j), each group
+        # (classes of one size) cut into blocks whose tables, or whose
+        # product's left operand where that is larger, hold about
+        # BLOCK_ENTRIES entries.  Classes are numbered in block order, so a
+        # block's classes are a run of them.
+        order = np.argsort(cls.astype(np.min_scalar_type(M**N)), kind="stable")
+        sizes = np.bincount(cls, minlength=M**N)
+        first = np.cumsum(sizes) - sizes
+        by_size = np.argsort(sizes, kind="stable")
+        self._groups = []  # (lo, rows) of every block: rows[i] those of class lo + i
+        for size, lo in zip(*np.unique(sizes[by_size], return_index=True)):
+            classes = by_size[lo : lo + np.count_nonzero(sizes == size)]
+            rows_of = order[first[classes, None] + np.arange(size)]
+            entries = max(len(fan) * self._table_entries, int(size) * len(fan) << (N - self._half))
+            step = max(1, BLOCK_ENTRIES // entries)
+            self._groups += [(int(lo) + i, rows_of[i : i + step])
+                             for i in range(0, len(classes), step)]
         self._cache: list | None = None  # (src, dst, A, B) of every block
-        self._probs: np.ndarray | None = None  # (N, states), enumeration order
+        self._probs: np.ndarray | None = None  # (N, classes, 2**N), by class
+        self._patterns: list | None = None  # float32 0/1 patterns of the cached tables
 
     # -- per-state quantities -------------------------------------------------
 
@@ -178,48 +239,72 @@ class TransitionKernel:
 
     # -- enumeration core -----------------------------------------------------
 
-    def _blocks(self, rows: int, keep: bool = False):
+    def _blocks(self, rows: int):
         """Yield ``(src, dst, P)`` for every row, ``rows`` at a time.
 
         ``src[k, o]`` and ``dst[k, x]`` are packed states, bit d of ``x``
         being urn d's new draw, and ``P[d, k * 2**N + o]`` is urn d's
-        red-draw probability out of ``src[k, o]``.  A full pass with
-        ``keep`` stores the probabilities it computes, and every later
-        pass reads them.
+        red-draw probability out of ``src[k, o]``.
         """
-        n_rows, fan = len(self._kept), len(self._oldest)
-        table = np.empty((self.n_urns, self.n_states)) if keep else None
-        for lo in range(0, n_rows, rows):
-            hi = min(lo + rows, n_rows)
-            kept = self._kept[lo:hi]
+        for lo in range(0, len(self._kept), rows):
+            kept = self._kept[lo : lo + rows]
             src = kept[:, None] + self._oldest[None, :]
             dst = (kept >> 1)[:, None] + self._newest[None, :]
-            P = (self.draw_probabilities(src.ravel()).T if self._probs is None
-                 else self._probs[:, lo * fan : hi * fan])
+            yield src, dst, self.draw_probabilities(src.ravel()).T
+
+    def _class_probabilities(self, keep: bool):
+        """Yield ``(P, rows)`` for every block, ``P[d, c, o]`` being urn d's
+        red-draw probability out of source o of the block's class c, whose
+        rows are ``rows[c]``.  A full pass with ``keep`` stores them, and
+        every later pass reads them."""
+        N, fan = self.n_urns, len(self._oldest)
+        table = np.empty((N, self.memory**N, fan)) if keep else None
+        for lo, rows in self._groups:
+            hi = lo + len(rows)
+            if self._probs is not None:
+                P = self._probs[:, lo:hi]
+            else:  # a class's first row stands for all of its rows
+                src = self._kept[rows[:, 0]][:, None] + self._oldest[None, :]
+                P = self.draw_probabilities(src.ravel()).T.reshape(N, hi - lo, fan)
             if keep:
-                table[:, lo * fan : hi * fan] = P
-            yield src, dst, P
+                table[:, lo:hi] = P
+            yield P, rows
         if keep:
             self._probs = table
 
-    def _half_blocks(self):
+    def _tables(self):
         """Every block's ``(src, dst, A, B)``, from the cache when the kernel
-        keeps one: ``A[k, o, xA]`` is the product of the factors of urns
-        0..h-1 and ``B[k, xB, o]`` that of urns h..N-1."""
+        keeps one.  ``src[c, r, o]`` and ``dst[c, r, x]`` are the sources
+        and successors of row r of class c; ``A[c, o, xA]`` is the product
+        of the factors of urns 0..h-1 and ``B[c, xB, o]`` that of urns
+        h..N-1, or None when h = N."""
         if self._cache is not None:
             return self._cache
-        fan, h = len(self._oldest), self._half
-        cache = (self.n_states * self._half_entries) * 8 <= KERNEL_CACHE_BYTES
-        blocks = (
-            (src, dst, _products(P[:h]).reshape(-1, len(src), fan).transpose(1, 2, 0),
-             _products(P[h:]).reshape(-1, len(src), fan).transpose(1, 0, 2))
-            for src, dst, P in self._blocks(self._half_rows,
-                                            keep=not cache and self._probs is None)
-        )
+        tables = (self.memory**self.n_urns << self.n_urns) * self._table_entries * 8
+        cache = tables <= KERNEL_CACHE_BYTES
+        blocks = (self._table_block(P, rows) for P, rows in
+                  self._class_probabilities(keep=not cache and self._probs is None))
         if cache:
             self._cache = list(blocks)
             return self._cache
         return blocks
+
+    def _table_block(self, P, rows):
+        """``(src, dst, A, B)`` of the classes whose rows are ``rows``,
+        ``P[d, c, o]`` being urn d's red-draw probability out of source o
+        of class c.  ``apply`` reads a full table (h = N) faster made
+        row-major, and half tables faster left as the transposed views
+        that :func:`_products` gives (on a 2-vCPU machine, 0.55 against
+        0.70 ms per apply on the 4-urn ring and 3.9 against 4.4 ms on the
+        8-urn Barabasi-Albert chain)."""
+        kept, (c, fan), h = self._kept[rows], P.shape[1:], self._half
+        src = kept[:, :, None] + self._oldest
+        dst = (kept >> 1)[:, :, None] + self._newest
+        A = _products(P[:h].reshape(h, c * fan)).reshape(-1, c, fan).transpose(1, 2, 0)
+        if h == len(P):
+            return src, dst, np.ascontiguousarray(A), None
+        B = _products(P[h:].reshape(len(P) - h, c * fan)).reshape(-1, c, fan).transpose(1, 0, 2)
+        return src, dst, A, B
 
     # -- operator -------------------------------------------------------------
 
@@ -229,9 +314,12 @@ class TransitionKernel:
         if mu.shape != (self.n_states,):
             raise ValueError(f"distribution must have length {self.n_states}")
         out = np.empty(self.n_states)
-        for src, dst, A, B in self._half_blocks():
-            # out[k, xB * 2**h + xA] = sum_o mu[src[k, o]] B[k, xB, o] A[k, o, xA]
-            out[dst] = np.matmul(mu[src][:, None, :] * B, A).reshape(dst.shape)
+        for src, dst, A, B in self._tables():
+            # out[c, r, xB * 2**h + xA] = sum_o mu[src[c, r, o]] B[c, xB, o] A[c, o, xA]
+            x = mu[src]
+            if B is not None:
+                x = (x[:, :, None, :] * B[:, None]).reshape(len(src), -1, src.shape[2])
+            out[dst] = np.matmul(x, A).reshape(dst.shape)
         return out
 
     def successors(self, state: int):
@@ -400,19 +488,64 @@ class KernelStructure:
         return self.ok
 
 
+def _full_pattern(A, B):
+    """Each class's 2**N x 2**N 0/1 pattern ``E[c, o, xB * 2**h + xA]``
+    from the 0/1 patterns of its half tables."""
+    return (B.transpose(0, 2, 1)[..., None] * A[:, :, None]).reshape(len(A), A.shape[1], -1)
+
+
+def _patterns(kernel: TransitionKernel):
+    """Every block's ``(src, dst, A, B)`` with the table entries replaced by
+    their 0/1 pattern, 1.0 (float32) where positive: a transition is
+    positive where both of its factors are.  A kernel that keeps its
+    tables keeps the patterns beside them, as the full pattern
+    ``(src, dst, E, None)`` where those, 4*M**N*4**N bytes, fit
+    ``KERNEL_CACHE_BYTES``, else as the two half patterns."""
+    if kernel._patterns is not None:
+        return kernel._patterns
+    fan = len(kernel._oldest)
+    full = kernel.memory**kernel.n_urns * fan * fan * 4 <= KERNEL_CACHE_BYTES
+
+    def pattern(src, dst, A, B):
+        A = (A > 0.0).astype(np.float32)
+        if B is None:
+            return src, dst, A, None
+        B = (B > 0.0).astype(np.float32)
+        return (src, dst, _full_pattern(A, B), None) if full else (src, dst, A, B)
+
+    blocks = (pattern(*block) for block in kernel._tables())
+    if kernel._cache is not None:
+        kernel._patterns = list(blocks)
+        return kernel._patterns
+    return blocks
+
+
 def _push(kernel: TransitionKernel, front, backward: bool = False) -> np.ndarray:
     """(states, searches) mask of the states one step after, or ``backward``
-    before, a state of each column of ``front``.  A transition is positive
-    exactly where both of its half-table factors are."""
-    hit, fan = np.empty(front.shape, dtype=bool), len(kernel._oldest)
-    for src, dst, A, B in kernel._half_blocks():
-        # edge[k, o, xB * 2**h + xA] is 1 where B[k, xB, o] > 0 and A[k, o, xA] > 0
-        edge = (B > 0.0).transpose(0, 2, 1)[..., None] & (A > 0.0)[:, :, None]
-        edge = edge.reshape(len(src), fan, fan).astype(np.float32)
-        if backward:
-            hit[src] = np.matmul(edge, front[dst].astype(np.float32)) > 0.0
+    before, a state of each column of ``front``: per block, each row's
+    front through its class's full pattern ``E``, ``E.T`` forward and
+    ``E`` back.  Where only the half patterns are at hand, one search
+    goes through them in turn, as ``apply`` does, and several through
+    ``E`` formed for this push, since their products with ``B`` grow with
+    the searches and forming ``E`` does not (on a 2-vCPU machine, a
+    search on the 8-urn Barabasi-Albert kernel took 1.5 ms in turn and
+    11 ms through ``E``; the N = 7, M = 2 diameter, 64 searches a push,
+    took 3x longer in turn)."""
+    hit = np.empty(front.shape, dtype=bool)
+    for src, dst, A, B in _patterns(kernel):
+        if B is not None and front.shape[1] == 1 and backward:
+            # y[c, r, xB, o] = sum_xA front[dst[c, r, xB * 2**h + xA]] A[c, o, xA]
+            y = np.matmul(front[dst, 0].astype(np.float32).reshape(*src.shape[:2], -1, A.shape[2]),
+                          A.transpose(0, 2, 1)[:, None])
+            hit[src, 0] = (y * B[:, None]).sum(axis=2) > 0.0
+        elif B is not None and front.shape[1] == 1:
+            x = front[src, 0].astype(np.float32)[:, :, None, :] * B[:, None]
+            hit[dst, 0] = np.matmul(x.reshape(len(src), -1, A.shape[1]), A).reshape(dst.shape) > 0.0
         else:
-            hit[dst] = np.matmul(edge.transpose(0, 2, 1), front[src].astype(np.float32)) > 0.0
+            E = A if B is None else _full_pattern(A, B)
+            at, to = (dst, src) if backward else (src, dst)
+            E = E if backward else E.transpose(0, 2, 1)
+            hit[to] = np.matmul(E[:, None], front[at].astype(np.float32)) > 0.0
     return hit
 
 
@@ -425,7 +558,7 @@ def _reach(kernel: TransitionKernel, starts, live, backward: bool = False) -> np
     while front.any():
         depth += 1
         front = _push(kernel, front, backward) & live[:, None] & (level < 0)
-        level[front] = depth
+        np.putmask(level, front, depth)
     return level
 
 

@@ -30,6 +30,10 @@ grid with its NULs deleted.  A cell holds exactly the bytes of
   near-ties, exponent notation, nan and infinities, and, as the margin
   then exceeds one half, every float on a platform whose long double is
   a plain double.
+
+A chunk of fewer than ``SMALL_VALUES`` values skips the grid: the record
+template itself is applied to each record with ``%``, which formats every
+value by that same ``'%d' % i`` or ``'%.17g' % x``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,12 @@ import numpy as np
 
 # Values formatted per chunk of a table.
 CHUNK_VALUES = 8192
+# A chunk of fewer values is formatted by Python's '%' one value at a
+# time: the byte grid costs about 1 ms of NumPy calls whatever the chunk's
+# size, which per-value formatting matches at about a thousand values (on
+# a 2-vCPU machine, a 36-row curve file took 0.37 ms instead of 1.0 and a
+# 160-row one 0.69 ms instead of 1.07, file opening included).
+SMALL_VALUES = 1024
 
 # Bytes of a float cell: the longest '%.17g' is -2.2250738585072014e-308.
 _FLOAT_CELL = 24
@@ -215,6 +225,7 @@ class _Grid:
                 literals.append("")
             else:
                 literals[-1] += part
+        self.record = record
         self.literals = [t.encode() for t in literals]
         self.is_int = np.array(is_int, dtype=bool)
         self._layouts = {}
@@ -255,6 +266,10 @@ class _Grid:
         ints, floats = self.values(columns, True), self.values(columns, False)
         if ints is not None and ints.dtype.kind not in "biu":
             raise TypeError(f"%d slots take integers, got {ints.dtype}")
+        if n_records * len(self.is_int) < SMALL_VALUES:
+            # slot j * len(columns) + c takes columns[c][k, j] in record k
+            return "".join(self.record % tuple(itertools.chain(*zip(*values)))
+                           for values in zip(*(c.tolist() for c in columns))).encode()
         int_cells = None if ints is None else _int_cells(ints).reshape(*ints.shape, -1)
         row, int_at, float_at = self.layout(len(columns), 1 if ints is None else int_cells.shape[2])
         grid = np.empty((n_records, len(row)), np.uint8)

@@ -1,6 +1,7 @@
 """Exact computations on the expanded draw chain."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -474,8 +475,10 @@ class TestKernelPaths:
             nxt = kern.apply(mu)
             assert np.array_equal(nxt, build_kernel(par, S).apply(mu))
             mu = nxt
-        assert sum(sources) == kern.n_states
-        assert kern._probs.shape == (par.n_urns, kern.n_states)
+        # one representative row per count class: M**N classes of 2**N sources
+        classes = par.memory ** par.n_urns
+        assert sum(sources) == classes << par.n_urns
+        assert kern._probs.shape == (par.n_urns, classes, 1 << par.n_urns)
 
     def test_pinned_case_has_exact_zeros(self):
         par, S, Q = path_case(PATH_CASES[-1])
@@ -532,27 +535,38 @@ class TestKernelPaths:
 HALF_CASES = [(n, m) for n in range(1, 8) for m in (1, 2, 3) if n * (m + 1) <= 16]
 
 
-def half_block_entries(n_urns, rows):
-    """``BLOCK_ENTRIES`` that gives ``apply`` blocks of ``rows`` rows."""
-    h = n_urns // 2
-    return rows * (((1 << h) + (1 << (n_urns - h))) << n_urns)
+def class_block_entries(n_urns, memory, classes):
+    """``BLOCK_ENTRIES`` that gives ``apply`` blocks of ``classes`` classes
+    wherever their tables outweigh their rows (always at M <= 2), for the
+    split point that the kernel cache budget picks."""
+    _, entries = chain._split(n_urns, memory)
+    return classes * (entries << n_urns)
+
+
+def assert_block_classes(kern, classes):
+    """No block holds more than ``classes`` classes, and the size-1 group
+    (every class at M <= 2) fills its blocks up to that many."""
+    assert max(len(rows) for _, rows in kern._groups) <= classes
+    ones = [len(rows) for _, rows in kern._groups if rows.shape[1] == 1]
+    assert ones[0] == min(classes, sum(ones))
 
 
 class TestHalfTables:
-    """apply, which contracts two half tables per block, matches the
-    full-block oracle to 1e-15 on both cache paths, at odd N and h = 0,
-    and with blocks of one row, three rows (a partial last block where
-    there are more than three rows) and the default."""
+    """apply, which contracts the class tables of each block (two half
+    tables when streamed, one full table at M = 3 when cached), matches
+    the full-block oracle to 1e-15 on both cache paths, at odd N and
+    h = 0, and with blocks of one class, three classes (a partial last
+    block where a group has more than three) and the default."""
 
     @pytest.mark.parametrize("rows", [1, 3, None])
     @pytest.mark.parametrize("n_urns, memory", HALF_CASES)
     def test_matches_full_blocks(self, n_urns, memory, rows, kernel_path, monkeypatch):
         if rows is not None:
-            monkeypatch.setattr(chain, "BLOCK_ENTRIES", half_block_entries(n_urns, rows))
+            monkeypatch.setattr(chain, "BLOCK_ENTRIES", class_block_entries(n_urns, memory, rows))
         g = np.random.default_rng(100 * n_urns + memory)
         kern = build_kernel(random_params(g, n_urns, memory), random_interaction(g, n_urns))
         if rows is not None:
-            assert kern._half_rows == rows
+            assert_block_classes(kern, rows)
         for _ in range(2):  # the second pass reads the cache when one is kept
             mu = g.dirichlet(np.ones(kern.n_states))
             assert np.max(np.abs(kern.apply(mu) - apply_by_full_blocks(kern, mu))) <= 1e-15
@@ -563,7 +577,7 @@ class TestHalfTables:
         # The exact benchmark's preferential-attachment chain: N = 8, M = 2,
         # fan-out 256, stepped four times from the all-black state.
         if rows is not None:
-            monkeypatch.setattr(chain, "BLOCK_ENTRIES", half_block_entries(8, rows))
+            monkeypatch.setattr(chain, "BLOCK_ENTRIES", class_block_entries(8, 2, rows))
         g = np.random.default_rng(1789)
         S = row_normalize(barabasi_albert(8, 2, 1789), self_weight=1.0)
         kern = build_kernel(random_params(g, 8, 2), S)
@@ -574,9 +588,92 @@ class TestHalfTables:
         assert (kern._cache is not None) == (kernel_path == "cached")
 
 
+CLASS_SHAPES = [(n, m) for m in range(1, 6) for n in range(1, 9) if n * (m + 1) <= 16]
+
+
+@st.composite
+def class_kernels(draw):
+    """Random params and S with N*(M+1) <= 16 and M <= 5, where some urns
+    are pinned red (rho = 1, delta_b = 0) or black (rho = 0, delta_r = 0)
+    and see only themselves, so that some factors are exactly zero."""
+    n, m = draw(st.sampled_from(CLASS_SHAPES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pinned = draw(st.lists(st.sampled_from(["free", "red", "black"]), min_size=n, max_size=n))
+    g = np.random.default_rng(seed)
+    rho, delta_r, delta_b = g.uniform(0.05, 0.95, n), g.uniform(0, 2, n), g.uniform(0.05, 2, n)
+    S = random_interaction(g, n) * ((g.random((n, n)) < 2 / 3) | np.eye(n, dtype=bool))
+    for j, kind in enumerate(pinned):
+        if kind != "free":
+            S[j] = np.eye(n)[j]
+            rho[j] = 1.0 if kind == "red" else 0.0
+            (delta_b if kind == "red" else delta_r)[j] = 0.0
+    return NetworkParams(m, rho, delta_r, delta_b), S / S.sum(axis=1, keepdims=True), seed
+
+
+class TestCountClasses:
+    """Rows whose kept windows hold the same red counts share one class
+    table; apply through them matches the full-block oracle on both cache
+    tiers and at both split points."""
+
+    @given(class_kernels(), st.booleans(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_apply_matches_full_blocks(self, case, full, cached):
+        par, S, seed = case
+        # the split point is fixed when the kernel is built, the tier at its first apply
+        with mock.patch.object(chain, "KERNEL_CACHE_BYTES", (1 << 40) if full else 0):
+            kern = build_kernel(par, S)
+        N = par.n_urns
+        assert kern._half == (N if full and par.memory >= 3 else N // 2)
+        g = np.random.default_rng(seed)
+        with mock.patch.object(chain, "KERNEL_CACHE_BYTES", (1 << 40) if cached else 0):
+            for _ in range(2):  # the second pass reads what the first kept
+                mu = g.dirichlet(np.ones(kern.n_states))
+                assert np.max(np.abs(kern.apply(mu) - apply_by_full_blocks(kern, mu))) <= 1e-15
+        assert (kern._cache is not None) == cached
+        assert (kern._probs is not None) == (not cached)
+
+    @pytest.mark.parametrize("n_urns, memory", CLASS_SHAPES)
+    def test_classes_partition_rows_by_counts(self, n_urns, memory):
+        S = np.full((n_urns, n_urns), 1.0 / n_urns)
+        kern = build_kernel(NetworkParams.homogeneous(n_urns, memory, 0.5, 1.0), S)
+        # blocks hold runs of the M**N classes, in order
+        assert [lo for lo, _ in kern._groups] == np.cumsum(
+            [0] + [len(r) for _, r in kern._groups[:-1]]).tolist()
+        assert sum(len(r) for _, r in kern._groups) == memory**n_urns
+        rows = np.concatenate([r.ravel() for _, r in kern._groups])
+        assert np.array_equal(np.sort(rows), np.arange(1 << (n_urns * (memory - 1))))
+        for lo, block in kern._groups:
+            counts = kern.window_counts(kern._kept[block])
+            assert np.array_equal(counts, np.broadcast_to(counts[:, :1], counts.shape))
+
+    def test_benchmark_chains(self):
+        # the ring: 256 classes of 1, 3, 9, 27 and 81 rows, one full table
+        # each and one block per group; the Barabasi-Albert chain: one
+        # class per row, half tables in blocks of 8 rows as before
+        ring_kernel = build_kernel(NetworkParams.homogeneous(4, 4, 0.5, 1.0), ring(4))
+        groups = [(r.shape[1], len(r)) for _, r in ring_kernel._groups]
+        assert groups == [(1, 16), (3, 64), (9, 96), (27, 64), (81, 16)]
+        assert (ring_kernel._half, ring_kernel._table_entries) == (4, 16)
+        S = row_normalize(barabasi_albert(8, 2, 1789), self_weight=1.0)
+        ba = build_kernel(NetworkParams.homogeneous(8, 2, 0.5, 1.0), S)
+        assert [r.shape for _, r in ba._groups] == [(8, 1)] * 32
+        assert (ba._half, ba._table_entries) == (4, 32)
+
+    @pytest.mark.parametrize("n_urns, memory", [(4, 4), (8, 2), (2, 5), (3, 1), (1, 3)])
+    def test_kernel_bytes_is_what_is_kept(self, n_urns, memory, kernel_path):
+        g = np.random.default_rng(n_urns * memory)
+        kern = build_kernel(random_params(g, n_urns, memory), random_interaction(g, n_urns))
+        kern.apply(point_mass(kern, 0))
+        if kernel_path == "cached":
+            kept = sum(a.nbytes for block in kern._cache for a in block if a is not None)
+        else:
+            kept = kern._probs.nbytes
+        assert kept == chain.kernel_bytes(n_urns, memory)
+
+
 class TestPush:
     """The searches' one-step images, read from the positive entries of
-    the half tables, are those of the full blocks' F > 0, forward and
+    the class tables, are those of the full blocks' F > 0, forward and
     backward, on both cache paths and wherever blocks split."""
 
     @pytest.mark.parametrize("rows", [3, None])
@@ -586,7 +683,8 @@ class TestPush:
         g = np.random.default_rng(48)
         for par, S in cases:
             if rows is not None:
-                monkeypatch.setattr(chain, "BLOCK_ENTRIES", half_block_entries(par.n_urns, rows))
+                monkeypatch.setattr(chain, "BLOCK_ENTRIES",
+                                    class_block_entries(par.n_urns, par.memory, rows))
             kern = build_kernel(par, S)
             edge = (to_sparse(kern).toarray() > 0.0).astype(np.int64)
             # a dense front, a sparse one, and a single state
@@ -596,7 +694,37 @@ class TestPush:
             assert np.array_equal(chain._push(kern, front, True), edge @ front > 0), (par, S)
             assert (kern._cache is not None) == (kernel_path == "cached")
             if rows is not None:
-                assert kern._half_rows == rows
+                assert_block_classes(kern, rows)
+
+    @pytest.mark.parametrize("patterns", ["full", "half"])
+    def test_one_search_images_match_full_blocks(self, patterns, kernel_path, monkeypatch):
+        # where a kernel has only its half patterns at hand, streamed or too
+        # large to keep in full, one search goes through them in turn
+        g = np.random.default_rng(49)
+        budget = chain.KERNEL_CACHE_BYTES
+        for par, S in [structure_case(seed) for seed in range(48)]:
+            monkeypatch.setattr(chain, "KERNEL_CACHE_BYTES", budget)
+            kern = build_kernel(par, S)
+            edge = (to_sparse(kern).toarray() > 0.0).astype(np.int64)
+            if patterns == "half":  # tables kept or streamed as before, full patterns not kept
+                kern.apply(point_mass(kern, 0))
+                monkeypatch.setattr(chain, "KERNEL_CACHE_BYTES", 0)
+            for density in (0.5, 0.0):
+                front = g.random((kern.n_states, 1)) < density
+                front[g.integers(kern.n_states)] = True
+                assert np.array_equal(chain._push(kern, front), edge.T @ front > 0), (par, S)
+                assert np.array_equal(chain._push(kern, front, True), edge @ front > 0), (par, S)
+
+    def test_patterns_are_formed_once_per_kernel(self, kernel_path):
+        # kept beside the cached tables, rebuilt per push from streamed ones
+        kern = build_kernel(*structure_case(3))
+        for searches in (1, 2):
+            front = np.ones((kern.n_states, searches), dtype=bool)
+            hit = chain._push(kern, front)
+            kept = kern._patterns
+            assert (kept is not None) == (kernel_path == "cached")
+            assert np.array_equal(chain._push(kern, front), hit)
+            assert kern._patterns is kept
 
 
 class TestAdmission:

@@ -5,6 +5,7 @@ writer against the row-by-row reference."""
 import hashlib
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,3 +244,49 @@ class TestWriteCsv:
     def test_slot_count_checked(self, tmp_path):
         with pytest.raises(ValueError, match="slots"):
             csvio.write_csv(str(tmp_path / "x.csv"), None, "%d,%d\n", [(np.arange(3),)])
+
+
+def both_ways(record, chunks, header=None):
+    """The bytes of one table through the byte grid and through the
+    per-value '%' path, which takes every chunk below ``SMALL_VALUES``."""
+    chunks, out = list(chunks), []
+    for small in (0, 1 << 62):
+        with mock.patch.object(csvio, "SMALL_VALUES", small), \
+                tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "t.csv")
+            csvio.write_csv(path, header, record, chunks)
+            with open(path, "rb") as fh:
+                out.append(fh.read())
+    return out
+
+
+class TestSmallTables:
+    """A table below ``SMALL_VALUES`` values is formatted one value at a
+    time by '%'; it keeps the bytes of the byte grid."""
+
+    def test_special_values(self):
+        floats = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1e-310,
+                           2.2250738585072014e-308, 1 / 3, 1e17, 9.999999999999999e-05,
+                           -123.5, 1e300])
+        ints = np.array([0, -1, -2**63, 2**63 - 1, 9, 10, -10, -9999, 10000, 7, -42, 1, -7,
+                         123456789])
+        record = "%d,%.17g,100%% done\n"
+        assert 2 * len(ints) < csvio.SMALL_VALUES
+        grid, per_value = both_ways(record, [(ints, floats)], header=("i", "x", "note"))
+        want = b"i,x,note\n" + ((record * len(ints)) % tuple(
+            v for pair in zip(ints.tolist(), floats.tolist()) for v in pair)).encode()
+        assert grid == per_value == want
+
+    def test_curve_of_the_exact_workload_size(self, rng):
+        # a 32-step curve of 4 urns (160 lines) and its repeated time cells
+        times, per_urn, avg = curve(rng, 32, 4)
+        lines = "".join("%d," + str(u) + ",%.17g,exact\n" for u in [0, 1, 2, 3, "avg"])
+        chunks = [(times[:, None], np.column_stack((per_urn, avg)))]
+        grid, per_value = both_ways(lines, chunks, header=HEADER)
+        assert grid == per_value
+
+    @given(tables())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_byte_grid(self, table):
+        record, columns, want = table
+        assert both_ways(record, [tuple(columns)]) == [want, want]

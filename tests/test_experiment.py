@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyanet import cli
+from polyanet import chain, cli
 from polyanet.errors import CapExceededError, ConfigError
 from polyanet.experiment import (
     FIGURE_SEED,
@@ -823,6 +823,22 @@ class TestMemoryAdmission:
         assert err.startswith("cap exceeded: the run's arrays need at least ")
         assert "bytes of physical memory" in err
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_exact_counts_what_its_kernel_keeps(self, tmp_path, capsys, monkeypatch):
+        # Physical memory just above the two distributions and the curve,
+        # but below them plus the kernel's index arrays and class tables:
+        # refused before the kernel or any artifact is made.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path, memory=4, t_max=3, modes=["exact"])))
+        distributions, curve = 16 << 8, 8 * 3 * 2
+        sysconf = os.sysconf
+        have = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": distributions + curve + 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: have.get(name) or sysconf(name))
+        monkeypatch.setattr(chain, "build_kernel", lambda *a, **k: pytest.fail("kernel built"))
+        assert cli.main(["exact", "--config", str(path)]) == 4
+        assert "the run's arrays need at least" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+        assert chain.kernel_bytes(2, 4) >= 16 << 8  # every state's source and successor
 
     # 10**9 urns need 1.6e19 bytes of N x N arrays: refused before any is built
     def test_huge_network_config_exits_4(self, tmp_path, capsys):
