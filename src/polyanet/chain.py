@@ -30,13 +30,14 @@ all.  The new draws of different urns are independent given the source,
 so with ``x = xB * 2**h + xA`` a class table factors into
 ``F[o, x] = A[o, xA] * B[xB, o]``: ``A`` holds the products of the
 factors of urns 0..h-1 and ``B`` those of urns h..N-1.  Where a class
-holds several rows (M >= 3) and the full tables fit the cache budget,
-h = N and ``F = A``; else h = N // 2.  One step is then one batched
-matrix product per block of the classes of one size,
-``(mu[src] * B) @ A`` with the rows of a class stacked, and the
-per-step work is 2**(N*(M+1)) = states x fan-out; admission control
-bounds that number.  Only the kernel CSV multiplies out the full blocks
-of every row.
+holds several rows (M >= 3) and the full tables fit the table budget,
+h = N and ``F = A``; else h = N // 2.  The kernel builds its tables on
+its first pass and keeps them.  One step is then one batched matrix
+product per block of the classes of one size, ``(mu[src] * B) @ A``
+with the rows of a class stacked, and the per-step work is
+2**(N*(M+1)) = states x fan-out; admission control bounds that number.
+Only the kernel CSV multiplies out each class's full table, which it
+writes to every row of the class.
 """
 
 from __future__ import annotations
@@ -57,18 +58,17 @@ from .params import (
 DEFAULT_CAP_BITS = 24
 SPARSE_NNZ_CAP = 1 << 26
 # Factor entries per enumerated block, so the block workspace stays
-# cache-sized (a block is at least one row or class): a row is 2**(2N)
-# entries of the full factor block; a class 2**N * 2**N of its full
-# table or 2**N * (2**h + 2**(N-h)) of its half tables, or its rows'
-# share of the product's left operand where that is larger.
+# cache-sized (a block is at least one class): a class is 2**N * 2**N
+# entries of its full table or 2**N * (2**h + 2**(N-h)) of its half
+# tables, or its rows' share of the product's left operand where that
+# is larger.
 BLOCK_ENTRIES = 1 << 16
-# A kernel whose class tables total at most this many bytes keeps them,
-# with the int64 source and successor of every state, after its first
-# apply.  Any other full pass keeps the draw probabilities of every
-# class's 2**N sources (8*N*M**N*2**N bytes), from which the tables are
-# rebuilt on every later pass.  No admissible kernel under the default
-# cap takes that path: the largest tables are N = 6, M = 3's full ones,
-# 23 MiB, and N = 8, M = 2's half ones, 16 MiB.
+# Budget of the full tables: a kernel whose full class tables (at M >= 3),
+# or full 0/1 patterns for the structural check, total at most this many
+# bytes keeps them whole, else as half tables or patterns (see _split
+# and _patterns).  Every kernel keeps its tables; under the default cap
+# the largest are N = 6, M = 3's full ones, 23 MiB, and N = 8, M = 2's
+# half ones, 16 MiB.
 KERNEL_CACHE_BYTES = 32 << 20
 DIST_SUM_TOL = 1e-10
 SEARCH_LEVELS = 1 << 20  # states x searches held by one batch of breadth-first searches
@@ -135,14 +135,10 @@ def _split(n_urns: int, memory: int) -> tuple[int, int]:
 
 
 def kernel_bytes(n_urns: int, memory: int) -> int:
-    """Bytes a kernel keeps after its first apply: its class tables and the
-    int64 source and successor of every state when the tables fit
-    ``KERNEL_CACHE_BYTES``, else the classes' draw probabilities."""
-    sources = memory**n_urns << n_urns  # 2**N sources of each class
-    tables = sources * _split(n_urns, memory)[1] * 8
-    if tables <= KERNEL_CACHE_BYTES:
-        return tables + (16 << (n_urns * memory))
-    return sources * n_urns * 8
+    """Bytes a kernel keeps after its first apply: its class tables, 8 bytes
+    per entry for the 2**N sources of each of the M**N classes, and the
+    int64 source and successor of every state."""
+    return (memory**n_urns << n_urns) * _split(n_urns, memory)[1] * 8 + (16 << (n_urns * memory))
 
 
 class TransitionKernel:
@@ -153,13 +149,11 @@ class TransitionKernel:
     tables, built from the draw probabilities of one of its rows.
     ``apply`` contracts a distribution with them in one batched product
     per block of a group (the classes of one size) and the structural
-    check pushes its searches through their positive entries.
-    :meth:`_blocks` yields the draw probabilities of every source row by
-    row, which the kernel CSV multiplies out into full blocks, and
-    ``successors`` those of one source.  The first apply keeps the
-    tables, with the index arrays of every block, when the tables total
-    at most ``KERNEL_CACHE_BYTES``; otherwise it keeps the classes' draw
-    probabilities and every pass rebuilds the tables.
+    check pushes its searches through their positive entries.  The
+    first pass builds the tables and keeps them, with the index arrays of
+    every block (:func:`kernel_bytes`).  The kernel CSV multiplies out
+    the draw probabilities of each class into its full table, and
+    ``successors`` those of one source.
     """
 
     def __init__(self, params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS):
@@ -216,8 +210,7 @@ class TransitionKernel:
             self._groups += [(int(lo) + i, rows_of[i : i + step])
                              for i in range(0, len(classes), step)]
         self._cache: list | None = None  # (src, dst, A, B) of every block
-        self._probs: np.ndarray | None = None  # (N, classes, 2**N), by class
-        self._patterns: list | None = None  # float32 0/1 patterns of the cached tables
+        self._patterns: list | None = None  # float32 0/1 patterns of the tables
 
     # -- per-state quantities -------------------------------------------------
 
@@ -239,55 +232,24 @@ class TransitionKernel:
 
     # -- enumeration core -----------------------------------------------------
 
-    def _blocks(self, rows: int):
-        """Yield ``(src, dst, P)`` for every row, ``rows`` at a time.
-
-        ``src[k, o]`` and ``dst[k, x]`` are packed states, bit d of ``x``
-        being urn d's new draw, and ``P[d, k * 2**N + o]`` is urn d's
-        red-draw probability out of ``src[k, o]``.
-        """
-        for lo in range(0, len(self._kept), rows):
-            kept = self._kept[lo : lo + rows]
-            src = kept[:, None] + self._oldest[None, :]
-            dst = (kept >> 1)[:, None] + self._newest[None, :]
-            yield src, dst, self.draw_probabilities(src.ravel()).T
-
-    def _class_probabilities(self, keep: bool):
+    def _class_probabilities(self):
         """Yield ``(P, rows)`` for every block, ``P[d, c, o]`` being urn d's
         red-draw probability out of source o of the block's class c, whose
-        rows are ``rows[c]``.  A full pass with ``keep`` stores them, and
-        every later pass reads them."""
+        rows are ``rows[c]``; a class's first row stands for all of them."""
         N, fan = self.n_urns, len(self._oldest)
-        table = np.empty((N, self.memory**N, fan)) if keep else None
-        for lo, rows in self._groups:
-            hi = lo + len(rows)
-            if self._probs is not None:
-                P = self._probs[:, lo:hi]
-            else:  # a class's first row stands for all of its rows
-                src = self._kept[rows[:, 0]][:, None] + self._oldest[None, :]
-                P = self.draw_probabilities(src.ravel()).T.reshape(N, hi - lo, fan)
-            if keep:
-                table[:, lo:hi] = P
-            yield P, rows
-        if keep:
-            self._probs = table
+        for _, rows in self._groups:
+            src = self._kept[rows[:, 0]][:, None] + self._oldest[None, :]
+            yield self.draw_probabilities(src.ravel()).T.reshape(N, len(rows), fan), rows
 
-    def _tables(self):
-        """Every block's ``(src, dst, A, B)``, from the cache when the kernel
-        keeps one.  ``src[c, r, o]`` and ``dst[c, r, x]`` are the sources
-        and successors of row r of class c; ``A[c, o, xA]`` is the product
-        of the factors of urns 0..h-1 and ``B[c, xB, o]`` that of urns
+    def _tables(self) -> list:
+        """Every block's ``(src, dst, A, B)``, built on the first call and
+        kept.  ``src[c, r, o]`` and ``dst[c, r, x]`` are the sources and
+        successors of row r of class c; ``A[c, o, xA]`` is the product of
+        the factors of urns 0..h-1 and ``B[c, xB, o]`` that of urns
         h..N-1, or None when h = N."""
-        if self._cache is not None:
-            return self._cache
-        tables = (self.memory**self.n_urns << self.n_urns) * self._table_entries * 8
-        cache = tables <= KERNEL_CACHE_BYTES
-        blocks = (self._table_block(P, rows) for P, rows in
-                  self._class_probabilities(keep=not cache and self._probs is None))
-        if cache:
-            self._cache = list(blocks)
-            return self._cache
-        return blocks
+        if self._cache is None:
+            self._cache = [self._table_block(P, rows) for P, rows in self._class_probabilities()]
+        return self._cache
 
     def _table_block(self, P, rows):
         """``(src, dst, A, B)`` of the classes whose rows are ``rows``,
@@ -494,13 +456,13 @@ def _full_pattern(A, B):
     return (B.transpose(0, 2, 1)[..., None] * A[:, :, None]).reshape(len(A), A.shape[1], -1)
 
 
-def _patterns(kernel: TransitionKernel):
+def _patterns(kernel: TransitionKernel) -> list:
     """Every block's ``(src, dst, A, B)`` with the table entries replaced by
     their 0/1 pattern, 1.0 (float32) where positive: a transition is
-    positive where both of its factors are.  A kernel that keeps its
-    tables keeps the patterns beside them, as the full pattern
-    ``(src, dst, E, None)`` where those, 4*M**N*4**N bytes, fit
-    ``KERNEL_CACHE_BYTES``, else as the two half patterns."""
+    positive where both of its factors are.  The kernel keeps the patterns
+    beside its tables, as the full pattern ``(src, dst, E, None)`` where
+    those, 4*M**N*4**N bytes, fit ``KERNEL_CACHE_BYTES``, else as the two
+    half patterns."""
     if kernel._patterns is not None:
         return kernel._patterns
     fan = len(kernel._oldest)
@@ -513,11 +475,8 @@ def _patterns(kernel: TransitionKernel):
         B = (B > 0.0).astype(np.float32)
         return (src, dst, _full_pattern(A, B), None) if full else (src, dst, A, B)
 
-    blocks = (pattern(*block) for block in kernel._tables())
-    if kernel._cache is not None:
-        kernel._patterns = list(blocks)
-        return kernel._patterns
-    return blocks
+    kernel._patterns = [pattern(*block) for block in kernel._tables()]
+    return kernel._patterns
 
 
 def _push(kernel: TransitionKernel, front, backward: bool = False) -> np.ndarray:
@@ -607,11 +566,15 @@ def save_kernel_csv(kernel: TransitionKernel, path: str) -> None:
     nnz = kernel.n_states << kernel.n_urns
     if nnz > SPARSE_NNZ_CAP:
         raise CapExceededError(f"materializing {nnz} entries exceeds cap {SPARSE_NNZ_CAP}")
-    F = np.empty((kernel.n_states, len(kernel._newest)))  # F[a, x], the full blocks by source
+    fan = len(kernel._newest)
+    F = np.empty((kernel.n_states, fan))  # F[a, x], the full blocks by source
     to = np.empty(F.shape, dtype=np.int64)  # the successors of each a, rising with x
-    for src, dst, P in kernel._blocks(max(1, BLOCK_ENTRIES >> (2 * kernel.n_urns))):
-        F[src.ravel()] = _products(P).T
-        to[src] = dst[:, None]
+    for P, rows in kernel._class_probabilities():
+        kept = kernel._kept[rows][:, :, None]
+        src = kept + kernel._oldest  # src[c, r, o]
+        # the full table T[c, o, x] of each class, written to each of its rows
+        F[src] = _products(P.reshape(len(P), -1)).T.reshape(len(rows), 1, fan, fan)
+        to[src] = ((kept >> 1) + kernel._newest)[:, :, None]
     a, x = np.nonzero(F > 0.0)
     write_csv(path, ("from_state", "to_state", "probability"), "%d,%d,%.17g\n",
               chunked(a, to[a, x], F[a, x]))

@@ -93,11 +93,12 @@ def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
         if isinstance(self_weight, (bool, str, bytes)):
             raise TypeError(f"self_weight must be a number, got {self_weight!r}")
         self_weight = float(self_weight)
+        # the adjacency is built here, so it is normalized without a copy
         if kind == "complete":
-            return networks.row_normalize(networks.complete(nodes), self_weight)
+            return networks._normalize_in_place(networks.complete(nodes), self_weight)
         adj = networks.barabasi_albert(nodes, check_integer(spec.get("attach", 2), "attach"),
                                        check_integer(spec.get("seed", 0), "seed"))
-        return networks.row_normalize(adj, self_weight)
+        return networks._normalize_in_place(adj, self_weight)
     except KeyError as exc:
         raise ConfigError("network", f"missing entry {exc.args[0]!r} for kind {kind!r}") from None
     except (TypeError, ValueError, OverflowError, OSError) as exc:

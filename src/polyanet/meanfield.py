@@ -163,7 +163,7 @@ class SpectralRadiusEstimate(NamedTuple):
 
 
 def spectral_radius(
-    system: LinearSystem, rtol: float = 1e-9, max_iters: int = 2000, allow_dense: bool = True
+    system: LinearSystem, rtol: float = 1e-9, max_iters: int = 2000
 ) -> SpectralRadiusEstimate:
     """Dominant eigenvalue magnitude of the system's companion operator J.
 
@@ -194,7 +194,7 @@ def spectral_radius(
         if resid <= rtol * max(r, 1e-30):
             return SpectralRadiusEstimate(r, True)
         np.divide(y, r, out=x)
-    if allow_dense and N <= DENSE_LIMIT:
+    if N <= DENSE_LIMIT:
         # One M x M companion matrix per eigenvalue of A.
         companion = np.zeros((N, M, M), dtype=complex)
         companion[:, 0, :] = np.linalg.eigvals(A)[:, None]

@@ -82,22 +82,26 @@ def row_normalize(adjacency, self_weight: float = 0.0) -> np.ndarray:
 
     Adds ``self_weight`` to every diagonal entry, then divides each row
     by its total.  A row whose total is zero (isolated node without a
-    self loop) has no valid draw distribution and raises.
+    self loop) has no valid draw distribution and raises.  The argument
+    is left as it is: the result is one N x N copy.
     """
-    adj = np.asarray(adjacency, dtype=float)
+    return _normalize_in_place(np.array(adjacency, dtype=float), self_weight)
+
+
+def _normalize_in_place(adj: np.ndarray, self_weight: float) -> np.ndarray:
+    """:func:`row_normalize` of a float64 adjacency that it overwrites."""
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError("adjacency must be a square matrix")
     if np.any(adj < 0) or self_weight < 0:
         raise ValueError("weights must be nonnegative")
-    # one N x N copy, normalized in place; ``+ 0.0`` turns -0.0 into +0.0
-    work = adj + 0.0
-    work.flat[:: adj.shape[0] + 1] += self_weight
-    totals = work.sum(axis=1)
+    adj += 0.0  # turns -0.0 into +0.0
+    adj.flat[:: adj.shape[0] + 1] += self_weight
+    totals = adj.sum(axis=1)
     if np.any(totals == 0):
         bad = int(np.argmin(totals))
         raise ValueError(f"row {bad} has zero total weight; cannot normalize")
-    work /= totals[:, None]
-    return check_interaction_matrix(work)
+    adj /= totals[:, None]
+    return check_interaction_matrix(adj)
 
 
 def save_edge_list(adjacency, path: str) -> None:

@@ -149,9 +149,14 @@ def full_blocks(kernel):
     """Yield ``(src, dst, F)`` for every block of the kernel's rows,
     ``F[k, o, x]`` being the probability of moving from ``src[k, o]`` to
     ``dst[k, x]``: the product of the factors of all N urns, built from
-    the block's draw probabilities in blocks of about ``BLOCK_ENTRIES``."""
-    fan = 1 << kernel.n_urns
-    for src, dst, P in kernel._blocks(max(1, chain.BLOCK_ENTRIES >> (2 * kernel.n_urns))):
+    the draw probabilities of every source, row by row and not by count
+    class, in blocks of about ``BLOCK_ENTRIES``."""
+    fan, rows = 1 << kernel.n_urns, max(1, chain.BLOCK_ENTRIES >> (2 * kernel.n_urns))
+    for lo in range(0, len(kernel._kept), rows):
+        kept = kernel._kept[lo : lo + rows]
+        src = kept[:, None] + kernel._oldest[None, :]
+        dst = (kept >> 1)[:, None] + kernel._newest[None, :]
+        P = kernel.draw_probabilities(src.ravel()).T
         yield src, dst, chain._products(P).reshape(fan, len(src), fan).transpose(1, 2, 0)
 
 

@@ -314,7 +314,7 @@ class TestStructure:
         assert not info.ok and not bool(info)
 
     @pytest.mark.parametrize("levels", [None, 1 << 8])
-    def test_certificate_matches_csgraph(self, kernel_path, levels, monkeypatch):
+    def test_certificate_matches_csgraph(self, table_form, levels, monkeypatch):
         # 48 seeded kernels (N <= 5, N*M <= 9): each urn's rho is 0 or 1 with
         # probability 1/2 and one reinforcement is zero, so some chains have
         # absorbing windows.  In case 48, urn 0 listens only to urn 1, whose
@@ -422,21 +422,30 @@ def path_case(case):
     return _BRUTE[case]
 
 
-@pytest.fixture(params=["streamed", "cached"])
-def kernel_path(request, monkeypatch):
-    budget = 0 if request.param == "streamed" else 1 << 40
+@pytest.fixture(params=["half", "full"])
+def table_form(request, monkeypatch):
+    """The table budget that makes every kernel keep its class tables and
+    patterns as halves ("half") or, where it may (tables at M >= 3), whole
+    ("full")."""
+    budget = 0 if request.param == "half" else 1 << 40
     monkeypatch.setattr(chain, "KERNEL_CACHE_BYTES", budget)
     return request.param
 
 
+def assert_split(kern, table_form):
+    """The kernel's split point is the one that ``table_form`` chooses."""
+    N = kern.n_urns
+    assert kern._half == (N if table_form == "full" and kern.memory >= 3 else N // 2)
+
+
 class TestKernelPaths:
     """apply, the blocks (read through the to_sparse oracle) and successors
-    agree with transition_prob whether the factor blocks are streamed or
-    kept, and wherever blocks split."""
+    agree with transition_prob whether the class tables are kept whole or
+    as halves, and wherever blocks split."""
 
     @pytest.mark.parametrize("rows_per_block", [None, 3])
     @pytest.mark.parametrize("case", PATH_CASES)
-    def test_matches_brute_force(self, case, rows_per_block, kernel_path, monkeypatch):
+    def test_matches_brute_force(self, case, rows_per_block, table_form, monkeypatch):
         par, S, Q = path_case(case)
         if rows_per_block is not None:
             # Three rows per block: boundaries inside the space and a
@@ -444,11 +453,10 @@ class TestKernelPaths:
             monkeypatch.setattr(chain, "BLOCK_ENTRIES", rows_per_block << (2 * par.n_urns))
         kern = build_kernel(par, S)
         g = np.random.default_rng(case[2])
-        for _ in range(2):  # the second pass reads the cache when one is kept
+        for _ in range(2):  # the second pass reads the kept tables
             mu = g.dirichlet(np.ones(kern.n_states))
             assert np.max(np.abs(kern.apply(mu) - mu @ Q)) <= 1e-15
-        assert (kern._cache is not None) == (kernel_path == "cached")
-        assert (kern._probs is not None) == (kernel_path == "streamed")
+        assert_split(kern, table_form)
         sparse = to_sparse(kern)
         assert sparse.nnz == np.count_nonzero(Q)
         assert np.max(np.abs(sparse.toarray() - Q)) <= 1e-15
@@ -458,33 +466,11 @@ class TestKernelPaths:
             assert sorted(idx.tolist()) == np.flatnonzero(Q[state]).tolist()
             assert np.max(np.abs(vals - Q[state, idx])) <= 1e-15
 
-    def test_streamed_passes_compute_probabilities_once(self, monkeypatch):
-        # The first full pass keeps every source's draw probabilities;
-        # later passes read them and give a fresh kernel's bits.
-        monkeypatch.setattr(chain, "KERNEL_CACHE_BYTES", 0)
-        monkeypatch.setattr(chain, "BLOCK_ENTRIES", 3 << 4)
-        par, S, _ = path_case((2, 3, 15))
-        kern = build_kernel(par, S)
-        sources = []
-        compute = kern.draw_probabilities
-        monkeypatch.setattr(
-            kern, "draw_probabilities", lambda st: sources.append(len(st)) or compute(st)
-        )
-        mu = point_mass(kern, 0)
-        for _ in range(4):
-            nxt = kern.apply(mu)
-            assert np.array_equal(nxt, build_kernel(par, S).apply(mu))
-            mu = nxt
-        # one representative row per count class: M**N classes of 2**N sources
-        classes = par.memory ** par.n_urns
-        assert sum(sources) == classes << par.n_urns
-        assert kern._probs.shape == (par.n_urns, classes, 1 << par.n_urns)
-
     def test_pinned_case_has_exact_zeros(self):
         par, S, Q = path_case(PATH_CASES[-1])
         assert np.count_nonzero(Q) < Q.shape[0] << par.n_urns
 
-    def test_repeated_apply_is_deterministic(self, kernel_path):
+    def test_repeated_apply_is_deterministic(self, table_form):
         par, S, _ = path_case((2, 3, 15))
         kern = build_kernel(par, S)
         mu = point_mass(kern, 0)
@@ -504,7 +490,7 @@ class TestKernelPaths:
             "9af3015f4554bf5d2bf786f2944a818320471d5d8d18979ae4793ce0096c8e08"
         )
 
-    def test_kernel_csv_bytes_on_every_path(self, tmp_path, kernel_path, monkeypatch):
+    def test_kernel_csv_bytes_on_every_path(self, tmp_path, table_form, monkeypatch):
         # The digest pinned above, with the rows split over blocks of three
         monkeypatch.setattr(chain, "BLOCK_ENTRIES", 3 << 6)
         par = NetworkParams(
@@ -553,27 +539,27 @@ def assert_block_classes(kern, classes):
 
 class TestHalfTables:
     """apply, which contracts the class tables of each block (two half
-    tables when streamed, one full table at M = 3 when cached), matches
-    the full-block oracle to 1e-15 on both cache paths, at odd N and
+    tables, or one full table at M = 3 when the budget allows), matches
+    the full-block oracle to 1e-15 in both table forms, at odd N and
     h = 0, and with blocks of one class, three classes (a partial last
     block where a group has more than three) and the default."""
 
     @pytest.mark.parametrize("rows", [1, 3, None])
     @pytest.mark.parametrize("n_urns, memory", HALF_CASES)
-    def test_matches_full_blocks(self, n_urns, memory, rows, kernel_path, monkeypatch):
+    def test_matches_full_blocks(self, n_urns, memory, rows, table_form, monkeypatch):
         if rows is not None:
             monkeypatch.setattr(chain, "BLOCK_ENTRIES", class_block_entries(n_urns, memory, rows))
         g = np.random.default_rng(100 * n_urns + memory)
         kern = build_kernel(random_params(g, n_urns, memory), random_interaction(g, n_urns))
         if rows is not None:
             assert_block_classes(kern, rows)
-        for _ in range(2):  # the second pass reads the cache when one is kept
+        for _ in range(2):  # the second pass reads the kept tables
             mu = g.dirichlet(np.ones(kern.n_states))
             assert np.max(np.abs(kern.apply(mu) - apply_by_full_blocks(kern, mu))) <= 1e-15
-        assert (kern._cache is not None) == (kernel_path == "cached")
+        assert_split(kern, table_form)
 
     @pytest.mark.parametrize("rows", [1, 3, None])
-    def test_benchmark_network_steps(self, rows, kernel_path, monkeypatch):
+    def test_benchmark_network_steps(self, rows, table_form, monkeypatch):
         # The exact benchmark's preferential-attachment chain: N = 8, M = 2,
         # fan-out 256, stepped four times from the all-black state.
         if rows is not None:
@@ -585,7 +571,7 @@ class TestHalfTables:
         for _ in range(4):
             mu, want = kern.apply(mu), apply_by_full_blocks(kern, want)
             assert np.max(np.abs(mu - want)) <= 1e-15
-        assert (kern._cache is not None) == (kernel_path == "cached")
+        assert_split(kern, table_form)
 
 
 CLASS_SHAPES = [(n, m) for m in range(1, 6) for n in range(1, 9) if n * (m + 1) <= 16]
@@ -612,25 +598,22 @@ def class_kernels(draw):
 
 class TestCountClasses:
     """Rows whose kept windows hold the same red counts share one class
-    table; apply through them matches the full-block oracle on both cache
-    tiers and at both split points."""
+    table; apply through them matches the full-block oracle at both split
+    points."""
 
-    @given(class_kernels(), st.booleans(), st.booleans())
+    @given(class_kernels(), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_apply_matches_full_blocks(self, case, full, cached):
+    def test_apply_matches_full_blocks(self, case, full):
         par, S, seed = case
-        # the split point is fixed when the kernel is built, the tier at its first apply
+        # the split point is fixed when the kernel is built
         with mock.patch.object(chain, "KERNEL_CACHE_BYTES", (1 << 40) if full else 0):
             kern = build_kernel(par, S)
         N = par.n_urns
         assert kern._half == (N if full and par.memory >= 3 else N // 2)
         g = np.random.default_rng(seed)
-        with mock.patch.object(chain, "KERNEL_CACHE_BYTES", (1 << 40) if cached else 0):
-            for _ in range(2):  # the second pass reads what the first kept
-                mu = g.dirichlet(np.ones(kern.n_states))
-                assert np.max(np.abs(kern.apply(mu) - apply_by_full_blocks(kern, mu))) <= 1e-15
-        assert (kern._cache is not None) == cached
-        assert (kern._probs is not None) == (not cached)
+        for _ in range(2):  # the second pass reads what the first kept
+            mu = g.dirichlet(np.ones(kern.n_states))
+            assert np.max(np.abs(kern.apply(mu) - apply_by_full_blocks(kern, mu))) <= 1e-15
 
     @pytest.mark.parametrize("n_urns, memory", CLASS_SHAPES)
     def test_classes_partition_rows_by_counts(self, n_urns, memory):
@@ -660,24 +643,33 @@ class TestCountClasses:
         assert (ba._half, ba._table_entries) == (4, 32)
 
     @pytest.mark.parametrize("n_urns, memory", [(4, 4), (8, 2), (2, 5), (3, 1), (1, 3)])
-    def test_kernel_bytes_is_what_is_kept(self, n_urns, memory, kernel_path):
+    def test_kernel_bytes_is_what_is_kept(self, n_urns, memory, table_form):
         g = np.random.default_rng(n_urns * memory)
         kern = build_kernel(random_params(g, n_urns, memory), random_interaction(g, n_urns))
         kern.apply(point_mass(kern, 0))
-        if kernel_path == "cached":
-            kept = sum(a.nbytes for block in kern._cache for a in block if a is not None)
-        else:
-            kept = kern._probs.nbytes
+        kept = sum(a.nbytes for block in kern._cache for a in block if a is not None)
         assert kept == chain.kernel_bytes(n_urns, memory)
+
+    def test_default_cap_tables_fit_the_budget(self):
+        # every kernel that the default cap admits keeps tables within the
+        # budget, which is what lets every kernel keep its tables
+        cap = chain.DEFAULT_CAP_BITS
+        admitted = [(n, m) for n in range(1, cap) for m in range(1, cap) if n * (m + 1) <= cap]
+        assert {(6, 3), (8, 2), (1, 23), (12, 1)} <= set(admitted)
+        tables = {(n, m): chain.kernel_bytes(n, m) - (16 << (n * m)) for n, m in admitted}
+        assert max(tables.values()) <= chain.KERNEL_CACHE_BYTES
+        # the largest: N = 6, M = 3's 3**6 full tables of 64 x 64 entries
+        assert max(tables, key=tables.get) == (6, 3)
+        assert tables[6, 3] == 8 * 3**6 * 64 * 64
 
 
 class TestPush:
     """The searches' one-step images, read from the positive entries of
     the class tables, are those of the full blocks' F > 0, forward and
-    backward, on both cache paths and wherever blocks split."""
+    backward, in both table forms and wherever blocks split."""
 
     @pytest.mark.parametrize("rows", [3, None])
-    def test_images_match_full_blocks(self, rows, kernel_path, monkeypatch):
+    def test_images_match_full_blocks(self, rows, table_form, monkeypatch):
         cases = [structure_case(seed) for seed in range(48)]
         cases += [path_case(case)[:2] for case in PATH_CASES]
         g = np.random.default_rng(48)
@@ -692,21 +684,20 @@ class TestPush:
             front[g.integers(kern.n_states), 2] = True
             assert np.array_equal(chain._push(kern, front), edge.T @ front > 0), (par, S)
             assert np.array_equal(chain._push(kern, front, True), edge @ front > 0), (par, S)
-            assert (kern._cache is not None) == (kernel_path == "cached")
             if rows is not None:
                 assert_block_classes(kern, rows)
 
     @pytest.mark.parametrize("patterns", ["full", "half"])
-    def test_one_search_images_match_full_blocks(self, patterns, kernel_path, monkeypatch):
-        # where a kernel has only its half patterns at hand, streamed or too
-        # large to keep in full, one search goes through them in turn
+    def test_one_search_images_match_full_blocks(self, patterns, table_form, monkeypatch):
+        # where a kernel has only its half patterns at hand, its full ones
+        # being too large to keep, one search goes through them in turn
         g = np.random.default_rng(49)
         budget = chain.KERNEL_CACHE_BYTES
         for par, S in [structure_case(seed) for seed in range(48)]:
             monkeypatch.setattr(chain, "KERNEL_CACHE_BYTES", budget)
             kern = build_kernel(par, S)
             edge = (to_sparse(kern).toarray() > 0.0).astype(np.int64)
-            if patterns == "half":  # tables kept or streamed as before, full patterns not kept
+            if patterns == "half":  # tables kept as built, full patterns not kept
                 kern.apply(point_mass(kern, 0))
                 monkeypatch.setattr(chain, "KERNEL_CACHE_BYTES", 0)
             for density in (0.5, 0.0):
@@ -715,14 +706,14 @@ class TestPush:
                 assert np.array_equal(chain._push(kern, front), edge.T @ front > 0), (par, S)
                 assert np.array_equal(chain._push(kern, front, True), edge @ front > 0), (par, S)
 
-    def test_patterns_are_formed_once_per_kernel(self, kernel_path):
-        # kept beside the cached tables, rebuilt per push from streamed ones
+    def test_patterns_are_formed_once_per_kernel(self, table_form):
+        # kept beside the tables, whole or as halves
         kern = build_kernel(*structure_case(3))
         for searches in (1, 2):
             front = np.ones((kern.n_states, searches), dtype=bool)
             hit = chain._push(kern, front)
             kept = kern._patterns
-            assert (kept is not None) == (kernel_path == "cached")
+            assert kept is not None
             assert np.array_equal(chain._push(kern, front), hit)
             assert kern._patterns is kept
 

@@ -7,6 +7,7 @@ import os
 import pathlib
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from polyanet.experiment import (
     resolve_network,
     run,
 )
-from polyanet.networks import ring, save_matrix
+from polyanet.networks import barabasi_albert, complete, ring, row_normalize, save_matrix
 
 
 def base_config(tmp_path, **overrides):
@@ -160,6 +161,20 @@ class TestNetworkResolution:
     def test_barabasi_albert_deterministic(self):
         spec = {"kind": "barabasi-albert", "nodes": 12, "attach": 2, "seed": 4}
         assert np.array_equal(resolve_network(spec), resolve_network(spec))
+
+    @pytest.mark.parametrize("kind", ["barabasi-albert", "complete"])
+    def test_built_network_is_normalized_in_place(self, kind):
+        # the freshly built adjacency becomes S: no second N x N array
+        spec = {"kind": kind, "nodes": 1000, "attach": 2, "seed": 3, "self_weight": 0.5}
+        tracemalloc.start()
+        try:
+            S = resolve_network(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * S.nbytes
+        adj = barabasi_albert(1000, 2, 3) if kind == "barabasi-albert" else complete(1000)
+        assert np.array_equal(S, row_normalize(adj, 0.5))
 
     def test_matrix_literal(self):
         S = resolve_network({"kind": "matrix", "values": [[1.0]]})

@@ -306,14 +306,15 @@ class TestSpectralRadius:
 
     @pytest.mark.parametrize("delta_r", [(0.0, 0.3), (2.0, 4.0)])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_unconverged_bound_is_row_sum_norm(self, m, delta_r):
+    def test_unconverged_bound_is_row_sum_norm(self, m, delta_r, monkeypatch):
         # Weak red reinforcement leaves the shift rows (sum 1) the
         # largest; strong reinforcement makes the coefficient rows so.
         g = np.random.default_rng(900 + m)
         par = NetworkParams(m, g.uniform(0.05, 0.95, 6), g.uniform(*delta_r, 6),
                             g.uniform(0.0, 0.1, 6))
         sys = build_linear_system(par, row_normalize(ring(6)))
-        est = spectral_radius(sys, max_iters=0, allow_dense=False)
+        monkeypatch.setattr(meanfield, "DENSE_LIMIT", 0)
+        est = spectral_radius(sys, max_iters=0)
         assert not est.converged
         J = dense_companion(sys).J
         assert est.value == pytest.approx(np.max(np.abs(J).sum(axis=1)), abs=1e-15)

@@ -3,6 +3,7 @@ allocate and check every step (conftest), and the once-per-run
 probability check that replaced the per-step one."""
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,11 +68,14 @@ class TestAgainstStepLoops:
         g = np.random.default_rng(seed)
         A = scale * (g.standard_normal((n, n)) if signed else g.random((n, n)))
         system = LinearSystem(A=A, c=np.zeros(n), n_urns=n, memory=m)
-        for kwargs in ({}, {"max_iters": 7}, {"max_iters": 7, "allow_dense": False}):
+        for kwargs in ({}, {"max_iters": 7}):
             assert spectral_radius(system, **kwargs) == spectral_radius_by_steps(system, **kwargs)
+        with mock.patch.object(meanfield, "DENSE_LIMIT", 0):  # no dense fallback
+            got = spectral_radius(system, max_iters=7)
+        assert got == spectral_radius_by_steps(system, max_iters=7, allow_dense=False)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_spectral_radius_zero_and_stalled(self, m):
+    def test_spectral_radius_zero_and_stalled(self, m, monkeypatch):
         zero = LinearSystem(A=np.zeros((3, 3)), c=np.zeros(3), n_urns=3, memory=m)
         assert spectral_radius(zero) == spectral_radius_by_steps(zero) == (0.0, True)
         # at memory 1 a ring's equal-modulus eigenvalues stall the power
@@ -79,7 +83,9 @@ class TestAgainstStepLoops:
         # bound without it
         cycle = LinearSystem(A=ring(6), c=np.zeros(6), n_urns=6, memory=m)
         for allow_dense in (True, False):
-            got = spectral_radius(cycle, allow_dense=allow_dense)
+            if not allow_dense:
+                monkeypatch.setattr(meanfield, "DENSE_LIMIT", 0)
+            got = spectral_radius(cycle)
             assert got == spectral_radius_by_steps(cycle, allow_dense=allow_dense)
             if m == 1:
                 assert got.converged is allow_dense
