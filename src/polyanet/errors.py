@@ -18,10 +18,8 @@ class ConvergenceError(RuntimeError):
 
 
 class UnstableSystemError(RuntimeError):
-    """Linear system with spectral radius >= 1; no attracting equilibrium."""
+    """Linear system with spectral radius >= 1, or whose trajectory overflows (radius None)."""
 
-    def __init__(self, radius: float):
-        super().__init__(
-            f"spectral radius {radius:.6g} >= 1; equilibrium not computed"
-        )
+    def __init__(self, radius: float | None, message: str | None = None):
+        super().__init__(message or f"spectral radius {radius:.6g} >= 1; equilibrium not computed")
         self.radius = radius

@@ -2,9 +2,11 @@
 
 A JSON config fully determines a run: network source, urn counts,
 modes, horizon, replicate count and master seed.  Identical configs
-produce byte-identical CSV artifacts.  Curve CSVs share the column
-layout (time, urn-or-"avg", value, ...) so any two of them can be
-compared on their network-average rows.
+produce byte-identical CSV artifacts.  A mode is one :data:`ROUTES`
+entry, its memory cost and its runner; :func:`run` admits the sum of
+the requested modes' costs, then runs them in the order given.  Curve
+CSVs share the column layout (time, urn-or-"avg", value, ...) so any
+two of them can be compared on their network-average rows.
 """
 
 from __future__ import annotations
@@ -23,13 +25,6 @@ from .errors import CapExceededError, ConfigError, UnstableSystemError
 from .params import NetworkParams, RawConfig, check_interaction_matrix, normalize
 
 SCHEMA_VERSION = 1
-MODES = (
-    "exact",
-    "montecarlo",
-    "meanfield-nonlinear",
-    "meanfield-linear",
-    "equilibrium",
-)
 NETWORK_KINDS = (
     "barabasi-albert",
     "ring",
@@ -129,9 +124,10 @@ def _check_setting(name: str, value):
     if name == "modes":
         if not isinstance(value, list) or not value:
             raise ConfigError("modes", "must be a nonempty list")
+        options = tuple(ROUTES)  # a tuple compares a list or dict entry instead of hashing it
         for k, m in enumerate(value):
-            if m not in MODES or m in value[:k]:
-                raise ConfigError("modes", f"unknown or repeated mode {m!r}; options: {MODES}")
+            if m not in options or m in value[:k]:
+                raise ConfigError("modes", f"unknown or repeated mode {m!r}; options: {options}")
         return list(value)
     if name == "out_prefix":
         if not isinstance(value, str) or not value or "\0" in value:
@@ -198,22 +194,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exact_trajectory(
-    cfg: ExperimentConfig, params: NetworkParams
-) -> meanfield.InfectionTrajectory:
-    kernel = chain.build_kernel(params, cfg.raw.interaction, cap_bits=cfg.exact_cap_bits)
-    mu = chain.point_mass(kernel, 0)
-    M = params.memory
-    per = np.zeros((cfg.t_max, params.n_urns))
-    for t in range(cfg.t_max):
-        mu = kernel.apply(mu)
-        per[t] = chain.lag_marginals(mu, M - 1, M)
-    times = np.arange(1, cfg.t_max + 1)
-    return meanfield.InfectionTrajectory(
-        times=times, per_urn=per, network_avg=per.mean(axis=1), system="exact"
-    )
-
-
 def _admit_bytes(need: int, what: str) -> None:
     """Raise :class:`CapExceededError` when ``need`` bytes exceed physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -222,80 +202,106 @@ def _admit_bytes(need: int, what: str) -> None:
                                f"the machine has {have} bytes of physical memory")
 
 
-def _admit_memory(cfg: ExperimentConfig) -> None:
-    """Raise :class:`CapExceededError` unless the modes' arrays fit in physical
-    memory: the Monte Carlo int8 draw record, each (t_max, N) float64 curve
-    (two for the nonlinear mean field, which keeps its unclamped rows for
-    the check), the exact chain's two 8 * 2**(N*M)-byte distributions and
-    what its kernel keeps (:func:`chain.kernel_bytes`), and the mean
-    field's (M + 1, N) table and (M, N) history."""
-    n, t_max, memory = cfg.raw.n_urns, cfg.t_max, cfg.raw.memory
-    curve, table = 8 * t_max * n, 8 * (memory + 1) * n
+# -- routes: one entry per mode ------------------------------------------------
+
+
+def _bytes(cfg: ExperimentConfig, curves: int = 0, tables: int = 0, squares: int = 0) -> int:
+    """float64 (t_max, N) curves, (M + 1, N) tables and N x N matrices."""
+    n = cfg.raw.n_urns
+    return 8 * n * (curves * cfg.t_max + tables * (cfg.raw.memory + 1) + squares * n)
+
+
+def _exact_cost(cfg: ExperimentConfig) -> int:
+    """The work cap first; then a step's two distributions, the kernel and the curve."""
+    n, memory = cfg.raw.n_urns, cfg.raw.memory
+    chain.check_admission(n, memory, cfg.exact_cap_bits)
     # 2**(N*M) is clipped where 16 * 2**64 bytes already exceeds any machine
-    states = 1 << min(n * memory, 64)
     kernel = chain.kernel_bytes(n, memory) if n * memory <= 64 else 0
-    mean_field = curve + 2 * table
-    cost = {"montecarlo": t_max * cfg.replicates * n + curve,
-            "exact": 16 * states + kernel + curve,
-            "meanfield-nonlinear": mean_field + curve, "meanfield-linear": mean_field,
-            "equilibrium": table}
-    _admit_bytes(sum(cost[mode] for mode in cfg.modes), "the run's arrays")
+    return (16 << min(n * memory, 64)) + kernel + _bytes(cfg, curves=1)
+
+
+def _exact_trajectory(cfg: ExperimentConfig, params: NetworkParams, path: str):
+    kernel = chain.build_kernel(params, cfg.raw.interaction, cap_bits=cfg.exact_cap_bits)
+    mu, M = chain.point_mass(kernel, 0), params.memory
+    per = np.zeros((cfg.t_max, params.n_urns))
+    for t in range(cfg.t_max):
+        mu = kernel.apply(mu)
+        per[t] = chain.lag_marginals(mu, M - 1, M)
+    del kernel, mu  # not held while the CSV is written
+    traj = meanfield.InfectionTrajectory(np.arange(cfg.t_max) + 1, per, per.mean(axis=1), "exact")
+    return _written(meanfield.save_trajectory_csv, traj, path)
+
+
+def _written(save, curve, path: str):
+    save(curve, path)
+    return curve.network_avg, {}
+
+
+def _montecarlo(cfg: ExperimentConfig, params: NetworkParams, path: str):
+    mc = montecarlo.average_replicates(cfg.raw, cfg.t_max, cfg.replicates, cfg.master_seed)
+    return _written(montecarlo.save_summary_csv, mc, path)
+
+
+def _meanfield(kind: str):
+    return lambda cfg, params, path: _written(meanfield.save_trajectory_csv, meanfield.iterate(
+        kind, params, cfg.raw.interaction, cfg.t_max), path)
+
+
+def _equilibrium(cfg: ExperimentConfig, params: NetworkParams, path: str):
+    system = meanfield.build_linear_system(params, cfg.raw.interaction)
+    try:
+        eq = meanfield.equilibrium(system)
+    except UnstableSystemError as exc:  # declined; the CLI exits 3
+        write_csv(path, ("urn", "value"), "spectral_radius,%.17g\n", [([exc.radius],)])
+        return None, dict(spectral_radius=exc.radius, equilibrium=None, equilibrium_declined=True)
+    meanfield.save_equilibrium_csv(eq, path)
+    return None, dict(spectral_radius=eq.spectral_radius, equilibrium=eq.per_urn.tolist(),
+                      equilibrium_declined=False)
+
+
+# A mode's ``cost(cfg)`` is the bytes of its arrays at their peak, and its
+# ``run(cfg, params, path)`` writes its CSV and returns its network-average
+# curve (or None) and its summary entries; runners reach library functions
+# through their modules when they run.  Monte Carlo holds its int8 draws,
+# the replicate sum and three (t_max, N) temporaries of a replicate's
+# running average; the nonlinear mean field its clipped and raw rows; the
+# linear one the N x N matrix A too; the equilibrium A, I - M*A and the
+# solve's LU copy of it.
+ROUTES = {
+    "exact": (_exact_cost, _exact_trajectory),
+    "montecarlo": (lambda cfg: cfg.t_max * cfg.replicates * cfg.raw.n_urns + _bytes(cfg, curves=4),
+                   _montecarlo),
+    "meanfield-nonlinear": (lambda cfg: _bytes(cfg, curves=2, tables=2), _meanfield("nonlinear")),
+    "meanfield-linear": (lambda cfg: _bytes(cfg, curves=1, tables=2, squares=1),
+                         _meanfield("linear")),
+    "equilibrium": (lambda cfg: _bytes(cfg, tables=2, squares=3), _equilibrium),
+}
 
 
 def run(cfg: ExperimentConfig) -> dict:
-    """Execute every requested mode; returns the summary dictionary.
+    """Execute every requested mode through its :data:`ROUTES` entry;
+    returns the summary dictionary.
 
     Artifacts land at ``{out_prefix}_{mode}.csv`` plus
     ``{out_prefix}_summary.json``.  The summary carries the config echo,
     per-mode artifact paths, the equilibrium report when requested, and
     the pairwise :func:`curve_gap` sup distance between the produced
     network-average curves.  A run over the exact-chain work cap, or
-    whose arrays exceed physical memory, raises before any mode runs.
+    whose modes' costs sum past physical memory, raises before any mode runs.
     """
     artifacts: dict[str, str] = {}
     curves: dict[str, np.ndarray] = {}
-    summary: dict = {
-        "config": config_to_dict(cfg),
-        "artifacts": artifacts,
-        "spectral_radius": None,
-        "equilibrium": None,
-        "equilibrium_declined": False,
-        "comparisons": {},
-    }
+    summary: dict = {"config": config_to_dict(cfg), "artifacts": artifacts,
+                     "spectral_radius": None, "equilibrium": None,
+                     "equilibrium_declined": False, "comparisons": {}}
     params = normalize(cfg.raw)
-    if "exact" in cfg.modes:
-        chain.check_admission(cfg.raw.n_urns, cfg.raw.memory, cfg.exact_cap_bits)
-    _admit_memory(cfg)
-    S = cfg.raw.interaction
+    _admit_bytes(sum(ROUTES[mode][0](cfg) for mode in cfg.modes), "the run's arrays")
     for mode in cfg.modes:
-        path = f"{cfg.out_prefix}_{mode}.csv"
-        if mode == "montecarlo":
-            summary_mc = montecarlo.average_replicates(
-                cfg.raw, cfg.t_max, cfg.replicates, cfg.master_seed
-            )
-            montecarlo.save_summary_csv(summary_mc, path)
-            curves[mode] = summary_mc.network_avg
-        elif mode == "exact":
-            traj = _exact_trajectory(cfg, params)
-            meanfield.save_trajectory_csv(traj, path)
-            curves[mode] = traj.network_avg
-        elif mode in ("meanfield-nonlinear", "meanfield-linear"):
-            traj = meanfield.iterate(mode.split("-", 1)[1], params, S, cfg.t_max)
-            meanfield.save_trajectory_csv(traj, path)
-            curves[mode] = traj.network_avg
-        elif mode == "equilibrium":
-            system = meanfield.build_linear_system(params, S)
-            try:
-                eq = meanfield.equilibrium(system)
-            except UnstableSystemError as exc:
-                summary["spectral_radius"] = exc.radius
-                summary["equilibrium_declined"] = True
-                write_csv(path, ("urn", "value"), "spectral_radius,%.17g\n", [([exc.radius],)])
-            else:
-                meanfield.save_equilibrium_csv(eq, path)
-                summary["spectral_radius"] = eq.spectral_radius
-                summary["equilibrium"] = [float(v) for v in eq.per_urn]
-        artifacts[mode] = path
+        artifacts[mode] = f"{cfg.out_prefix}_{mode}.csv"
+        curve, entries = ROUTES[mode][1](cfg, params, artifacts[mode])
+        summary.update(entries)
+        if curve is not None:
+            curves[mode] = curve
     for a, b in itertools.combinations(sorted(curves), 2):
         summary["comparisons"][f"{a}|{b}"] = curve_gap(curves[a], curves[b]).linf
     summary_path = f"{cfg.out_prefix}_summary.json"
@@ -410,13 +416,8 @@ def figure_setup(which: str, seed: int = FIGURE_SEED) -> dict:
         red = np.full(nodes, 12)
         add_red = np.full(nodes, 11)
         add_black = np.full(nodes, 11)
-    network = {
-        "kind": "barabasi-albert",
-        "nodes": nodes,
-        "attach": 2,
-        "seed": seed,
-        "self_weight": 1.0,
-    }
+    network = {"kind": "barabasi-albert", "nodes": nodes, "attach": 2, "seed": seed,
+               "self_weight": 1.0}
     return {
         "network": network,
         "initial_red": red.tolist(),
@@ -426,14 +427,8 @@ def figure_setup(which: str, seed: int = FIGURE_SEED) -> dict:
     }
 
 
-def figure_configs(
-    which: str,
-    out_prefix: str,
-    seed: int = FIGURE_SEED,
-    t_max: int = 1000,
-    replicates: int = 100,
-    threads: int = 1,
-) -> list[ExperimentConfig]:
+def figure_configs(which: str, out_prefix: str, seed: int = FIGURE_SEED, t_max: int = 1000,
+                   replicates: int = 100, threads: int = 1) -> list[ExperimentConfig]:
     """One config per memory value M = 1, 2, 3 for a figure family."""
     base = figure_setup(which, seed)
     out_prefix = _check_setting("out_prefix", out_prefix)  # each memory's prefix extends it

@@ -267,7 +267,9 @@ def iterate(
     (all zeros by default, the convention used throughout: nobody is
     infected before the process starts); the recursion produces
     P(M), P(M+1), ...  Linear trajectories are reported unclamped: once
-    the approximation degrades they may legitimately leave [0, 1].
+    the approximation degrades they may legitimately leave [0, 1].  One
+    that leaves the floats raises :class:`UnstableSystemError` naming
+    the first time whose network average (so also whose row) is not finite.
     """
     if kind not in ("nonlinear", "linear"):
         raise ValueError(f"kind must be 'nonlinear' or 'linear', got {kind!r}")
@@ -283,6 +285,7 @@ def iterate(
     # time M-1-l), and each step reads the last M rows newest first.
     vals = np.zeros((max(t_max + 1, M), N))
     vals[:M] = hist[::-1]
+    per = vals[1 : t_max + 1]
     if kind == "nonlinear":
         # Each step writes its raw row, clips it into vals for the next
         # steps, and the raw rows are checked once at the end.
@@ -293,20 +296,24 @@ def iterate(
             row = vals[t]
             np.minimum(np.maximum(step(vals[t - M : t], raw[t]), zero, out=row), one, out=row)
         clamp_probability(raw[M : t_max + 1], what="infection probabilities")
+        avg = per.mean(axis=1)
     else:
         system = build_linear_system(params, S)
         A, c, lag_sum = system.A, system.c, np.empty(N)
-        for t in range(M, t_max + 1):
-            row = vals[t]
-            A.dot(_sum_lags(vals[t - M : t], lag_sum), row)
-            row += c
-    per = vals[1 : t_max + 1]
-    times = np.arange(1, t_max + 1)
+        # An unstable system overflows once run long enough; its values are
+        # nonnegative, so checking the averages once also checks every row.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(M, t_max + 1):
+                row = vals[t]
+                A.dot(_sum_lags(vals[t - M : t], lag_sum), row)
+                row += c
+            avg = per.mean(axis=1)
+        finite = np.isfinite(avg)
+        if not finite.all():
+            raise UnstableSystemError(None, f"the linear system is unstable: its curve is "
+                                            f"not finite from t = {int(finite.argmin()) + 1} on")
     return InfectionTrajectory(
-        times=times,
-        per_urn=per,
-        network_avg=per.mean(axis=1),
-        system=f"meanfield-{kind}",
+        times=np.arange(1, t_max + 1), per_urn=per, network_avg=avg, system=f"meanfield-{kind}"
     )
 
 

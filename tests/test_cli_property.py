@@ -18,7 +18,7 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polyanet import cli
+from polyanet import cli, experiment
 
 SMALL_INT = st.integers(-2, 6)
 THREADS = st.integers(0, 3)
@@ -30,7 +30,6 @@ JUNK = st.recursive(
     max_leaves=5,
 )
 KINDS = ["ring", "complete", "identity", "barabasi-albert", "matrix"]
-MODES = ["exact", "montecarlo", "meanfield-nonlinear", "meanfield-linear", "equilibrium"]
 
 
 @st.composite
@@ -58,7 +57,8 @@ def configs(draw, prefix):
         "initial_total": total,
         "reinforce_red": draw(counts),
         "reinforce_black": draw(counts),
-        "modes": draw(st.lists(st.sampled_from(MODES), min_size=1, max_size=3, unique=True)),
+        "modes": draw(st.lists(st.sampled_from(list(experiment.ROUTES)), min_size=1, max_size=3,
+                               unique=True)),
         "t_max": draw(st.integers(1, 5)),
         "replicates": draw(st.integers(1, 3)),
         "master_seed": draw(SMALL_INT),

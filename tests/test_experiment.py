@@ -1,5 +1,6 @@
 """Experiment configs, run driver, curve comparison and the CLI."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyanet import chain, cli
+from polyanet import chain, cli, experiment, meanfield
+from polyanet.csvio import write_curve_csv
 from polyanet.errors import CapExceededError, ConfigError
 from polyanet.experiment import (
     FIGURE_SEED,
@@ -452,6 +454,22 @@ class TestCli:
         assert code == 3
         assert "declined" in capsys.readouterr().out
 
+    def test_overflowing_linear_curve_exits_3(self, tmp_path, capsys):
+        # The one-urn system above (radius 1.59) leaves the floats before
+        # t = 2000: a numerical failure naming the time, before any CSV,
+        # with no warning on the way.
+        path = self.write_config(
+            tmp_path, network={"kind": "identity", "nodes": 1}, memory=2, initial_red=[1],
+            initial_total=[100], reinforce_red=[9900], reinforce_black=[0], t_max=2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["meanfield", "--config", path, "--system", "linear"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the linear system is unstable")
+        assert "its curve is not finite from t = 1532 on" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     UNSTABLE = {"memory": 3, "reinforce_red": [40, 40], "reinforce_black": [0, 0]}
     SUMMARY = "summary: {p}_summary.json"
     NONLINEAR = "meanfield-nonlinear: {p}_meanfield-nonlinear.csv"
@@ -855,6 +873,46 @@ class TestMemoryAdmission:
         assert list(tmp_path.iterdir()) == [path]
         assert chain.kernel_bytes(2, 4) >= 16 << 8  # every state's source and successor
 
+    def test_equilibrium_counts_its_matrices(self, tmp_path, capsys, monkeypatch):
+        # Physical memory just above the (M + 1, N) table, but below the
+        # N x N matrices the solve holds: refused before A is built.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path, modes=["equilibrium"])))
+        sysconf = os.sysconf
+        have = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * 2 * 2 + 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: have.get(name) or sysconf(name))
+        monkeypatch.setattr(meanfield, "build_linear_system", lambda *a: pytest.fail("A built"))
+        assert cli.main(["equilibrium", "--config", str(path)]) == 4
+        assert "the run's arrays need at least" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    # Each route on a config that costs at least 16 MiB: the traced peak
+    # of the run stays within its cost plus 2 MiB for the CSV writer's
+    # chunks (the exact chain's block workspace fits there too).  The
+    # equilibrium's cost also counts the LU copy the solve makes, which
+    # tracemalloc does not see.
+    @pytest.mark.parametrize("mode, overrides", [
+        ("exact", {"network": {"kind": "ring", "nodes": 6}, "memory": 3, "t_max": 3}),
+        ("montecarlo", {"network": {"kind": "ring", "nodes": 100}, "t_max": 5000,
+                        "replicates": 8}),
+        ("meanfield-nonlinear", {"network": {"kind": "ring", "nodes": 100}, "t_max": 10500}),
+        ("meanfield-linear", {"network": {"kind": "ring", "nodes": 1500}, "t_max": 10}),
+        ("equilibrium", {"network": {"kind": "complete", "nodes": 1000}}),
+    ])
+    def test_route_peak_within_its_cost(self, tmp_path, mode, overrides):
+        urns = {"memory": 2, "initial_red": 12, "initial_total": 25, "reinforce_red": 11,
+                "reinforce_black": 11}
+        cfg = config_from_dict(base_config(tmp_path, **{**urns, **overrides}, modes=[mode]))
+        cost = experiment.ROUTES[mode][0](cfg)
+        assert cost >= 16 << 20
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cost + (2 << 20)
+
     # 10**9 urns need 1.6e19 bytes of N x N arrays: refused before any is built
     def test_huge_network_config_exits_4(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -1011,6 +1069,64 @@ class TestMalformedEntries:
         with pytest.raises(ConfigError) as info:
             resolve_network(spec)
         assert info.value.field == "network"
+
+
+class TestRouteTable:
+    def test_scratch_route_needs_only_its_entry(self, tmp_path, monkeypatch):
+        def scratch(cfg, params, path):
+            curve = np.full(cfg.t_max, 0.25)
+            write_curve_csv(path, ("time", "urn", "p", "system"), np.arange(1, cfg.t_max + 1),
+                            np.full((cfg.t_max, params.n_urns), 0.25), curve, "scratch")
+            return curve, {}
+
+        monkeypatch.setitem(experiment.ROUTES, "scratch", (lambda cfg: 1 << 20, scratch))
+        cfg = config_from_dict(base_config(tmp_path, modes=["scratch", "meanfield-nonlinear"]))
+        summary = run(cfg)
+        assert np.array_equal(read_curve(summary["artifacts"]["scratch"])[1], np.full(30, 0.25))
+        nonlinear = read_curve(summary["artifacts"]["meanfield-nonlinear"])[1]
+        gap = summary["comparisons"]["meanfield-nonlinear|scratch"]
+        assert gap == np.abs(nonlinear - 0.25).max() > 0
+        # admitted on its cost: 1 MiB on a machine with half of that
+        for path in tmp_path.iterdir():
+            path.unlink()
+        sysconf = os.sysconf
+        have = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 19}
+        monkeypatch.setattr(os, "sysconf", lambda name: have.get(name) or sysconf(name))
+        need = (1 << 20) + experiment.ROUTES["meanfield-nonlinear"][0](cfg)
+        with pytest.raises(CapExceededError, match=f"the run's arrays need at least {need} bytes"):
+            run(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_routes_share_no_state(self, tmp_path):
+        """A mode's CSV has the same bytes alone, in the five-mode run and
+        with the modes reversed."""
+        modes = list(experiment.ROUTES)
+        runs = {"all": modes, "reversed": modes[::-1], **{m: [m] for m in modes}}
+        for name, order in runs.items():
+            run(config_from_dict(base_config(tmp_path, modes=order,
+                                             out_prefix=str(tmp_path / name))))
+        for mode in modes:
+            alone = (tmp_path / f"{mode}_{mode}.csv").read_bytes()
+            for name in ("all", "reversed"):
+                assert (tmp_path / f"{name}_{mode}.csv").read_bytes() == alone, (name, mode)
+
+    def test_run_subcommands_cover_the_routes(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path)))
+        seen = []
+
+        def record(cfg):
+            seen.extend(cfg.modes)
+            return {"artifacts": {}, "summary_path": "", "spectral_radius": 0.5,
+                    "equilibrium_declined": False}
+
+        monkeypatch.setattr(experiment, "run", record)
+        subcommands = next(a.choices for a in cli.build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        for name, parser in subcommands.items():
+            if parser.get_default("func") is cli._cmd_run:
+                assert cli.main([name, "--config", str(path)]) == 0
+        assert sorted(seen) == sorted(experiment.ROUTES)
 
 
 JSON_VALUES = st.recursive(
