@@ -42,6 +42,7 @@ writes to every row of the class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +140,19 @@ def kernel_bytes(n_urns: int, memory: int) -> int:
     per entry for the 2**N sources of each of the M**N classes, and the
     int64 source and successor of every state."""
     return (memory**n_urns << n_urns) * _split(n_urns, memory)[1] * 8 + (16 << (n_urns * memory))
+
+
+def working_bytes(n_urns: int, memory: int) -> int:
+    """Bytes a kernel holds beside its tables and indices
+    (:func:`kernel_bytes`): the kept bits and the row order, 8 bytes each
+    per row, and one apply's block workspace, ``mu[src]`` and the
+    product, or with half tables the product with B and the result, two
+    at a time.  Each of those is at most BLOCK_ENTRIES entries, or the
+    largest class's left operand where that is larger; that class holds
+    C(M-1, (M-1) // 2)**N rows."""
+    rows = math.comb(memory - 1, (memory - 1) // 2) ** n_urns
+    workspace = 16 * max(BLOCK_ENTRIES, rows << (2 * n_urns - _split(n_urns, memory)[0]))
+    return (16 << (n_urns * (memory - 1))) + workspace
 
 
 class TransitionKernel:

@@ -212,11 +212,13 @@ def _bytes(cfg: ExperimentConfig, curves: int = 0, tables: int = 0, squares: int
 
 
 def _exact_cost(cfg: ExperimentConfig) -> int:
-    """The work cap first; then a step's two distributions, the kernel and the curve."""
+    """The work cap first; then a step's two distributions, the kernel with
+    its row arrays and apply workspace, and the curve."""
     n, memory = cfg.raw.n_urns, cfg.raw.memory
     chain.check_admission(n, memory, cfg.exact_cap_bits)
     # 2**(N*M) is clipped where 16 * 2**64 bytes already exceeds any machine
-    kernel = chain.kernel_bytes(n, memory) if n * memory <= 64 else 0
+    kernel = (chain.kernel_bytes(n, memory) + chain.working_bytes(n, memory)
+              if n * memory <= 64 else 0)
     return (16 << min(n * memory, 64)) + kernel + _bytes(cfg, curves=1)
 
 
@@ -263,13 +265,12 @@ def _equilibrium(cfg: ExperimentConfig, params: NetworkParams, path: str):
 # ``run(cfg, params, path)`` writes its CSV and returns its network-average
 # curve (or None) and its summary entries; runners reach library functions
 # through their modules when they run.  Monte Carlo holds its int8 draws,
-# the replicate sum and three (t_max, N) temporaries of a replicate's
-# running average; the nonlinear mean field its clipped and raw rows; the
-# linear one the N x N matrix A too; the equilibrium A, I - M*A and the
-# solve's LU copy of it.
+# the replicate sum and the buffer of a replicate's running average; the
+# nonlinear mean field its clipped and raw rows; the linear one the N x N
+# matrix A too; the equilibrium A, I - M*A and the solve's LU copy of it.
 ROUTES = {
     "exact": (_exact_cost, _exact_trajectory),
-    "montecarlo": (lambda cfg: cfg.t_max * cfg.replicates * cfg.raw.n_urns + _bytes(cfg, curves=4),
+    "montecarlo": (lambda cfg: cfg.t_max * cfg.replicates * cfg.raw.n_urns + _bytes(cfg, curves=2),
                    _montecarlo),
     "meanfield-nonlinear": (lambda cfg: _bytes(cfg, curves=2, tables=2), _meanfield("nonlinear")),
     "meanfield-linear": (lambda cfg: _bytes(cfg, curves=1, tables=2, squares=1),

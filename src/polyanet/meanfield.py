@@ -21,16 +21,21 @@ For memory 1 the nonlinear map is already affine, so both variants
 coincide and reproduce the exact chain marginals step for step, for
 any interaction matrix.
 
-Both systems step on buffers allocated once per run.  A nonlinear step
-writes its unclamped row, clips it into the trajectory, and the raw
-rows are checked by one :func:`clamp_probability` call after the last
-step, so an overshoot past the tolerance (or a NaN) raises at the end
-of the run and a clamp is logged once per run.
+Both systems step on buffers allocated once per run.  Each loop walks
+the trajectory's rows as views, one at a time, and keeps the last M of
+them, newest first, in a ``deque(maxlen=M)`` that every step reads and
+then pushes its row onto, so no step slices the trajectory; the ufuncs
+are bound once per run.  A nonlinear step writes its unclamped row,
+clips it into the trajectory, and the raw rows are checked by one
+:func:`clamp_probability` call after the last step, so an overshoot
+past the tolerance (or a NaN) raises at the end of the run and a clamp
+is logged once per run.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,7 +70,7 @@ def _check_size(params: NetworkParams, S: np.ndarray) -> None:
 
 
 def _nonlinear_map(params: NetworkParams, S: np.ndarray):
-    """The map as a function of a checked history, for a checked ``S``.
+    """The map as a runner over trajectory rows, for a checked ``S``.
 
     Per urn the expectation over window outcomes is the blossom of the
     Bernstein polynomial whose control points are the urn's table row,
@@ -75,51 +80,62 @@ def _nonlinear_map(params: NetworkParams, S: np.ndarray):
     cancellation builds up at any M.  The interaction matrix then mixes
     the per-urn values.
 
-    The returned ``step(window, out)`` takes the M lags oldest first
-    (newest last, as the rows of a trajectory) and writes the mixed
-    values into ``out`` unclamped; the caller checks them with
-    :func:`clamp_probability`.  The first lag's differences are the
-    table's, so they are taken once; the other lags run on two (M, N)
-    buffers shared by every step.
+    The returned ``run(rows, raws, window)`` steps once per row of
+    ``rows``: it reads the M lags from ``window``, a
+    ``deque(maxlen=M)`` of the latest rows newest first, writes the
+    mixed values unclamped into the matching row of ``raws`` (the
+    caller checks them with :func:`clamp_probability`), clips them into
+    the row and pushes the row onto ``window``.  The first lag's
+    differences are the table's, so they are taken once; the other lags
+    run on two (M, N) buffers shared by every step.
     """
     _check_size(params, S)
     table = red_ratio_table(params).T.copy()  # (M+1, N): control points per urn
     low, diff = table[:-1], table[1:] - table[:-1]
     v, d = np.empty_like(low), np.empty_like(low)
     shifts = [(v[1 : n + 1], v[:n], d[:n]) for n in range(len(low) - 1, 0, -1)]
+    # Ufuncs bound once, arithmetic outputs passed by position and the
+    # clip bounds as 0-d arrays: the cheapest calls for rows of N values.
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    minimum, maximum, mix, first = np.minimum, np.maximum, S.dot, v[0]
+    zero, one = np.zeros(()), np.ones(())
 
-    def step(window, out: np.ndarray) -> np.ndarray:
-        np.multiply(window[-1], diff, out=v)
-        np.add(v, low, out=v)
-        for (upper, lower, delta), x in zip(shifts, window[-2::-1]):
-            np.subtract(upper, lower, out=delta)
-            np.multiply(delta, x, out=delta)
-            np.add(lower, delta, out=lower)
-        return S.dot(v[0], out)
+    def run(rows, raws, window) -> None:
+        push = window.appendleft
+        for row, raw in zip(rows, raws):
+            lags = iter(window)
+            multiply(next(lags), diff, v)
+            add(v, low, v)
+            for (upper, lower, delta), x in zip(shifts, lags):
+                subtract(upper, lower, delta)
+                multiply(delta, x, delta)
+                add(lower, delta, lower)
+            minimum(maximum(mix(first, raw), zero, out=row), one, out=row)
+            push(row)
 
-    return step
+    return run
 
 
 def step_nonlinear(history, params: NetworkParams, S) -> np.ndarray:
     """One step of the map from ``history[l-1][j]``, urn j's infection
     probability l steps back."""
     S = check_interaction_matrix(S)
-    window = _check_history(history, params)[::-1]
-    raw = _nonlinear_map(params, S)(window, np.empty(params.n_urns))
-    return clamp_probability(raw, what="infection probabilities")
+    window = deque(_check_history(history, params), maxlen=params.memory)
+    raw = np.empty((1, params.n_urns))
+    _nonlinear_map(params, S)(np.empty_like(raw), raw, window)
+    return clamp_probability(raw[0], what="infection probabilities")
 
 
-def _sum_lags(window, out: np.ndarray) -> np.ndarray:
-    """The M rows of ``window`` (oldest first) summed newest first, one
+def _sum_lags(lags, out: np.ndarray) -> np.ndarray:
+    """The M rows of ``lags`` (newest first) summed in that order, one
     in-place add per row into ``out``; a single row is returned as it
     is.  NumPy's own sums regroup past 8 rows, so every linear step sums
     its lags here."""
-    if len(window) == 1:
-        return window[0]
-    np.add(window[-1], window[-2], out=out)
-    for lag in window[-3::-1]:
-        out += lag
-    return out
+    lags = iter(lags)
+    total = next(lags)
+    for lag in lags:
+        total = np.add(total, lag, out)
+    return total
 
 
 @dataclass
@@ -144,7 +160,7 @@ class LinearSystem:
         X = np.reshape(x, (self.n_urns, self.memory))
         y = np.empty_like(X) if out is None else out
         Y = y.reshape(X.shape)
-        Y[:, 0] = self.A @ _sum_lags(X.T[::-1], np.empty(self.n_urns))
+        Y[:, 0] = self.A @ _sum_lags(X.T, np.empty(self.n_urns))
         Y[:, 1:] = X[:, :-1]
         return y.reshape(np.shape(x))
 
@@ -282,31 +298,30 @@ def iterate(
     else:
         hist = _check_history(initial_history, params)
     # Row t holds time t; rows 0..M-1 replay the history (its row l is
-    # time M-1-l), and each step reads the last M rows newest first.
+    # time M-1-l).  Each step writes the next row, read as a view, from
+    # the last M rows, newest first, in a deque that it then pushes onto.
     vals = np.zeros((max(t_max + 1, M), N))
     vals[:M] = hist[::-1]
-    per = vals[1 : t_max + 1]
+    per, rows = vals[1 : t_max + 1], vals[M : t_max + 1]
+    window = deque(vals[M - 1 :: -1], maxlen=M)
     if kind == "nonlinear":
         # Each step writes its raw row, clips it into vals for the next
         # steps, and the raw rows are checked once at the end.
-        step = _nonlinear_map(params, S)
-        raw = np.empty_like(vals)
-        zero, one = np.float64(0.0), np.float64(1.0)  # no float conversion per call
-        for t in range(M, t_max + 1):
-            row = vals[t]
-            np.minimum(np.maximum(step(vals[t - M : t], raw[t]), zero, out=row), one, out=row)
-        clamp_probability(raw[M : t_max + 1], what="infection probabilities")
+        raw = np.empty_like(rows)
+        _nonlinear_map(params, S)(rows, raw, window)
+        clamp_probability(raw, what="infection probabilities")
         avg = per.mean(axis=1)
     else:
         system = build_linear_system(params, S)
-        A, c, lag_sum = system.A, system.c, np.empty(N)
+        mix, c, sum_lags, lag_sum = system.A.dot, system.c, _sum_lags, np.empty(N)
+        push = window.appendleft
         # An unstable system overflows once run long enough; its values are
         # nonnegative, so checking the averages once also checks every row.
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(M, t_max + 1):
-                row = vals[t]
-                A.dot(_sum_lags(vals[t - M : t], lag_sum), row)
+            for row in rows:
+                mix(sum_lags(window, lag_sum), row)
                 row += c
+                push(row)
             avg = per.mean(axis=1)
         finite = np.isfinite(avg)
         if not finite.all():

@@ -38,15 +38,16 @@ def barabasi_albert(n_nodes: int, attach: int, seed: int) -> np.ndarray:
     np.fill_diagonal(adj, 0.0)
     degree = adj.sum(axis=1)
     for u in range(core, n_nodes):
-        weights = degree[:u].copy()
+        # Cumulative degrees, taken once per node; a picked node's weight
+        # leaves the tail.  Degrees are integers, so every partial sum is
+        # exact and cum[-1] is the total of the remaining weights.
+        cum = np.cumsum(degree[:u])
         targets = []
         for _ in range(attach):
-            total = weights.sum()
-            r = rng.random() * total
-            j = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-            j = min(j, u - 1)
+            r = rng.random() * cum[-1]
+            j = min(int(cum.searchsorted(r, "right")), u - 1)
             targets.append(j)
-            weights[j] = 0.0
+            cum[j:] -= cum[j] - (cum[j - 1] if j else 0.0)
         for j in targets:
             adj[u, j] = adj[j, u] = 1.0
             degree[j] += 1

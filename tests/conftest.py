@@ -533,6 +533,32 @@ def iterate_by_steps(kind, params, S, t_max, initial_history=None):
     return vals[1 : t_max + 1]
 
 
+def barabasi_albert_by_draws(n_nodes, attach, seed):
+    """``networks.barabasi_albert``, one ``sum`` and one ``cumsum`` of the
+    remaining weights per draw."""
+    core = attach + 1
+    rng = np.random.default_rng(seed)
+    adj = np.zeros((n_nodes, n_nodes))
+    adj[:core, :core] = 1.0
+    np.fill_diagonal(adj, 0.0)
+    degree = adj.sum(axis=1)
+    for u in range(core, n_nodes):
+        weights = degree[:u].copy()
+        targets = []
+        for _ in range(attach):
+            total = weights.sum()
+            r = rng.random() * total
+            j = int(np.searchsorted(np.cumsum(weights), r, side="right"))
+            j = min(j, u - 1)
+            targets.append(j)
+            weights[j] = 0.0
+        for j in targets:
+            adj[u, j] = adj[j, u] = 1.0
+            degree[j] += 1
+        degree[u] = attach
+    return adj
+
+
 def spectral_radius_by_steps(system, rtol=1e-9, max_iters=2000, allow_dense=True):
     """``meanfield.spectral_radius`` with fresh arrays every iteration and
     ``np.linalg.norm`` for every norm."""

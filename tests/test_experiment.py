@@ -6,6 +6,8 @@ import hashlib
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -439,6 +441,40 @@ class TestCli:
         code = cli.main(["simulate", "--config", str(tmp_path / "missing.json")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first", [
+        ["meanfield", "--config", "config.json", "--system", "sideways"],  # argparse
+        ["meanfield", "--config", "missing.json"],  # configuration error
+    ])
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch, capsys,
+                                                        first):
+        # main keeps its parser after the first call: an exit-2 call and a
+        # good one print, exit and write in one process what they do in
+        # two fresh processes
+        calls = [first, ["meanfield", "--config", "config.json"]]
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        for d in (here, fresh):
+            d.mkdir()
+            (d / "config.json").write_text(json.dumps(base_config(pathlib.Path("."))))
+        monkeypatch.chdir(here)
+        got = []
+        for argv in calls:
+            code = cli.main(argv)
+            got.append((code, *capsys.readouterr()))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        want = []
+        for argv in calls:
+            done = subprocess.run([sys.executable, "-m", "polyanet.cli", *argv], cwd=fresh,
+                                  env=env, capture_output=True, text=True, timeout=120)
+            want.append((done.returncode, done.stdout, done.stderr))
+        assert [c[0] for c in got] == [2, 0]
+        assert got == want
+        files = sorted(p.name for p in here.iterdir())
+        assert files == sorted(p.name for p in fresh.iterdir())
+        assert "run_meanfield-linear.csv" in files
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_equilibrium_declined_exit_code(self, tmp_path, capsys):
         path = self.write_config(
@@ -888,12 +924,11 @@ class TestMemoryAdmission:
 
     # Each route on a config that costs at least 16 MiB: the traced peak
     # of the run stays within its cost plus 2 MiB for the CSV writer's
-    # chunks (the exact chain's block workspace fits there too).  The
-    # equilibrium's cost also counts the LU copy the solve makes, which
-    # tracemalloc does not see.
+    # chunks.  The equilibrium's cost also counts the LU copy the solve
+    # makes, which tracemalloc does not see.
     @pytest.mark.parametrize("mode, overrides", [
         ("exact", {"network": {"kind": "ring", "nodes": 6}, "memory": 3, "t_max": 3}),
-        ("montecarlo", {"network": {"kind": "ring", "nodes": 100}, "t_max": 5000,
+        ("montecarlo", {"network": {"kind": "ring", "nodes": 100}, "t_max": 8000,
                         "replicates": 8}),
         ("meanfield-nonlinear", {"network": {"kind": "ring", "nodes": 100}, "t_max": 10500}),
         ("meanfield-linear", {"network": {"kind": "ring", "nodes": 1500}, "t_max": 10}),
@@ -912,6 +947,23 @@ class TestMemoryAdmission:
         finally:
             tracemalloc.stop()
         assert peak <= cost + (2 << 20)
+
+    # The exact route's cost counts the kernel's row arrays and an apply's
+    # block workspace too.  These rings write CSVs of 140 and 60 rows, so
+    # their traced peaks get 256 KiB of slack, not the CSV writer's 2 MiB.
+    @pytest.mark.parametrize("nodes, memory", [(6, 3), (2, 9)])
+    def test_exact_peak_within_its_cost(self, tmp_path, nodes, memory):
+        cfg = config_from_dict(base_config(
+            tmp_path, network={"kind": "ring", "nodes": nodes}, memory=memory, initial_red=12,
+            initial_total=25, reinforce_red=11, reinforce_black=11, t_max=20, modes=["exact"]))
+        cost = experiment.ROUTES["exact"][0](cfg)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cost + (256 << 10)
 
     # 10**9 urns need 1.6e19 bytes of N x N arrays: refused before any is built
     def test_huge_network_config_exits_4(self, tmp_path, capsys):

@@ -494,6 +494,18 @@ class TestIterate:
             work = np.vstack([want[t - 1][None, :], work[:-1]])
         assert np.array_equal(traj.per_urn, want)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_step_is_row_m_of_iterate(self, m):
+        # step_nonlinear runs the trajectory's row runner for one row, so
+        # it is time M of a run from the same history, bit for bit
+        g = np.random.default_rng(700 + m)
+        par = random_params(g, 4, m)
+        S = random_interaction(g, 4)
+        for _ in range(5):
+            hist = g.random((m, 4))
+            row = iterate("nonlinear", par, S, m, initial_history=hist).per_urn[m - 1]
+            assert step_nonlinear(hist, par, S).tobytes() == row.tobytes()
+
     def test_initial_history_replayed(self, rng):
         par = random_params(rng, 2, 3)
         S = random_interaction(rng, 2)

@@ -17,6 +17,8 @@ from polyanet.networks import (
     save_matrix,
 )
 
+from conftest import barabasi_albert_by_draws
+
 
 class TestBarabasiAlbert:
     def test_edge_count_formula(self):
@@ -32,6 +34,15 @@ class TestBarabasiAlbert:
         c = barabasi_albert(40, 2, seed=10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("n_nodes", [4, 10, 100, 500])
+    @pytest.mark.parametrize("attach", [1, 2, 3])
+    def test_matches_per_draw_sums(self, n_nodes, attach):
+        # one cumulative sum per node, less each picked weight, draws the
+        # same targets as a fresh sum and cumsum per draw
+        for seed in range(40 if n_nodes < 500 else 8):
+            assert np.array_equal(barabasi_albert(n_nodes, attach, seed),
+                                  barabasi_albert_by_draws(n_nodes, attach, seed))
 
     def test_symmetric_no_self_loops(self):
         adj = barabasi_albert(60, 2, seed=3)
