@@ -11,7 +11,6 @@ share one handler, :func:`_cmd_run`; artifacts are written through
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -107,7 +106,6 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
-@functools.cache  # built on the first main call, not at import, and kept
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="polyanet",

@@ -265,7 +265,7 @@ def _equilibrium(cfg: ExperimentConfig, params: NetworkParams, path: str):
 # ``run(cfg, params, path)`` writes its CSV and returns its network-average
 # curve (or None) and its summary entries; runners reach library functions
 # through their modules when they run.  Monte Carlo holds its int8 draws,
-# the replicate sum and the buffer of a replicate's running average; the
+# the replicate sum and one replicate's running average at a time; the
 # nonlinear mean field its clipped and raw rows; the linear one the N x N
 # matrix A too; the equilibrium A, I - M*A and the solve's LU copy of it.
 ROUTES = {

@@ -131,14 +131,13 @@ def simulate(config: RawConfig, t_max: int, seed) -> Trajectory:
     return Trajectory(draws=draws[:, 0], ratios=ratios[:, 0])
 
 
-def empirical_sum(trajectory, out=None) -> np.ndarray:
+def empirical_sum(trajectory) -> np.ndarray:
     """Running per-urn draw averages (1/t) * sum_{n<=t} Z_n, shape (T, N).
 
-    The draws are copied into ``out`` (a new float64 array when it is
-    None), then summed and divided there in place, with no temporary."""
+    The draws are copied into one new float64 array, then summed and
+    divided there in place, with no further temporary."""
     z = getattr(trajectory, "draws", trajectory)
-    if out is None:
-        out = np.empty(np.shape(z))
+    out = np.empty(np.shape(z))
     np.copyto(out, z)
     np.cumsum(out, axis=0, out=out)
     out /= np.arange(1, out.shape[0] + 1)[:, None]
@@ -163,17 +162,17 @@ def average_replicates(
 
     Replicate r always consumes stream (master_seed, r).  All replicates
     are stepped as one batch, and their running averages are then summed
-    one replicate at a time in replicate order, each through one reused
-    (T, N) buffer.
+    one replicate at a time in replicate order; each replicate's (T, N)
+    curve is freed once it is added.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     draws = np.empty((t_max, replicates, config.n_urns), dtype=np.int8)
     rngs = [replicate_stream(master_seed, r) for r in range(replicates)]
     _advance(config, rngs, draws)
-    per_urn, buf = np.zeros((t_max, config.n_urns)), np.empty((t_max, config.n_urns))
+    per_urn = np.zeros((t_max, config.n_urns))
     for r in range(replicates):
-        per_urn += empirical_sum(draws[:, r], out=buf)
+        per_urn += empirical_sum(draws[:, r])
     per_urn /= replicates
     return ReplicateSummary(
         times=np.arange(1, t_max + 1),

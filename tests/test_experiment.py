@@ -6,8 +6,6 @@ import hashlib
 import json
 import os
 import pathlib
-import subprocess
-import sys
 import tempfile
 import time
 import tracemalloc
@@ -441,40 +439,6 @@ class TestCli:
         code = cli.main(["simulate", "--config", str(tmp_path / "missing.json")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("first", [
-        ["meanfield", "--config", "config.json", "--system", "sideways"],  # argparse
-        ["meanfield", "--config", "missing.json"],  # configuration error
-    ])
-    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch, capsys,
-                                                        first):
-        # main keeps its parser after the first call: an exit-2 call and a
-        # good one print, exit and write in one process what they do in
-        # two fresh processes
-        calls = [first, ["meanfield", "--config", "config.json"]]
-        here, fresh = tmp_path / "here", tmp_path / "fresh"
-        for d in (here, fresh):
-            d.mkdir()
-            (d / "config.json").write_text(json.dumps(base_config(pathlib.Path("."))))
-        monkeypatch.chdir(here)
-        got = []
-        for argv in calls:
-            code = cli.main(argv)
-            got.append((code, *capsys.readouterr()))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        want = []
-        for argv in calls:
-            done = subprocess.run([sys.executable, "-m", "polyanet.cli", *argv], cwd=fresh,
-                                  env=env, capture_output=True, text=True, timeout=120)
-            want.append((done.returncode, done.stdout, done.stderr))
-        assert [c[0] for c in got] == [2, 0]
-        assert got == want
-        files = sorted(p.name for p in here.iterdir())
-        assert files == sorted(p.name for p in fresh.iterdir())
-        assert "run_meanfield-linear.csv" in files
-        for name in files:
-            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_equilibrium_declined_exit_code(self, tmp_path, capsys):
         path = self.write_config(
