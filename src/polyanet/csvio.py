@@ -277,6 +277,8 @@ class _Grid:
         if ints is not None:
             grid[:, int_at] = int_cells
         if floats is not None:
+            if floats.strides[0] == 0:  # one record repeated: formatted once
+                floats = floats[:1]
             # a float cell is copied whole into a window of the row
             window = np.lib.stride_tricks.sliding_window_view(
                 grid, _FLOAT_CELL, axis=1, writeable=True)
@@ -342,6 +344,13 @@ def write_curve_csv(path: str, header: Iterable[str], times, per_urn,
         ("%d", urn, "%.17g", str(tail).replace("%", "%%"))
         for urn in [*range(per_urn.shape[1]), "avg"]
     )
-    chunks = ((t[:, None], np.column_stack((p, a)))
-              for t, p, a in chunked(times, per_urn, network_avg))
-    write_csv(path, header, lines.getvalue(), chunks)
+    last = np.append(per_urn[-1:], network_avg[-1:])
+
+    def chunks():
+        for t, p, a in chunked(times, per_urn, network_avg):
+            values = np.column_stack((p, a))
+            # a chunk whose records all have the last record's bits (a
+            # settled curve's tail) passes that record, broadcast
+            yield t[:, None], last if (values.view(np.int64) == last.view(np.int64)).all() else values
+
+    write_csv(path, header, lines.getvalue(), chunks())

@@ -30,6 +30,13 @@ clips it into the trajectory, and the raw rows are checked by one
 :func:`clamp_probability` call after the last step, so an overshoot
 past the tolerance (or a NaN) raises at the end of the run and a clamp
 is logged once per run.
+
+A converging trajectory reaches its equilibrium exactly in floating
+point: its rows stop changing.  Both loops step in chunks of 64 rows and
+stop once the last M + 1 rows are bitwise equal.  That last row r was
+then computed from a window of M copies of r, and a step reads nothing
+but its window, so every later row is r as well; the rest of the
+trajectory is filled with r and is bit for bit what stepping would give.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ from .params import (
 
 DENSE_LIMIT = 4096
 RESIDUAL_TOL = 1e-10
+# Rows stepped between two checks for a bitwise fixed point.
+_CHECK_ROWS = 64
 
 
 def _check_history(history, params: NetworkParams) -> np.ndarray:
@@ -260,6 +269,21 @@ def equilibrium(system: LinearSystem) -> Equilibrium:
     return Equilibrium(per_urn, full, est.value, residual)
 
 
+def _chunks(vals: np.ndarray, M: int):
+    """``(lo, hi)`` per chunk of at most ``_CHECK_ROWS`` rows for the caller
+    to step, rows M + lo .. M + hi - 1 of ``vals``.  Once a stepped chunk
+    ends in M + 1 bitwise equal rows, the rest of ``vals`` copies the last
+    and no more chunks come."""
+    width = vals.shape[1] * vals.itemsize
+    for lo in range(0, len(vals) - M, _CHECK_ROWS):
+        hi = min(lo + _CHECK_ROWS, len(vals) - M)
+        yield lo, hi
+        last = vals[hi - 1 : hi + M].tobytes()  # equal rows: equal shifted by a row
+        if last[width:] == last[:-width]:
+            vals[hi + M :] = vals[hi + M - 1]
+            return
+
+
 @dataclass
 class InfectionTrajectory:
     """Per-time infection probabilities; rows are times 1..t_max."""
@@ -306,10 +330,12 @@ def iterate(
     window = deque(vals[M - 1 :: -1], maxlen=M)
     if kind == "nonlinear":
         # Each step writes its raw row, clips it into vals for the next
-        # steps, and the raw rows are checked once at the end.
-        raw = np.empty_like(rows)
-        _nonlinear_map(params, S)(rows, raw, window)
-        clamp_probability(raw, what="infection probabilities")
+        # steps, and the raw rows are checked once at the end (past a
+        # fixed point every raw row is the last one stepped).
+        raw, run, hi = np.empty_like(rows), _nonlinear_map(params, S), 0
+        for lo, hi in _chunks(vals, M):
+            run(rows[lo:hi], raw[lo:hi], window)
+        clamp_probability(raw[:hi], what="infection probabilities")
         avg = per.mean(axis=1)
     else:
         system = build_linear_system(params, S)
@@ -318,10 +344,11 @@ def iterate(
         # An unstable system overflows once run long enough; its values are
         # nonnegative, so checking the averages once also checks every row.
         with np.errstate(over="ignore", invalid="ignore"):
-            for row in rows:
-                mix(sum_lags(window, lag_sum), row)
-                row += c
-                push(row)
+            for lo, hi in _chunks(vals, M):
+                for row in rows[lo:hi]:
+                    mix(sum_lags(window, lag_sum), row)
+                    row += c
+                    push(row)
             avg = per.mean(axis=1)
         finite = np.isfinite(avg)
         if not finite.all():

@@ -69,6 +69,31 @@ class TestWriteCurveCsv:
         monkeypatch.setattr(csvio, "CHUNK_VALUES", chunk)
         assert_same_bytes(tmp_path, *curve(rng, t_max, 2), "exact")
 
+    @pytest.mark.parametrize("case", ["signed-zero", "nan-payload", "constant", "mid-chunk",
+                                      "small"])
+    def test_repeated_tail(self, tmp_path, rng, case):
+        # A chunk whose records all have the last record's bits is formatted
+        # once; a record that differs from the last only in the sign of a
+        # zero or in a NaN's payload is not part of that tail.  Three urns
+        # give chunks of 1638 steps, each of more than SMALL_VALUES values.
+        t_max, n, start = {"constant": (4000, 3, 0), "mid-chunk": (4000, 3, 2000),
+                           "small": (5, 2, 0)}.get(case, (4000, 3, 1000))
+        assert case == "small" or 1638 * 2 * (n + 1) >= csvio.SMALL_VALUES
+        times, per_urn, avg = curve(rng, t_max, n)
+        # NaN never equals itself, so float == would never see these tails
+        per_urn[-1] = [0.0, np.nan if case in ("constant", "nan-payload") else 0.25, -1e-310][:n]
+        avg[-1] = -0.0
+        per_urn[start:], avg[start:] = per_urn[-1], avg[-1]
+        if case == "signed-zero":
+            per_urn[3500, 0], avg[3600] = -0.0, 0.0
+        elif case == "nan-payload":
+            per_urn[3500, 1] = (np.array(np.nan).view(np.int64) | 1).view(float)
+            per_urn[3600, 1] = -np.nan
+        with mock.patch.object(csvio, "_float_cells", wraps=csvio._float_cells) as cells:
+            assert_same_bytes(tmp_path, times, per_urn, avg, "meanfield-linear")
+        if case == "constant":  # one record's floats per chunk
+            assert cells.call_count and all(c.args[0].size <= n + 1 for c in cells.call_args_list)
+
     def test_digest(self, tmp_path):
         # Every value comes from one exactly rounded division, so the
         # digest does not depend on the BLAS or the summation order.

@@ -30,6 +30,7 @@ from conftest import (
     dense_power_radius,
     homogeneous_raw,
     isolated_equilibrium,
+    iterate_by_steps,
     linear_system_by_blocks,
     make_raw,
     random_interaction,
@@ -538,6 +539,45 @@ class TestIterate:
         S = random_interaction(g, n)
         traj = iterate("nonlinear", par, S, 50)
         assert np.all((traj.per_urn >= 0.0) & (traj.per_urn <= 1.0))
+
+
+class TestFixedPointStop:
+    """Long runs of :func:`iterate` against the step loops, bit for bit: a
+    trajectory that reaches a bitwise fixed point has its rest filled,
+    one that never does (an unstable linear system) is stepped to t_max."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_long_runs_match_step_loops(self, m):
+        # at M = 1 each linear step reads a trajectory row at a new address,
+        # so a BLAS product that depended on alignment would show here
+        g = np.random.default_rng(100 + m)
+        settled = runs = unstable = 0
+        for draw in range(16):
+            n = int(g.integers(1, 13))
+            if draw % 4 == 3:  # strong red reinforcement: unstable linear systems
+                par = NetworkParams(m, g.uniform(0.0, 0.2, n), g.uniform(2.0, 6.0, n),
+                                    g.uniform(0.0, 0.3, n))
+            else:
+                par = random_params(g, n, m)
+            S = random_interaction(g, n)
+            S = np.asfortranarray(S) if draw % 2 else S
+            hist = g.uniform(0.0, 1.0, (m, n)) if draw % 3 == 0 else None
+            t_max = int(g.integers(100, 1501))
+            for kind in ("nonlinear", "linear"):
+                want = iterate_by_steps(kind, par, S, t_max, initial_history=hist)
+                traj = iterate(kind, par, S, t_max, initial_history=hist)
+                assert np.array_equal(traj.per_urn.view(np.int64), want.view(np.int64))
+                assert np.array_equal(traj.network_avg.view(np.int64),
+                                      want.mean(axis=1).view(np.int64))
+                # constant over more than two checks' worth of rows: filled
+                bits = want.view(np.int64)
+                runs += 1
+                settled += bool((bits[-(m + 130):] == bits[-1]).all())
+                if kind == "linear" and spectral_radius(build_linear_system(par, S)).value > 1:
+                    unstable += 1
+                    assert not (bits[-2] == bits[-1]).all()
+        assert settled > runs // 2
+        assert unstable >= (m > 1)
 
 
 class TestExports:
