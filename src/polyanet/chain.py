@@ -31,13 +31,18 @@ so with ``x = xB * 2**h + xA`` a class table factors into
 ``F[o, x] = A[o, xA] * B[xB, o]``: ``A`` holds the products of the
 factors of urns 0..h-1 and ``B`` those of urns h..N-1.  Where a class
 holds several rows (M >= 3) and the full tables fit the table budget,
-h = N and ``F = A``; else h = N // 2.  The kernel builds its tables on
-its first pass and keeps them.  One step is then one batched matrix
-product per block of the classes of one size, ``(mu[src] * B) @ A``
-with the rows of a class stacked, and the per-step work is
+h = N and ``F = A``; else h = N // 2.  Source o of class c holds
+n_j = c_j + o_j red draws per urn, so the tables take their entries
+from the (M+1)**N *red-count vectors* n: the kernel's first pass
+evaluates the draw probabilities and forms the products of every n
+once, gathers each block's tables from them and keeps the tables; the
+products are transient (:func:`working_bytes`).  One step is then one
+batched matrix product per block of the classes of one size,
+``(mu[src] * B) @ A`` with the rows of a class stacked, written into
+a distribution that the caller may reuse, and the per-step work is
 2**(N*(M+1)) = states x fan-out; admission control bounds that number.
-Only the kernel CSV multiplies out each class's full table, which it
-writes to every row of the class.
+Only the kernel CSV multiplies out the full table of every red-count
+vector, which it writes to every state of that vector.
 """
 
 from __future__ import annotations
@@ -145,14 +150,18 @@ def kernel_bytes(n_urns: int, memory: int) -> int:
 def working_bytes(n_urns: int, memory: int) -> int:
     """Bytes a kernel holds beside its tables and indices
     (:func:`kernel_bytes`): the kept bits and the row order, 8 bytes each
-    per row, and one apply's block workspace, ``mu[src]`` and the
-    product, or with half tables the product with B and the result, two
-    at a time.  Each of those is at most BLOCK_ENTRIES entries, or the
-    largest class's left operand where that is larger; that class holds
-    C(M-1, (M-1) // 2)**N rows."""
+    per row; one apply's block workspace, ``mu[src]`` and the product, or
+    with half tables the product with B and the result, two at a time;
+    and, while the first apply builds the tables, the draw probabilities
+    and products of the (M+1)**N red-count vectors, N and the entries per
+    source of the tables (:func:`_split`) each.  Each block's workspace
+    is at most BLOCK_ENTRIES entries, or the largest class's left operand
+    where that is larger; that class holds C(M-1, (M-1) // 2)**N rows."""
+    half, entries = _split(n_urns, memory)
     rows = math.comb(memory - 1, (memory - 1) // 2) ** n_urns
-    workspace = 16 * max(BLOCK_ENTRIES, rows << (2 * n_urns - _split(n_urns, memory)[0]))
-    return (16 << (n_urns * (memory - 1))) + workspace
+    workspace = 16 * max(BLOCK_ENTRIES, rows << (2 * n_urns - half))
+    counts = 8 * (memory + 1) ** n_urns * (n_urns + entries)
+    return (16 << (n_urns * (memory - 1))) + workspace + counts
 
 
 class TransitionKernel:
@@ -160,14 +169,14 @@ class TransitionKernel:
 
     A row's draw probabilities depend on its kept windows only through
     their red counts, so the rows of one count class share its class
-    tables, built from the draw probabilities of one of its rows.
-    ``apply`` contracts a distribution with them in one batched product
-    per block of a group (the classes of one size) and the structural
-    check pushes its searches through their positive entries.  The
-    first pass builds the tables and keeps them, with the index arrays of
-    every block (:func:`kernel_bytes`).  The kernel CSV multiplies out
-    the draw probabilities of each class into its full table, and
-    ``successors`` those of one source.
+    tables, gathered from the products of the red-count vectors of its
+    sources.  ``apply`` contracts a distribution with them in one
+    batched product per block of a group (the classes of one size) and
+    the structural check pushes its searches through their positive
+    entries.  The first pass builds the tables and keeps them, with the
+    index arrays of every block (:func:`kernel_bytes`).  The kernel CSV
+    multiplies out the draw probabilities of each red-count vector into
+    its full table row, and ``successors`` those of one source.
     """
 
     def __init__(self, params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS):
@@ -240,56 +249,81 @@ class TransitionKernel:
     def draw_probabilities(self, states) -> np.ndarray:
         """Red-draw probability of every urn out of each state, shape (len, N)."""
         counts = self.window_counts(states)
-        urns = np.arange(self.n_urns)
-        ratios = self._ratios[urns[None, :], counts]
+        return self._mix(self._ratios[np.arange(self.n_urns), counts])
+
+    def _mix(self, ratios) -> np.ndarray:
+        """Red-draw probabilities from the (len, N) red ratios of the
+        sources' windows, mixed through S."""
         return clamp_probability(ratios @ self.S.T, what="draw probability")
 
     # -- enumeration core -----------------------------------------------------
 
-    def _class_probabilities(self):
-        """Yield ``(P, rows)`` for every block, ``P[d, c, o]`` being urn d's
-        red-draw probability out of source o of the block's class c, whose
-        rows are ``rows[c]``; a class's first row stands for all of them."""
-        N, fan = self.n_urns, len(self._oldest)
-        for _, rows in self._groups:
-            src = self._kept[rows[:, 0]][:, None] + self._oldest[None, :]
-            yield self.draw_probabilities(src.ravel()).T.reshape(N, len(rows), fan), rows
+    def _count_index(self, states) -> np.ndarray:
+        """Index ``sum_j n_j (M+1)**j`` of the red-count vector of each
+        packed state, n_j being the red draws in urn j's window."""
+        return self.window_counts(states) @ (self.memory + 1) ** np.arange(self.n_urns)
+
+    def _count_probabilities(self) -> np.ndarray:
+        """Red-draw probabilities out of every red-count vector, shape
+        ((M+1)**N, N), in the order of :meth:`_count_index`."""
+        N, M = self.n_urns, self.memory
+        ratios = np.empty((M + 1,) * N + (N,))
+        for j, row in enumerate(self._ratios):  # n_j is the digit of axis N-1-j
+            ratios[..., j] = row.reshape((M + 1,) + (1,) * j)
+        return self._mix(ratios.reshape(-1, N))
 
     def _tables(self) -> list:
         """Every block's ``(src, dst, A, B)``, built on the first call and
         kept.  ``src[c, r, o]`` and ``dst[c, r, x]`` are the sources and
         successors of row r of class c; ``A[c, o, xA]`` is the product of
         the factors of urns 0..h-1 and ``B[c, xB, o]`` that of urns
-        h..N-1, or None when h = N."""
+        h..N-1, or None when h = N.  The products are formed once per
+        red-count vector, and each block gathers those of its sources:
+        source o of a class, whose first row stands for all of them, holds
+        the red draws of that row's kept bits plus o's."""
         if self._cache is None:
-            self._cache = [self._table_block(P, rows) for P, rows in self._class_probabilities()]
+            P, h = self._count_probabilities().T, self._half
+            A, B = _products(P[:h]), (_products(P[h:]) if h < self.n_urns else None)
+            del P
+            first = self._kept[np.concatenate([rows[:, 0] for _, rows in self._groups])]
+            base, off = self._count_index(first), self._count_index(self._oldest)
+            if B is None:
+                A = np.ascontiguousarray(A.T)
+            self._cache = [self._table_block(A, B, rows, base[lo : lo + len(rows), None] + off)
+                           for lo, rows in self._groups]
         return self._cache
 
-    def _table_block(self, P, rows):
-        """``(src, dst, A, B)`` of the classes whose rows are ``rows``,
-        ``P[d, c, o]`` being urn d's red-draw probability out of source o
-        of class c.  ``apply`` reads a full table (h = N) faster made
-        row-major, and half tables faster left as the transposed views
-        that :func:`_products` gives (on a 2-vCPU machine, 0.55 against
-        0.70 ms per apply on the 4-urn ring and 3.9 against 4.4 ms on the
+    def _table_block(self, A, B, rows, at):
+        """``(src, dst, A, B)`` of the classes whose rows are ``rows`` and
+        the red-count vectors of whose sources are ``at[c, o]``, gathered
+        from the products ``A[n, x]`` of every red-count vector n (h = N)
+        or ``A[xA, n]`` and ``B[xB, n]``.  ``apply`` reads a full table
+        faster row-major, and half tables faster as the transposed views
+        of the gathered products (on a 2-vCPU machine, 0.55 against 0.70
+        ms per apply on the 4-urn ring and 3.9 against 4.4 ms on the
         8-urn Barabasi-Albert chain)."""
-        kept, (c, fan), h = self._kept[rows], P.shape[1:], self._half
+        kept = self._kept[rows]
         src = kept[:, :, None] + self._oldest
         dst = (kept >> 1)[:, :, None] + self._newest
-        A = _products(P[:h].reshape(h, c * fan)).reshape(-1, c, fan).transpose(1, 2, 0)
-        if h == len(P):
-            return src, dst, np.ascontiguousarray(A), None
-        B = _products(P[h:].reshape(len(P) - h, c * fan)).reshape(-1, c, fan).transpose(1, 0, 2)
-        return src, dst, A, B
+        if B is None:
+            return src, dst, A.take(at, axis=0), None
+        A, B = (np.take(T, at.ravel(), axis=1).reshape(-1, *at.shape) for T in (A, B))
+        return src, dst, A.transpose(1, 2, 0), B.transpose(1, 0, 2)
 
     # -- operator -------------------------------------------------------------
 
-    def apply(self, mu: np.ndarray) -> np.ndarray:
-        """Push a distribution one step forward (row-vector times kernel)."""
+    def apply(self, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Push a distribution one step forward (row-vector times kernel);
+        written into ``out`` (float64, of mu's length, not sharing mu's
+        memory) when it is given."""
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (self.n_states,):
             raise ValueError(f"distribution must have length {self.n_states}")
-        out = np.empty(self.n_states)
+        if out is None:
+            out = np.empty(self.n_states)
+        elif out.shape != mu.shape or out.dtype != mu.dtype or np.may_share_memory(out, mu):
+            raise ValueError(f"out must be a float64 array of length {self.n_states} "
+                             "apart from the distribution")
         for src, dst, A, B in self._tables():
             # out[c, r, xB * 2**h + xA] = sum_o mu[src[c, r, o]] B[c, xB, o] A[c, o, xA]
             x = mu[src]
@@ -345,12 +379,13 @@ def stationary_distribution(
         mu = np.full(kernel.n_states, 1.0 / kernel.n_states)
     else:
         mu = _check_distribution(start, kernel.n_states).copy()
+    nxt = np.empty_like(mu)
     for _ in range(max_iters):
-        nxt = kernel.apply(mu)
+        kernel.apply(mu, out=nxt)
         resid = float(np.max(np.abs(nxt - mu)))
         if resid <= tol:
             return mu
-        mu = nxt / nxt.sum()
+        mu, nxt = np.divide(nxt, nxt.sum(), out=nxt), mu
     raise ConvergenceError(
         f"power iteration did not reach tol={tol} in {max_iters} iterations "
         f"(last residual {resid:.3e})"
@@ -362,8 +397,9 @@ def evolve_distribution(kernel: TransitionKernel, mu0, steps: int) -> np.ndarray
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     mu = _check_distribution(mu0, kernel.n_states).copy()
+    nxt = np.empty_like(mu)
     for _ in range(steps):
-        mu = kernel.apply(mu)
+        mu, nxt = kernel.apply(mu, out=nxt), mu
     return mu
 
 
@@ -383,7 +419,8 @@ def lag_marginals(mu, lag: int, memory: int) -> np.ndarray:
     ``urn`` probes bit ``urn * memory + lag``, lag 0 the oldest
     position.  One pass peels the bits off from the top: the mass with
     the top bit set is that bit's marginal when it is a ``lag`` bit, and
-    the two halves are then added, so the work is about 2 * len(mu).
+    the two halves are then added, each sum into the front of one
+    scratch buffer of ``len(mu) // 2``, so the work is about 2 * len(mu).
     """
     mu = np.asarray(mu, dtype=float)
     size = mu.shape[0] if mu.ndim == 1 else 0
@@ -392,14 +429,14 @@ def lag_marginals(mu, lag: int, memory: int) -> np.ndarray:
         raise ValueError("distribution length is not 2**(N*memory)")
     if not 0 <= lag < memory:
         raise ValueError(f"lag {lag} out of range for memory {memory}")
-    out = np.empty(bits // memory)
+    out, scratch = np.empty(bits // memory), np.empty(size >> 1)
     rest = mu
     for bit in range(bits - 1, lag - 1, -1):
-        halves = rest.reshape(2, -1)
+        half = len(rest) >> 1
         urn, at = divmod(bit, memory)
         if at == lag:
-            out[urn] = halves[1].sum()
-        rest = halves[0] + halves[1]
+            out[urn] = rest[half:].sum()
+        rest = np.add(rest[:half], rest[half:], out=scratch[:half])
     return out
 
 
@@ -580,15 +617,11 @@ def save_kernel_csv(kernel: TransitionKernel, path: str) -> None:
     nnz = kernel.n_states << kernel.n_urns
     if nnz > SPARSE_NNZ_CAP:
         raise CapExceededError(f"materializing {nnz} entries exceeds cap {SPARSE_NNZ_CAP}")
-    fan = len(kernel._newest)
-    F = np.empty((kernel.n_states, fan))  # F[a, x], the full blocks by source
-    to = np.empty(F.shape, dtype=np.int64)  # the successors of each a, rising with x
-    for P, rows in kernel._class_probabilities():
-        kept = kernel._kept[rows][:, :, None]
-        src = kept + kernel._oldest  # src[c, r, o]
-        # the full table T[c, o, x] of each class, written to each of its rows
-        F[src] = _products(P.reshape(len(P), -1)).T.reshape(len(rows), 1, fan, fan)
-        to[src] = ((kept >> 1) + kernel._newest)[:, :, None]
+    states = np.arange(kernel.n_states, dtype=np.int64)
+    # F[a, x], the full table row of a's red-count vector; the successors
+    # of each a, rising with x, drop its lag-0 bits and shift the rest down
+    F = _products(kernel._count_probabilities().T).T[kernel._count_index(states)]
+    to = ((states & ~int(kernel._oldest[-1])) >> 1)[:, None] + kernel._newest
     a, x = np.nonzero(F > 0.0)
     write_csv(path, ("from_state", "to_state", "probability"), "%d,%d,%.17g\n",
               chunked(a, to[a, x], F[a, x]))

@@ -212,24 +212,33 @@ def _bytes(cfg: ExperimentConfig, curves: int = 0, tables: int = 0, squares: int
 
 
 def _exact_cost(cfg: ExperimentConfig) -> int:
-    """The work cap first; then a step's two distributions, the kernel with
-    its row arrays and apply workspace, and the curve."""
+    """The work cap first; then a step's two distributions and the half
+    of one that the marginals add into, the kernel with its row arrays
+    and apply workspace, and the curve."""
     n, memory = cfg.raw.n_urns, cfg.raw.memory
     chain.check_admission(n, memory, cfg.exact_cap_bits)
     # 2**(N*M) is clipped where 16 * 2**64 bytes already exceeds any machine
     kernel = (chain.kernel_bytes(n, memory) + chain.working_bytes(n, memory)
               if n * memory <= 64 else 0)
-    return (16 << min(n * memory, 64)) + kernel + _bytes(cfg, curves=1)
+    return (20 << min(n * memory, 64)) + kernel + _bytes(cfg, curves=1)
 
 
 def _exact_trajectory(cfg: ExperimentConfig, params: NetworkParams, path: str):
     kernel = chain.build_kernel(params, cfg.raw.interaction, cap_bits=cfg.exact_cap_bits)
     mu, M = chain.point_mass(kernel, 0), params.memory
-    per = np.zeros((cfg.t_max, params.n_urns))
-    for t in range(cfg.t_max):
-        mu = kernel.apply(mu)
-        per[t] = chain.lag_marginals(mu, M - 1, M)
-    del kernel, mu  # not held while the CSV is written
+    nxt, per = np.empty_like(mu), np.zeros((cfg.t_max, params.n_urns))
+    # Steps alternate two distributions.  Once a chunk ends on one equal
+    # bit for bit to the one before it, every later step returns it too,
+    # and the rest of the curve repeats its marginals.
+    for lo in range(0, cfg.t_max, meanfield._CHECK_ROWS):
+        hi = min(lo + meanfield._CHECK_ROWS, cfg.t_max)
+        for t in range(lo, hi):
+            mu, nxt = kernel.apply(mu, out=nxt), mu
+            per[t] = chain.lag_marginals(mu, M - 1, M)
+        if hi < cfg.t_max and np.array_equal(mu.view(np.int64), nxt.view(np.int64)):
+            per[hi:] = per[hi - 1]
+            break
+    del kernel, mu, nxt  # not held while the CSV is written
     traj = meanfield.InfectionTrajectory(np.arange(cfg.t_max) + 1, per, per.mean(axis=1), "exact")
     return _written(meanfield.save_trajectory_csv, traj, path)
 

@@ -160,6 +160,28 @@ def full_blocks(kernel):
         yield src, dst, chain._products(P).reshape(fan, len(src), fan).transpose(1, 2, 0)
 
 
+def class_tables(kernel):
+    """Yield every block's ``(src, dst, A, B)`` in the layout of the
+    kernel's kept tables, the factor products formed for each (class,
+    source) pair from ``draw_probabilities`` of the class's first row
+    plus that source, as ``full_blocks`` reads them per state.
+
+    The oracle for the tables that the kernel gathers from the products
+    of its red-count vectors.
+    """
+    N, fan, h = kernel.n_urns, 1 << kernel.n_urns, kernel._half
+    for _, rows in kernel._groups:
+        kept, c = kernel._kept[rows], len(rows)
+        src = kept[:, :, None] + kernel._oldest
+        dst = (kept >> 1)[:, :, None] + kernel._newest
+        P = kernel.draw_probabilities(src[:, 0].ravel()).T
+        A = chain._products(P[:h]).reshape(-1, c, fan).transpose(1, 2, 0)
+        if h == N:
+            yield src, dst, np.ascontiguousarray(A), None
+        else:
+            yield src, dst, A, chain._products(P[h:]).reshape(-1, c, fan).transpose(1, 0, 2)
+
+
 def apply_by_full_blocks(kernel, mu):
     """One step of ``mu`` through the kernel's full factor blocks: a
     batched vector-matrix product ``mu[src] @ F`` per block of rows.

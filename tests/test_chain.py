@@ -29,6 +29,7 @@ from polyanet.networks import barabasi_albert, ring, row_normalize
 
 from conftest import (
     apply_by_full_blocks,
+    class_tables,
     csgraph_structure,
     make_raw,
     pair_raw,
@@ -96,6 +97,16 @@ class TestKernelOperator:
         Q = brute_force_matrix(par, S)
         mu = rng.dirichlet(np.ones(kern.n_states))
         assert np.allclose(kern.apply(mu), mu @ Q, atol=1e-14)
+
+    def test_apply_into_a_buffer(self, rng):
+        kern = build_kernel(random_params(rng, 3, 2), random_interaction(rng, 3))
+        mu = rng.dirichlet(np.ones(kern.n_states))
+        buf = np.full(kern.n_states, np.nan)
+        assert kern.apply(mu, out=buf) is buf
+        assert np.array_equal(buf.view(np.int64), kern.apply(mu).view(np.int64))
+        for out in (mu, mu[::-1], np.empty(kern.n_states - 1), np.empty(kern.n_states, np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                kern.apply(mu, out=out)
 
     def test_successors_match_transition_prob(self, rng):
         par = random_params(rng, 2, 3)
@@ -578,11 +589,12 @@ CLASS_SHAPES = [(n, m) for m in range(1, 6) for n in range(1, 9) if n * (m + 1) 
 
 
 @st.composite
-def class_kernels(draw):
-    """Random params and S with N*(M+1) <= 16 and M <= 5, where some urns
-    are pinned red (rho = 1, delta_b = 0) or black (rho = 0, delta_r = 0)
-    and see only themselves, so that some factors are exactly zero."""
-    n, m = draw(st.sampled_from(CLASS_SHAPES))
+def class_kernels(draw, shapes=CLASS_SHAPES):
+    """Random params and S of one of ``shapes`` (N*(M+1) <= 16 and M <= 5
+    by default), where some urns are pinned red (rho = 1, delta_b = 0) or
+    black (rho = 0, delta_r = 0) and see only themselves, so that some
+    factors are exactly zero."""
+    n, m = draw(st.sampled_from(shapes))
     seed = draw(st.integers(0, 2**32 - 1))
     pinned = draw(st.lists(st.sampled_from(["free", "red", "black"]), min_size=n, max_size=n))
     g = np.random.default_rng(seed)
@@ -614,6 +626,32 @@ class TestCountClasses:
         for _ in range(2):  # the second pass reads what the first kept
             mu = g.dirichlet(np.ones(kern.n_states))
             assert np.max(np.abs(kern.apply(mu) - apply_by_full_blocks(kern, mu))) <= 1e-15
+
+    @given(class_kernels([(n, m) for n in range(1, 5) for m in range(1, 5)]), st.booleans(),
+           st.sampled_from([1, 3, None]))
+    @settings(max_examples=60, deadline=None)
+    def test_tables_match_per_state_tables(self, case, full, classes):
+        # gathered from the red-count vectors' products, the tables are those
+        # formed per (class, source) pair, bit for bit and with the same
+        # strides, whether kept whole or as halves and however blocks split
+        par, S, _ = case
+        with mock.patch.object(chain, "KERNEL_CACHE_BYTES", (1 << 40) if full else 0):
+            entries = chain.BLOCK_ENTRIES if classes is None else class_block_entries(
+                par.n_urns, par.memory, classes)
+            with mock.patch.object(chain, "BLOCK_ENTRIES", entries):
+                kern = build_kernel(par, S)
+            if classes is not None:
+                assert_block_classes(kern, classes)
+            tables = kern._tables()
+            want = list(class_tables(kern))
+        assert len(tables) == len(want)
+        for got, ref in zip(tables, want):
+            for a, b in zip(got, ref):
+                if b is None:
+                    assert a is None
+                    continue
+                assert a.shape == b.shape and a.strides == b.strides
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     @pytest.mark.parametrize("n_urns, memory", CLASS_SHAPES)
     def test_classes_partition_rows_by_counts(self, n_urns, memory):

@@ -282,6 +282,25 @@ class TestRun:
         text = (tmp_path / "run_equilibrium.csv").read_text()
         assert "spectral_radius" in text
 
+    def test_settled_exact_curve_is_every_steps_curve(self, tmp_path, monkeypatch):
+        # A 3-urn ring at memory 3 returns its distribution bit for bit from
+        # step 155 on, so the chunk that ends at step 192 is the last one
+        # stepped; with one chunk of t_max steps every step is taken.
+        data = base_config(tmp_path, network={"kind": "ring", "nodes": 3}, memory=3,
+                           initial_red=[5, 12, 7], initial_total=[25] * 3,
+                           reinforce_red=[11, 8, 9], reinforce_black=[11, 9, 12],
+                           modes=["exact"], t_max=300)
+        applies, apply = [], chain.TransitionKernel.apply
+        monkeypatch.setattr(chain.TransitionKernel, "apply",
+                            lambda self, mu, out=None: applies.append(1) or apply(self, mu, out))
+        run(config_from_dict(data))
+        settled = (tmp_path / "run_exact.csv").read_bytes()
+        assert len(applies) == 192
+        monkeypatch.setattr(meanfield, "_CHECK_ROWS", 300)
+        run(config_from_dict(data))
+        assert len(applies) == 192 + 300
+        assert (tmp_path / "run_exact.csv").read_bytes() == settled
+
     def test_exact_cap_exceeded(self, tmp_path):
         data = base_config(
             tmp_path,
