@@ -11,7 +11,6 @@ from .chain import (
     TransitionKernel,
     build_kernel,
     check_irreducible_aperiodic,
-    evolve_distribution,
     lag_marginals,
     marginal_infection,
     point_mass,

@@ -80,11 +80,6 @@ DIST_SUM_TOL = 1e-10
 SEARCH_LEVELS = 1 << 20  # states x searches held by one batch of breadth-first searches
 
 
-def state_bit(urn: int, lag: int, memory: int) -> int:
-    """Bit position of (urn, lag) in the packed state; lag 0 is oldest."""
-    return urn * memory + lag
-
-
 def _popcounts(memory: int) -> np.ndarray:
     return np.array([bin(v).count("1") for v in range(1 << memory)], dtype=np.int64)
 
@@ -176,7 +171,7 @@ class TransitionKernel:
     entries.  The first pass builds the tables and keeps them, with the
     index arrays of every block (:func:`kernel_bytes`).  The kernel CSV
     multiplies out the draw probabilities of each red-count vector into
-    its full table row, and ``successors`` those of one source.
+    its full table row.
     """
 
     def __init__(self, params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS):
@@ -332,17 +327,6 @@ class TransitionKernel:
             out[dst] = np.matmul(x, A).reshape(dst.shape)
         return out
 
-    def successors(self, state: int):
-        """Successor indices and probabilities of one state (zeros dropped)."""
-        state = int(state)
-        if not 0 <= state < self.n_states:
-            raise ValueError("state out of range")
-        # lag 0 of every urn drops out and the other lags move down one
-        dst = ((state & ~int(self._oldest[-1])) >> 1) + self._newest
-        vals = _products(self.draw_probabilities([state]).T)[:, 0]
-        keep = vals > 0.0
-        return dst[keep], vals[keep]
-
 
 def build_kernel(params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS) -> TransitionKernel:
     return TransitionKernel(params, S, cap_bits=cap_bits)
@@ -390,17 +374,6 @@ def stationary_distribution(
         f"power iteration did not reach tol={tol} in {max_iters} iterations "
         f"(last residual {resid:.3e})"
     )
-
-
-def evolve_distribution(kernel: TransitionKernel, mu0, steps: int) -> np.ndarray:
-    """Distribution after ``steps`` applications of the kernel."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    mu = _check_distribution(mu0, kernel.n_states).copy()
-    nxt = np.empty_like(mu)
-    for _ in range(steps):
-        mu, nxt = kernel.apply(mu, out=nxt), mu
-    return mu
 
 
 def point_mass(kernel: TransitionKernel, state: int = 0) -> np.ndarray:
@@ -604,12 +577,6 @@ def check_irreducible_aperiodic(
     diameter = max(int(_reach(kernel, np.arange(lo, min(lo + batch, n)), everywhere).max())
                    for lo in range(0, n, batch)) if irreducible and n <= diameter_limit else None
     return KernelStructure(irreducible, irreducible and period == 1, period, n_comp, diameter)
-
-
-def save_distribution_csv(mu, path: str) -> None:
-    """Rows of (packed state index, probability)."""
-    mu = np.asarray(mu, dtype=float)
-    write_csv(path, ("state", "probability"), "%d,%.17g\n", chunked(np.arange(len(mu)), mu))
 
 
 def save_kernel_csv(kernel: TransitionKernel, path: str) -> None:

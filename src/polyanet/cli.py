@@ -57,13 +57,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen_network(args) -> int:
     out = experiment._check_setting("out_prefix", args.out)
-    spec = {"kind": args.kind, "nodes": args.nodes, "seed": args.seed,
-            "self_weight": args.self_weight}
-    if args.kind == "barabasi-albert":
-        if args.attach is None:
-            raise ConfigError("attach", "--attach is required for barabasi-albert")
-        spec["attach"] = args.attach
-    S = experiment.resolve_network(spec)
+    if args.kind == "barabasi-albert" and args.attach is None:
+        raise ConfigError("attach", "--attach is required for barabasi-albert")
+    given = {"nodes": args.nodes, "attach": args.attach, "seed": args.seed,
+             "self_weight": args.self_weight}
+    S = experiment.resolve_network(
+        {"kind": args.kind, **{k: given[k] for k in experiment.NETWORK_KINDS[args.kind]}})
     if args.kind in ("barabasi-albert", "complete"):
         networks.save_edge_list(S > 0, f"{out}_edges.csv")
     networks.save_matrix(S, f"{out}_matrix.csv")

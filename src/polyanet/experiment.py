@@ -25,14 +25,10 @@ from .errors import CapExceededError, ConfigError, UnstableSystemError
 from .params import NetworkParams, RawConfig, check_interaction_matrix, normalize
 
 SCHEMA_VERSION = 1
-NETWORK_KINDS = (
-    "barabasi-albert",
-    "ring",
-    "complete",
-    "identity",
-    "matrix",
-    "matrix-file",
-)
+# Each network kind and the entries beside "kind" that it reads.
+NETWORK_KINDS = {"barabasi-albert": ("nodes", "attach", "seed", "self_weight"),
+                 "ring": ("nodes",), "complete": ("nodes", "self_weight"), "identity": ("nodes",),
+                 "matrix": ("values", "normalize"), "matrix-file": ("path",)}
 
 
 # The optional integer entries: default and minimum (None: any integer).
@@ -58,12 +54,17 @@ class ExperimentConfig:
 
 
 def resolve_network(spec, base_dir: str = ".") -> np.ndarray:
-    """Build the interaction matrix described by a config's network entry."""
+    """Build the interaction matrix described by a config's network entry;
+    an entry that its kind does not read is an error."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("network", "must be an object with a 'kind' entry")
-    kind = spec["kind"]
-    if kind not in NETWORK_KINDS:
-        raise ConfigError("network.kind", f"unknown kind {kind!r}; options: {NETWORK_KINDS}")
+    kind, kinds = spec["kind"], tuple(NETWORK_KINDS)  # a tuple compares a list kind
+    if kind not in kinds:
+        raise ConfigError("network.kind", f"unknown kind {kind!r}; options: {kinds}")
+    for key in spec:
+        if key != "kind" and key not in NETWORK_KINDS[kind]:
+            raise ConfigError("network", f"unknown entry {key!r} for kind {kind!r}; "
+                                         f"options: {NETWORK_KINDS[kind]}")
     try:
         if kind == "matrix":
             values, norm = np.asarray(spec["values"], dtype=object), spec.get("normalize", False)
@@ -230,14 +231,10 @@ def _exact_trajectory(cfg: ExperimentConfig, params: NetworkParams, path: str):
     # Steps alternate two distributions.  Once a chunk ends on one equal
     # bit for bit to the one before it, every later step returns it too,
     # and the rest of the curve repeats its marginals.
-    for lo in range(0, cfg.t_max, meanfield._CHECK_ROWS):
-        hi = min(lo + meanfield._CHECK_ROWS, cfg.t_max)
+    for lo, hi in meanfield._chunks(per, lambda hi: (mu, nxt)):
         for t in range(lo, hi):
             mu, nxt = kernel.apply(mu, out=nxt), mu
             per[t] = chain.lag_marginals(mu, M - 1, M)
-        if hi < cfg.t_max and np.array_equal(mu.view(np.int64), nxt.view(np.int64)):
-            per[hi:] = per[hi - 1]
-            break
     del kernel, mu, nxt  # not held while the CSV is written
     traj = meanfield.InfectionTrajectory(np.arange(cfg.t_max) + 1, per, per.mean(axis=1), "exact")
     return _written(meanfield.save_trajectory_csv, traj, path)

@@ -37,6 +37,8 @@ stop once the last M + 1 rows are bitwise equal.  That last row r was
 then computed from a window of M copies of r, and a step reads nothing
 but its window, so every later row is r as well; the rest of the
 trajectory is filled with r and is bit for bit what stepping would give.
+:func:`_chunks` makes that stop, with the caller's test of a settled
+chunk; the exact chain's trajectory steps through it too.
 """
 
 from __future__ import annotations
@@ -269,18 +271,17 @@ def equilibrium(system: LinearSystem) -> Equilibrium:
     return Equilibrium(per_urn, full, est.value, residual)
 
 
-def _chunks(vals: np.ndarray, M: int):
-    """``(lo, hi)`` per chunk of at most ``_CHECK_ROWS`` rows for the caller
-    to step, rows M + lo .. M + hi - 1 of ``vals``.  Once a stepped chunk
-    ends in M + 1 bitwise equal rows, the rest of ``vals`` copies the last
-    and no more chunks come."""
-    width = vals.shape[1] * vals.itemsize
-    for lo in range(0, len(vals) - M, _CHECK_ROWS):
-        hi = min(lo + _CHECK_ROWS, len(vals) - M)
+def _chunks(rows: np.ndarray, settled):
+    """``(lo, hi)`` per chunk of at most ``_CHECK_ROWS`` rows of ``rows`` for
+    the caller to step, rows lo .. hi - 1.  After a stepped chunk,
+    ``settled(hi)`` returns the caller's two float64 arrays that are
+    bitwise equal only when every later step repeats row hi - 1; once they
+    are, the rest of ``rows`` copies that row and no more chunks come."""
+    for lo in range(0, len(rows), _CHECK_ROWS):
+        hi = min(lo + _CHECK_ROWS, len(rows))
         yield lo, hi
-        last = vals[hi - 1 : hi + M].tobytes()  # equal rows: equal shifted by a row
-        if last[width:] == last[:-width]:
-            vals[hi + M :] = vals[hi + M - 1]
+        if hi < len(rows) and np.array_equal(*(x.view(np.int64) for x in settled(hi))):
+            rows[hi:] = rows[hi - 1]
             return
 
 
@@ -328,12 +329,16 @@ def iterate(
     vals[:M] = hist[::-1]
     per, rows = vals[1 : t_max + 1], vals[M : t_max + 1]
     window = deque(vals[M - 1 :: -1], maxlen=M)
+
+    def settled(hi):  # the last M + 1 rows are equal: equal shifted by a row
+        return vals[hi - 1 : hi + M - 1], vals[hi : hi + M]
+
     if kind == "nonlinear":
         # Each step writes its raw row, clips it into vals for the next
         # steps, and the raw rows are checked once at the end (past a
         # fixed point every raw row is the last one stepped).
         raw, run, hi = np.empty_like(rows), _nonlinear_map(params, S), 0
-        for lo, hi in _chunks(vals, M):
+        for lo, hi in _chunks(rows, settled):
             run(rows[lo:hi], raw[lo:hi], window)
         clamp_probability(raw[:hi], what="infection probabilities")
         avg = per.mean(axis=1)
@@ -344,7 +349,7 @@ def iterate(
         # An unstable system overflows once run long enough; its values are
         # nonnegative, so checking the averages once also checks every row.
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo, hi in _chunks(vals, M):
+            for lo, hi in _chunks(rows, settled):
                 for row in rows[lo:hi]:
                     mix(sum_lags(window, lag_sum), row)
                     row += c

@@ -1,8 +1,7 @@
-"""Interaction-matrix builders and graph CSV import/export."""
+"""Interaction-matrix builders, the edge-list writer and the matrix CSV
+writer and reader."""
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
@@ -112,26 +111,6 @@ def save_edge_list(adjacency, path: str) -> None:
     upper = (np.flatnonzero(adj[u, u + 1 :]) + (u + 1) for u in range(adj.shape[0]))
     chunks = ((u, vs, adj[u, vs].astype(float)) for u, vs in enumerate(upper))
     write_csv(path, ("u", "v", "weight"), "%d,%d,%.17g\n", chunks)
-
-
-def load_edge_list(path: str, n_nodes: int | None = None) -> np.ndarray:
-    """Read a u,v,weight edge list back into a symmetric adjacency."""
-    edges = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["u", "v", "weight"]:
-            raise ValueError(f"{path}: expected header u,v,weight")
-        for line in reader:
-            if not line:
-                continue
-            edges.append((int(line[0]), int(line[1]), float(line[2])))
-    if n_nodes is None:
-        n_nodes = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
-    adj = np.zeros((n_nodes, n_nodes))
-    for u, v, w in edges:
-        adj[u, v] = adj[v, u] = w
-    return adj
 
 
 def save_matrix(matrix, path: str) -> None:

@@ -13,14 +13,11 @@ from polyanet import chain
 from polyanet.chain import (
     build_kernel,
     check_irreducible_aperiodic,
-    evolve_distribution,
     lag_marginals,
     marginal_infection,
     point_mass,
-    save_distribution_csv,
     save_kernel_csv,
     stationary_distribution,
-    state_bit,
     two_fold_joint,
 )
 from polyanet.errors import CapExceededError
@@ -61,11 +58,6 @@ def brute_force_matrix(params, S):
 
 
 class TestLayout:
-    def test_state_bit(self):
-        assert state_bit(0, 0, 3) == 0
-        assert state_bit(0, 2, 3) == 2
-        assert state_bit(2, 1, 3) == 7
-
     def test_window_counts(self, rng):
         par = random_params(rng, 2, 3)
         kern = build_kernel(par, random_interaction(rng, 2))
@@ -107,19 +99,6 @@ class TestKernelOperator:
         for out in (mu, mu[::-1], np.empty(kern.n_states - 1), np.empty(kern.n_states, np.float32)):
             with pytest.raises(ValueError, match="out must be"):
                 kern.apply(mu, out=out)
-
-    def test_successors_match_transition_prob(self, rng):
-        par = random_params(rng, 2, 3)
-        S = random_interaction(rng, 2)
-        kern = build_kernel(par, S)
-        for state in rng.integers(0, kern.n_states, 8):
-            idx, vals = kern.successors(int(state))
-            assert len(idx) <= 1 << kern.n_urns
-            assert vals.sum() == pytest.approx(1.0, abs=1e-12)
-            for b, p in zip(idx, vals):
-                assert p == pytest.approx(
-                    transition_prob(int(state), int(b), par, S), abs=1e-14
-                )
 
     def test_incompatible_shift_is_zero(self):
         par = NetworkParams.homogeneous(1, 2, 0.5, 1.0)
@@ -239,26 +218,17 @@ class TestEvolve:
                     want, abs=1e-12
                 )
 
-    def test_zero_steps_identity(self, rng):
-        par = random_params(rng, 2, 1)
-        kern = build_kernel(par, random_interaction(rng, 2))
-        mu = rng.dirichlet(np.ones(kern.n_states))
-        assert np.array_equal(evolve_distribution(kern, mu, 0), mu)
-
     def test_bad_inputs(self, rng):
+        # a start of the wrong length, with a negative entry (summing to 1)
+        # or summing to 2 is refused
         par = random_params(rng, 2, 1)
         kern = build_kernel(par, random_interaction(rng, 2))
         mu = rng.dirichlet(np.ones(kern.n_states))
-        with pytest.raises(ValueError):
-            evolve_distribution(kern, mu, -1)
-        with pytest.raises(ValueError):
-            evolve_distribution(kern, mu[:-1], 1)
-        with pytest.raises(ValueError):
-            evolve_distribution(kern, mu * 2.0, 1)
         bad = mu.copy()
         bad[0], bad[1] = -bad[1], bad[0] + 2 * bad[1]
-        with pytest.raises(ValueError):
-            evolve_distribution(kern, bad, 1)
+        for start, match in ((mu[:-1], "length"), (bad, "nonnegative"), (mu * 2.0, "sums to")):
+            with pytest.raises(ValueError, match=match):
+                stationary_distribution(kern, start=start)
 
 
 class TestMarginals:
@@ -381,14 +351,6 @@ def structure_case(seed):
 
 
 class TestExports:
-    def test_distribution_csv(self, tmp_path):
-        path = tmp_path / "pi.csv"
-        save_distribution_csv([0.25, 0.75], str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "state,probability"
-        assert lines[1] == "0,0.25"
-        assert lines[2] == "1,0.75"
-
     def test_kernel_csv_row_stochastic(self, tmp_path, rng):
         par = random_params(rng, 2, 2)
         kern = build_kernel(par, random_interaction(rng, 2))
@@ -450,8 +412,8 @@ def assert_split(kern, table_form):
 
 
 class TestKernelPaths:
-    """apply, the blocks (read through the to_sparse oracle) and successors
-    agree with transition_prob whether the class tables are kept whole or
+    """apply and the blocks (read through the to_sparse oracle) agree
+    with transition_prob whether the class tables are kept whole or
     as halves, and wherever blocks split."""
 
     @pytest.mark.parametrize("rows_per_block", [None, 3])
@@ -471,11 +433,6 @@ class TestKernelPaths:
         sparse = to_sparse(kern)
         assert sparse.nnz == np.count_nonzero(Q)
         assert np.max(np.abs(sparse.toarray() - Q)) <= 1e-15
-        for state in range(kern.n_states):
-            idx, vals = kern.successors(state)
-            assert np.all(vals > 0.0)
-            assert sorted(idx.tolist()) == np.flatnonzero(Q[state]).tolist()
-            assert np.max(np.abs(vals - Q[state, idx])) <= 1e-15
 
     def test_pinned_case_has_exact_zeros(self):
         par, S, Q = path_case(PATH_CASES[-1])
@@ -483,11 +440,13 @@ class TestKernelPaths:
 
     def test_repeated_apply_is_deterministic(self, table_form):
         par, S, _ = path_case((2, 3, 15))
-        kern = build_kernel(par, S)
-        mu = point_mass(kern, 0)
-        a = evolve_distribution(kern, mu, 5)
-        b = evolve_distribution(build_kernel(par, S), mu, 5)
-        assert np.array_equal(a, b)
+        runs = []
+        for kern in (build_kernel(par, S), build_kernel(par, S)):
+            mu = point_mass(kern, 0)
+            for _ in range(5):
+                mu = kern.apply(mu)
+            runs.append(mu)
+        assert np.array_equal(*runs)
 
     def test_kernel_csv_digest(self, tmp_path):
         par = NetworkParams(
@@ -522,11 +481,6 @@ class TestKernelPaths:
             save_kernel_csv(kern, str(tmp_path / "kernel.csv"))
         assert not (tmp_path / "kernel.csv").exists()
 
-    def test_successors_rejects_out_of_range(self, rng):
-        kern = build_kernel(random_params(rng, 2, 2), random_interaction(rng, 2))
-        for state in (-1, kern.n_states):
-            with pytest.raises(ValueError):
-                kern.successors(state)
 
 
 HALF_CASES = [(n, m) for n in range(1, 8) for m in (1, 2, 3) if n * (m + 1) <= 16]

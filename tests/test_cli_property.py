@@ -38,10 +38,11 @@ def configs(draw, prefix):
     counts = st.lists(st.integers(0, 30), min_size=n, max_size=n)
     total = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
     kind = draw(st.sampled_from(KINDS))
-    network = {"kind": kind, "nodes": n, "seed": draw(SMALL_INT),
-               "self_weight": draw(st.sampled_from([0.0, 1.0, 2.5]))}
+    network = {"kind": kind, "nodes": n}
+    if kind in ("barabasi-albert", "complete"):
+        network["self_weight"] = draw(st.sampled_from([0.0, 1.0, 2.5]))
     if kind == "barabasi-albert":
-        network["attach"] = draw(st.integers(1, max(1, n - 1)))
+        network.update(seed=draw(SMALL_INT), attach=draw(st.integers(1, max(1, n - 1))))
     if kind == "matrix":
         rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
                              min_size=n, max_size=n))

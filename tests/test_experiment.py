@@ -167,7 +167,9 @@ class TestNetworkResolution:
     @pytest.mark.parametrize("kind", ["barabasi-albert", "complete"])
     def test_built_network_is_normalized_in_place(self, kind):
         # the freshly built adjacency becomes S: no second N x N array
-        spec = {"kind": kind, "nodes": 1000, "attach": 2, "seed": 3, "self_weight": 0.5}
+        spec = {"kind": kind, "nodes": 1000, "self_weight": 0.5}
+        if kind == "barabasi-albert":
+            spec.update(attach=2, seed=3)
         tracemalloc.start()
         try:
             S = resolve_network(spec)
@@ -210,6 +212,32 @@ class TestNetworkResolution:
     def test_invalid_matrix_values(self):
         with pytest.raises(ConfigError):
             resolve_network({"kind": "matrix", "values": [[0.9, 0.3], [0.5, 0.5]]})
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "barabasi-albert", "nodes": 6, "atach": 3, "seed": 9}, "atach"),
+        ({"kind": "barabasi-albert", "nodes": 6, "attach": 3, "seeed": 9}, "seeed"),
+        ({"kind": "ring", "nodes": 4, "seed": 1}, "seed"),
+        ({"kind": "identity", "nodes": 4, "self_weight": 1.0}, "self_weight"),
+        ({"kind": "complete", "nodes": 4, "attach": 2}, "attach"),
+        ({"kind": "matrix", "values": [[1.0]], "nodes": 1}, "nodes"),
+        ({"kind": "matrix-file", "path": "S.csv", "normalize": True}, "normalize"),
+    ])
+    def test_entry_its_kind_does_not_read(self, spec, key):
+        with pytest.raises(ConfigError, match=f"unknown entry '{key}'") as info:
+            resolve_network(spec)
+        assert info.value.field == "network"
+
+    def test_misspelled_entry_exits_2(self, tmp_path, capsys):
+        # six urns, so the config is valid but for the network's typos
+        network = {"kind": "barabasi-albert", "nodes": 6, "atach": 3, "seeed": 9}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(
+            tmp_path, network=network, initial_red=5, initial_total=25, reinforce_red=11,
+            reinforce_black=9, modes=["montecarlo"])))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: network: unknown entry 'atach'")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestRun:

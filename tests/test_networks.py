@@ -1,4 +1,4 @@
-"""Interaction-matrix builders and graph round-trips."""
+"""Interaction-matrix builders, the edge-list writer and matrix round-trips."""
 
 import tracemalloc
 
@@ -9,7 +9,6 @@ from polyanet.networks import (
     barabasi_albert,
     complete,
     identity,
-    load_edge_list,
     load_matrix,
     ring,
     row_normalize,
@@ -135,22 +134,6 @@ class TestRowNormalize:
 
 
 class TestRoundTrips:
-    def test_edge_list_round_trip(self, tmp_path):
-        adj = barabasi_albert(25, 2, seed=11)
-        path = tmp_path / "g_edges.csv"
-        save_edge_list(adj, str(path))
-        back = load_edge_list(str(path))
-        assert np.array_equal(adj, back)
-
-    def test_edge_list_explicit_size(self, tmp_path):
-        adj = np.zeros((5, 5))
-        adj[0, 1] = adj[1, 0] = 1.0
-        path = tmp_path / "g_edges.csv"
-        save_edge_list(adj, str(path))
-        back = load_edge_list(str(path), n_nodes=5)
-        assert back.shape == (5, 5)
-        assert np.array_equal(adj, back)
-
     @pytest.mark.parametrize("n_nodes", [7, 50, 300])
     def test_edge_list_bytes_match_loop_writer(self, tmp_path, n_nodes):
         adj = barabasi_albert(n_nodes, 2, seed=n_nodes)
@@ -176,12 +159,6 @@ class TestRoundTrips:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n_nodes**2
-
-    def test_edge_list_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n0,1,1.0\n")
-        with pytest.raises(ValueError, match="header"):
-            load_edge_list(str(path))
 
     def test_matrix_round_trip_exact(self, tmp_path, rng):
         S = row_normalize(barabasi_albert(12, 2, seed=4), self_weight=1.0)

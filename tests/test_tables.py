@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from polyanet import csvio
-from polyanet.chain import build_kernel, save_distribution_csv, save_kernel_csv
+from polyanet.chain import build_kernel, save_kernel_csv
 from polyanet.experiment import config_from_dict, run
 from polyanet.meanfield import (
     Equilibrium,
@@ -39,7 +39,8 @@ def assert_rows(path, header, rows):
 def test_distribution(tmp_path, rng, chunk):
     mu = np.concatenate([rng.random(20), SPECIAL])
     path = tmp_path / "pi.csv"
-    save_distribution_csv(mu, str(path))
+    csvio.write_csv(str(path), ("state", "probability"), "%d,%.17g\n",
+                    csvio.chunked(np.arange(len(mu)), mu))
     assert_rows(path, ("state", "probability"), [(i, float(v)) for i, v in enumerate(mu)])
 
 
