@@ -7,7 +7,7 @@ draws of every urn.  A state is packed into one integer with the layout
     bit (urn * M + lag)  =  draw of ``urn`` at window position ``lag``,
 
 where lag 0 is the oldest remembered draw and lag M-1 the most recent
-one.  Every exporter and consumer in the package shares this layout.
+one.  Every consumer in the package shares this layout.
 
 A transition from ``a`` to ``b`` is possible only when each urn's
 window shifts by one (b's first M-1 positions repeat a's last M-1); the
@@ -41,8 +41,6 @@ batched matrix product per block of the classes of one size,
 ``(mu[src] * B) @ A`` with the rows of a class stacked, written into
 a distribution that the caller may reuse, and the per-step work is
 2**(N*(M+1)) = states x fan-out; admission control bounds that number.
-Only the kernel CSV multiplies out the full table of every red-count
-vector, which it writes to every state of that vector.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import chunked, write_csv
 from .errors import CapExceededError, ConvergenceError
 from .params import (
     NetworkParams,
@@ -62,19 +59,17 @@ from .params import (
 )
 
 DEFAULT_CAP_BITS = 24
-SPARSE_NNZ_CAP = 1 << 26
 # Factor entries per enumerated block, so the block workspace stays
 # cache-sized (a block is at least one class): a class is 2**N * 2**N
 # entries of its full table or 2**N * (2**h + 2**(N-h)) of its half
 # tables, or its rows' share of the product's left operand where that
 # is larger.
 BLOCK_ENTRIES = 1 << 16
-# Budget of the full tables: a kernel whose full class tables (at M >= 3),
-# or full 0/1 patterns for the structural check, total at most this many
-# bytes keeps them whole, else as half tables or patterns (see _split
-# and _patterns).  Every kernel keeps its tables; under the default cap
-# the largest are N = 6, M = 3's full ones, 23 MiB, and N = 8, M = 2's
-# half ones, 16 MiB.
+# Budget of the full tables: a kernel whose full class tables (at M >= 3)
+# total at most this many bytes keeps them whole, else as half tables
+# (see _split); the structural check's 0/1 patterns take the same form.
+# Every kernel keeps its tables; under the default cap the largest are
+# N = 6, M = 3's full ones, 23 MiB, and N = 8, M = 2's half ones, 16 MiB.
 KERNEL_CACHE_BYTES = 32 << 20
 DIST_SUM_TOL = 1e-10
 SEARCH_LEVELS = 1 << 20  # states x searches held by one batch of breadth-first searches
@@ -169,9 +164,7 @@ class TransitionKernel:
     batched product per block of a group (the classes of one size) and
     the structural check pushes its searches through their positive
     entries.  The first pass builds the tables and keeps them, with the
-    index arrays of every block (:func:`kernel_bytes`).  The kernel CSV
-    multiplies out the draw probabilities of each red-count vector into
-    its full table row.
+    index arrays of every block (:func:`kernel_bytes`).
     """
 
     def __init__(self, params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS):
@@ -241,16 +234,6 @@ class TransitionKernel:
             counts[..., j] = self._pop[field]
         return counts
 
-    def draw_probabilities(self, states) -> np.ndarray:
-        """Red-draw probability of every urn out of each state, shape (len, N)."""
-        counts = self.window_counts(states)
-        return self._mix(self._ratios[np.arange(self.n_urns), counts])
-
-    def _mix(self, ratios) -> np.ndarray:
-        """Red-draw probabilities from the (len, N) red ratios of the
-        sources' windows, mixed through S."""
-        return clamp_probability(ratios @ self.S.T, what="draw probability")
-
     # -- enumeration core -----------------------------------------------------
 
     def _count_index(self, states) -> np.ndarray:
@@ -260,12 +243,13 @@ class TransitionKernel:
 
     def _count_probabilities(self) -> np.ndarray:
         """Red-draw probabilities out of every red-count vector, shape
-        ((M+1)**N, N), in the order of :meth:`_count_index`."""
+        ((M+1)**N, N), in the order of :meth:`_count_index`: the red
+        ratios of its windows mixed through S."""
         N, M = self.n_urns, self.memory
         ratios = np.empty((M + 1,) * N + (N,))
         for j, row in enumerate(self._ratios):  # n_j is the digit of axis N-1-j
             ratios[..., j] = row.reshape((M + 1,) + (1,) * j)
-        return self._mix(ratios.reshape(-1, N))
+        return clamp_probability(ratios.reshape(-1, N) @ self.S.T, what="draw probability")
 
     def _tables(self) -> list:
         """Every block's ``(src, dst, A, B)``, built on the first call and
@@ -429,24 +413,20 @@ def two_fold_joint(pi, kernel: TransitionKernel, urn: int) -> np.ndarray:
 
     Entry [a, b] is the stationary probability that the urn's draw is
     ``a`` now and ``b`` one step later; computed from ``pi`` and the
-    per-state red probabilities, no simulation involved.
+    red probabilities out of every state, no simulation involved.  At
+    memory 1 a state's red-count vector is its own bits, so its index
+    (:meth:`TransitionKernel._count_index`) is the state itself.
     """
     if kernel.memory != 1:
         raise ValueError("two_fold_joint is defined for memory 1")
     if not 0 <= urn < kernel.n_urns:
         raise ValueError(f"urn index {urn} out of range")
     pi = _check_distribution(pi, kernel.n_states)
-    joint = np.zeros((2, 2))
-    chunk = BLOCK_ENTRIES
-    for start in range(0, kernel.n_states, chunk):
-        states = np.arange(start, min(start + chunk, kernel.n_states), dtype=np.int64)
-        p = kernel.draw_probabilities(states)[:, urn]
-        now = (states >> urn) & 1
-        w = pi[states]
-        for a in (0, 1):
-            sel = now == a
-            joint[a, 1] += float((w[sel] * p[sel]).sum())
-            joint[a, 0] += float((w[sel] * (1.0 - p[sel])).sum())
+    p = kernel._count_probabilities()[:, urn]
+    now = (np.arange(kernel.n_states) >> urn) & 1
+    joint = np.empty((2, 2))
+    joint[:, 1] = np.bincount(now, weights=pi * p, minlength=2)
+    joint[:, 0] = np.bincount(now, weights=pi * (1.0 - p), minlength=2)
     return joint
 
 
@@ -482,24 +462,13 @@ def _full_pattern(A, B):
 
 def _patterns(kernel: TransitionKernel) -> list:
     """Every block's ``(src, dst, A, B)`` with the table entries replaced by
-    their 0/1 pattern, 1.0 (float32) where positive: a transition is
-    positive where both of its factors are.  The kernel keeps the patterns
-    beside its tables, as the full pattern ``(src, dst, E, None)`` where
-    those, 4*M**N*4**N bytes, fit ``KERNEL_CACHE_BYTES``, else as the two
-    half patterns."""
-    if kernel._patterns is not None:
-        return kernel._patterns
-    fan = len(kernel._oldest)
-    full = kernel.memory**kernel.n_urns * fan * fan * 4 <= KERNEL_CACHE_BYTES
-
-    def pattern(src, dst, A, B):
-        A = (A > 0.0).astype(np.float32)
-        if B is None:
-            return src, dst, A, None
-        B = (B > 0.0).astype(np.float32)
-        return (src, dst, _full_pattern(A, B), None) if full else (src, dst, A, B)
-
-    kernel._patterns = [pattern(*block) for block in kernel._tables()]
+    their 0/1 pattern, 1.0 (float32) where positive, in the form in which
+    the kernel keeps its tables: a transition is positive where both of
+    its factors are.  The kernel keeps the patterns beside its tables."""
+    if kernel._patterns is None:
+        kernel._patterns = [(src, dst, (A > 0.0).astype(np.float32),
+                             None if B is None else (B > 0.0).astype(np.float32))
+                            for src, dst, A, B in kernel._tables()]
     return kernel._patterns
 
 
@@ -577,18 +546,3 @@ def check_irreducible_aperiodic(
     diameter = max(int(_reach(kernel, np.arange(lo, min(lo + batch, n)), everywhere).max())
                    for lo in range(0, n, batch)) if irreducible and n <= diameter_limit else None
     return KernelStructure(irreducible, irreducible and period == 1, period, n_comp, diameter)
-
-
-def save_kernel_csv(kernel: TransitionKernel, path: str) -> None:
-    """Positive transitions as (from_state, to_state, probability) rows, sorted."""
-    nnz = kernel.n_states << kernel.n_urns
-    if nnz > SPARSE_NNZ_CAP:
-        raise CapExceededError(f"materializing {nnz} entries exceeds cap {SPARSE_NNZ_CAP}")
-    states = np.arange(kernel.n_states, dtype=np.int64)
-    # F[a, x], the full table row of a's red-count vector; the successors
-    # of each a, rising with x, drop its lag-0 bits and shift the rest down
-    F = _products(kernel._count_probabilities().T).T[kernel._count_index(states)]
-    to = ((states & ~int(kernel._oldest[-1])) >> 1)[:, None] + kernel._newest
-    a, x = np.nonzero(F > 0.0)
-    write_csv(path, ("from_state", "to_state", "probability"), "%d,%d,%.17g\n",
-              chunked(a, to[a, x], F[a, x]))

@@ -59,10 +59,11 @@ def _cmd_gen_network(args) -> int:
     out = experiment._check_setting("out_prefix", args.out)
     if args.kind == "barabasi-albert" and args.attach is None:
         raise ConfigError("attach", "--attach is required for barabasi-albert")
+    # only the options given, so that the kind refuses those it does not read
     given = {"nodes": args.nodes, "attach": args.attach, "seed": args.seed,
              "self_weight": args.self_weight}
     S = experiment.resolve_network(
-        {"kind": args.kind, **{k: given[k] for k in experiment.NETWORK_KINDS[args.kind]}})
+        {"kind": args.kind, **{k: v for k, v in given.items() if v is not None}})
     if args.kind in ("barabasi-albert", "complete"):
         networks.save_edge_list(S > 0, f"{out}_edges.csv")
     networks.save_matrix(S, f"{out}_matrix.csv")
@@ -121,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--nodes", type=int, required=True)
     g.add_argument("--attach", type=int, default=None,
                    help="edges per new node (barabasi-albert)")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--self-weight", type=float, default=1.0, dest="self_weight")
+    g.add_argument("--seed", type=int, help="generator seed (barabasi-albert; default 0)")
+    g.add_argument("--self-weight", type=float, dest="self_weight",
+                   help="diagonal weight (barabasi-albert, complete; default 1.0)")
     g.add_argument("--out", required=True, help=f"output path prefix; {OUT_DASH_HELP}")
     g.set_defaults(func=_cmd_gen_network)
 

@@ -145,6 +145,19 @@ def dense_transition_matrix(kernel):
     return Q
 
 
+def draw_probabilities(kernel, states):
+    """Red-draw probability of every urn out of each packed state, shape
+    (len, N): the red ratios of the state's windows, read from
+    ``red_ratio_table`` at their ``window_counts``, mixed through S.
+
+    The per-state oracle for the draw probabilities that the kernel
+    evaluates once per red-count vector.
+    """
+    counts = kernel.window_counts(states)
+    ratios = red_ratio_table(kernel.params)[np.arange(kernel.n_urns), counts]
+    return clamp_probability(ratios @ kernel.S.T, what="draw probability")
+
+
 def full_blocks(kernel):
     """Yield ``(src, dst, F)`` for every block of the kernel's rows,
     ``F[k, o, x]`` being the probability of moving from ``src[k, o]`` to
@@ -156,14 +169,14 @@ def full_blocks(kernel):
         kept = kernel._kept[lo : lo + rows]
         src = kept[:, None] + kernel._oldest[None, :]
         dst = (kept >> 1)[:, None] + kernel._newest[None, :]
-        P = kernel.draw_probabilities(src.ravel()).T
+        P = draw_probabilities(kernel, src.ravel()).T
         yield src, dst, chain._products(P).reshape(fan, len(src), fan).transpose(1, 2, 0)
 
 
 def class_tables(kernel):
     """Yield every block's ``(src, dst, A, B)`` in the layout of the
     kernel's kept tables, the factor products formed for each (class,
-    source) pair from ``draw_probabilities`` of the class's first row
+    source) pair from :func:`draw_probabilities` of the class's first row
     plus that source, as ``full_blocks`` reads them per state.
 
     The oracle for the tables that the kernel gathers from the products
@@ -174,7 +187,7 @@ def class_tables(kernel):
         kept, c = kernel._kept[rows], len(rows)
         src = kept[:, :, None] + kernel._oldest
         dst = (kept >> 1)[:, :, None] + kernel._newest
-        P = kernel.draw_probabilities(src[:, 0].ravel()).T
+        P = draw_probabilities(kernel, src[:, 0].ravel()).T
         A = chain._products(P[:h]).reshape(-1, c, fan).transpose(1, 2, 0)
         if h == N:
             yield src, dst, np.ascontiguousarray(A), None

@@ -1,6 +1,5 @@
 """Exact computations on the expanded draw chain."""
 
-import hashlib
 from unittest import mock
 
 import numpy as np
@@ -16,7 +15,6 @@ from polyanet.chain import (
     lag_marginals,
     marginal_infection,
     point_mass,
-    save_kernel_csv,
     stationary_distribution,
     two_fold_joint,
 )
@@ -28,6 +26,7 @@ from conftest import (
     apply_by_full_blocks,
     class_tables,
     csgraph_structure,
+    draw_probabilities,
     make_raw,
     pair_raw,
     pair_stationary,
@@ -274,6 +273,23 @@ class TestTwoFoldJoint:
         assert joint[1].sum() == pytest.approx(marg, abs=1e-10)
         assert joint[:, 1].sum() == pytest.approx(marg, abs=1e-9)
 
+    @pytest.mark.parametrize("n_urns", range(1, 9))
+    def test_memory_one_reads_each_state_at_its_own_index(self, n_urns):
+        # at M = 1 a state's red-count vector is its bits, so its count index
+        # is the state and the count vectors' probabilities are the states'
+        g = np.random.default_rng(n_urns)
+        kern = build_kernel(random_params(g, n_urns, 1), random_interaction(g, n_urns))
+        states = np.arange(kern.n_states)
+        assert np.array_equal(kern._count_index(states), states)
+        P = draw_probabilities(kern, states)
+        assert np.array_equal(kern._count_probabilities().view(np.int64), P.view(np.int64))
+        pi = g.dirichlet(np.ones(kern.n_states))
+        for urn in range(n_urns):
+            want = np.zeros((2, 2))
+            for s, (w, p) in enumerate(zip(pi, P[:, urn])):
+                want[(s >> urn) & 1] += (w * (1.0 - p), w * p)
+            assert np.max(np.abs(two_fold_joint(pi, kern, urn) - want)) <= 1e-15
+
 
 class TestStructure:
     def test_homogeneous_chain_certificate(self):
@@ -348,21 +364,6 @@ def structure_case(seed):
     delta[int(g.integers(0, 2))][int(g.integers(0, n))] = 0.0
     S = random_interaction(g, n) * ((g.random((n, n)) < 2 / 3) | np.eye(n, dtype=bool))
     return NetworkParams(m, rho, *delta), S / S.sum(axis=1, keepdims=True)
-
-
-class TestExports:
-    def test_kernel_csv_row_stochastic(self, tmp_path, rng):
-        par = random_params(rng, 2, 2)
-        kern = build_kernel(par, random_interaction(rng, 2))
-        path = tmp_path / "kernel.csv"
-        save_kernel_csv(kern, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "from_state,to_state,probability"
-        sums = np.zeros(kern.n_states)
-        for line in lines[1:]:
-            a, b, p = line.split(",")
-            sums[int(a)] += float(p)
-        assert np.allclose(sums, 1.0, atol=1e-12)
 
 
 # (n_urns, memory, seed): every case keeps N*M <= 6 so the transition_prob
@@ -447,40 +448,6 @@ class TestKernelPaths:
                 mu = kern.apply(mu)
             runs.append(mu)
         assert np.array_equal(*runs)
-
-    def test_kernel_csv_digest(self, tmp_path):
-        par = NetworkParams(
-            memory=2, rho=[0.3, 0.65, 0.5], delta_r=[0.4, 1.1, 0.25],
-            delta_b=[0.9, 0.2, 0.6],
-        )
-        S = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
-        path = tmp_path / "kernel.csv"
-        save_kernel_csv(build_kernel(par, S), str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "9af3015f4554bf5d2bf786f2944a818320471d5d8d18979ae4793ce0096c8e08"
-        )
-
-    def test_kernel_csv_bytes_on_every_path(self, tmp_path, table_form, monkeypatch):
-        # The digest pinned above, with the rows split over blocks of three
-        monkeypatch.setattr(chain, "BLOCK_ENTRIES", 3 << 6)
-        par = NetworkParams(
-            memory=2, rho=[0.3, 0.65, 0.5], delta_r=[0.4, 1.1, 0.25],
-            delta_b=[0.9, 0.2, 0.6],
-        )
-        S = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
-        path = tmp_path / "kernel.csv"
-        save_kernel_csv(build_kernel(par, S), str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "9af3015f4554bf5d2bf786f2944a818320471d5d8d18979ae4793ce0096c8e08"
-        )
-
-    def test_kernel_csv_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(chain, "SPARSE_NNZ_CAP", 63)
-        kern = build_kernel(NetworkParams.homogeneous(2, 2, 0.5, 1.0), np.eye(2))
-        with pytest.raises(CapExceededError, match="materializing 64 entries"):
-            save_kernel_csv(kern, str(tmp_path / "kernel.csv"))
-        assert not (tmp_path / "kernel.csv").exists()
-
 
 
 HALF_CASES = [(n, m) for n in range(1, 8) for m in (1, 2, 3) if n * (m + 1) <= 16]
@@ -679,24 +646,36 @@ class TestPush:
             if rows is not None:
                 assert_block_classes(kern, rows)
 
-    @pytest.mark.parametrize("patterns", ["full", "half"])
-    def test_one_search_images_match_full_blocks(self, patterns, table_form, monkeypatch):
-        # where a kernel has only its half patterns at hand, its full ones
-        # being too large to keep, one search goes through them in turn
+    def test_one_search_images_match_full_blocks(self, table_form):
+        # a single search, which goes through half patterns in turn
         g = np.random.default_rng(49)
-        budget = chain.KERNEL_CACHE_BYTES
         for par, S in [structure_case(seed) for seed in range(48)]:
-            monkeypatch.setattr(chain, "KERNEL_CACHE_BYTES", budget)
             kern = build_kernel(par, S)
             edge = (to_sparse(kern).toarray() > 0.0).astype(np.int64)
-            if patterns == "half":  # tables kept as built, full patterns not kept
-                kern.apply(point_mass(kern, 0))
-                monkeypatch.setattr(chain, "KERNEL_CACHE_BYTES", 0)
             for density in (0.5, 0.0):
                 front = g.random((kern.n_states, 1)) < density
                 front[g.integers(kern.n_states)] = True
                 assert np.array_equal(chain._push(kern, front), edge.T @ front > 0), (par, S)
                 assert np.array_equal(chain._push(kern, front, True), edge @ front > 0), (par, S)
+
+    def test_patterns_take_the_tables_form(self, table_form):
+        # the patterns are the tables' positive entries, kept whole where
+        # the tables are and as halves where they are
+        forms = set()
+        for par, S in [structure_case(seed) for seed in range(48)]:
+            kern = build_kernel(par, S)
+            chain._push(kern, np.ones((kern.n_states, 1), dtype=bool))
+            tables = kern._tables()
+            assert len(kern._patterns) == len(tables)
+            for (src, dst, A, B), pattern in zip(tables, kern._patterns):
+                assert pattern[0] is src and pattern[1] is dst
+                assert (pattern[3] is None) == (B is None)
+                forms.add(B is None)
+                for T, E in zip((A, B), pattern[2:]):
+                    if T is not None:
+                        assert E.dtype == np.float32 and E.shape == T.shape
+                        assert np.array_equal(E, T > 0.0)
+        assert forms == ({False, True} if table_form == "full" else {False})
 
     def test_patterns_are_formed_once_per_kernel(self, table_form):
         # kept beside the tables, whole or as halves

@@ -88,9 +88,12 @@ def calls(draw, root):
     out = os.path.join(root, "out")
     if command == "gen-network":
         argv = [command, "--kind", draw(st.sampled_from(KINDS[:4])),
-                "--nodes", str(draw(st.integers(0, 6))), "--out", out,
-                "--seed", str(draw(SMALL_INT)),
-                "--self-weight", draw(st.sampled_from(["0", "1", "2.5", "1", "-1", "nan"]))]
+                "--nodes", str(draw(st.integers(0, 6))), "--out", out]
+        # each kind refuses the options it does not read, so each is drawn
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(SMALL_INT))]
+        if draw(st.booleans()):
+            argv += ["--self-weight", draw(st.sampled_from(["0", "1", "2.5", "1", "-1", "nan"]))]
         if draw(st.booleans()):
             argv += ["--attach", str(draw(st.integers(0, 3)))]
         return argv

@@ -698,6 +698,9 @@ class TestCli:
         ["--kind", "barabasi-albert", "--nodes", "3", "--attach", "5"],
         ["--kind", "complete", "--nodes", "4", "--self-weight", "-1"],
         ["--kind", "complete", "--nodes", "4", "--self-weight", "nan"],
+        # options that the kind does not read
+        ["--kind", "ring", "--nodes", "4", "--seed", "5", "--self-weight", "nan"],
+        ["--kind", "complete", "--nodes", "4", "--attach", "3"],
     ])
     def test_gen_network_bad_arguments_exit_2(self, tmp_path, capsys, args):
         out = str(tmp_path / "net")

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from polyanet import csvio
-from polyanet.chain import build_kernel, save_kernel_csv
 from polyanet.experiment import config_from_dict, run
 from polyanet.meanfield import (
     Equilibrium,
@@ -19,7 +18,7 @@ from polyanet.meanfield import (
 from polyanet.networks import barabasi_albert, save_edge_list, save_matrix
 from polyanet.params import NetworkParams
 
-from conftest import random_interaction, to_sparse, write_rows
+from conftest import random_interaction, write_rows
 
 SPECIAL = [0.0, -0.0, 5e-324, 1e300, 1 / 3, np.inf, np.nan, -np.inf, -1e-310]
 
@@ -74,20 +73,6 @@ def test_declined_equilibrium(tmp_path, chunk):
     assert summary["equilibrium_declined"]
     assert_rows(tmp_path / "run_equilibrium.csv", ("urn", "value"),
                 [("spectral_radius", summary["spectral_radius"])])
-
-
-@pytest.mark.parametrize("n, m", [(3, 2), (2, 1), (1, 3)])
-def test_kernel(tmp_path, rng, chunk, n, m):
-    par = NetworkParams(m, rng.uniform(0.2, 0.8, n), rng.uniform(0.1, 1.0, n),
-                        rng.uniform(0.1, 1.0, n))
-    kernel = build_kernel(par, random_interaction(rng, n))
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(kernel, str(path))
-    Q = to_sparse(kernel)
-    Q.sort_indices()
-    Q = Q.tocoo()
-    assert_rows(path, ("from_state", "to_state", "probability"),
-                zip(Q.row.tolist(), Q.col.tolist(), Q.data.tolist()))
 
 
 @pytest.mark.parametrize("n_nodes", [2, 7, 40])
