@@ -1,5 +1,6 @@
 """Exact computations on the expanded draw chain."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,7 @@ from conftest import (
     realized_pair,
     to_sparse,
     transition_prob,
+    write_rows,
 )
 
 
@@ -396,6 +398,12 @@ def path_case(case):
     return _BRUTE[case]
 
 
+def kernel_rows(kern):
+    """The kernel's own dense matrix, row s being ``apply`` of the point
+    mass on s."""
+    return np.array([kern.apply(point_mass(kern, s)) for s in range(kern.n_states)])
+
+
 @pytest.fixture(params=["half", "full"])
 def table_form(request, monkeypatch):
     """The table budget that makes every kernel keep its class tables and
@@ -434,6 +442,36 @@ class TestKernelPaths:
         sparse = to_sparse(kern)
         assert sparse.nnz == np.count_nonzero(Q)
         assert np.max(np.abs(sparse.toarray() - Q)) <= 1e-15
+
+    @pytest.mark.parametrize("case", PATH_CASES)
+    def test_rows_match_brute_force(self, case, table_form):
+        # row by row: the same exact zeros, each entry to 1e-15, and every
+        # row a distribution
+        par, S, Q = path_case(case)
+        rows = kernel_rows(build_kernel(par, S))
+        assert np.array_equal(rows > 0.0, Q > 0.0)
+        assert np.max(np.abs(rows - Q)) <= 1e-15
+        assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows_per_block", [None, 3])
+    def test_row_digest(self, tmp_path, rows_per_block, table_form, monkeypatch):
+        # the positive entries of the kernel's own rows, sorted, keep their
+        # bits whether the tables are whole or halves and wherever blocks split
+        if rows_per_block is not None:
+            monkeypatch.setattr(chain, "BLOCK_ENTRIES", rows_per_block << 6)
+        par = NetworkParams(
+            memory=2, rho=[0.3, 0.65, 0.5], delta_r=[0.4, 1.1, 0.25],
+            delta_b=[0.9, 0.2, 0.6],
+        )
+        S = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+        rows = kernel_rows(build_kernel(par, S))
+        a, b = np.nonzero(rows > 0.0)
+        path = tmp_path / "rows.csv"
+        write_rows(path, ("from_state", "to_state", "probability"),
+                   zip(a.tolist(), b.tolist(), rows[a, b].tolist()))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "42c90b193feafda7eb404fde3f64ce6900e3166bf525bf6590453af5f92ad489"
+        )
 
     def test_pinned_case_has_exact_zeros(self):
         par, S, Q = path_case(PATH_CASES[-1])
