@@ -62,8 +62,14 @@ def _cmd_gen_network(args) -> int:
     # only the options given, so that the kind refuses those it does not read
     given = {"nodes": args.nodes, "attach": args.attach, "seed": args.seed,
              "self_weight": args.self_weight}
-    S = experiment.resolve_network(
-        {"kind": args.kind, **{k: v for k, v in given.items() if v is not None}})
+    flags = {k: "--" + k.replace("_", "-") for k in given}
+    given = {k: v for k, v in given.items() if v is not None}
+    reads = experiment.NETWORK_KINDS[args.kind]
+    for name in given:
+        if name not in reads:  # named by its flag, not by its config entry
+            raise ConfigError("network", f"unknown option {flags[name]} for kind {args.kind!r}; "
+                                         f"options: {tuple(flags[k] for k in reads)}")
+    S = experiment.resolve_network({"kind": args.kind, **given})
     if args.kind in ("barabasi-albert", "complete"):
         networks.save_edge_list(S > 0, f"{out}_edges.csv")
     networks.save_matrix(S, f"{out}_matrix.csv")

@@ -1,6 +1,8 @@
 """Artifact writers shared by every exporter: :func:`open_artifact` is the
 one opener (it creates the directory), JSON goes through
-:func:`write_json` and every CSV through the one writer :func:`write_csv`.
+:func:`write_json` and every CSV through the one byte grid of
+:func:`write_csv` (a curve through :func:`write_curve_csv`, which adds
+the settled tail below).
 
 A CSV is a ``csv.writer`` header row (the matrix file has none) and then
 a record template of one or more lines, written once per record, one
@@ -34,6 +36,16 @@ grid with its NULs deleted.  A cell holds exactly the bytes of
 A chunk of fewer than ``SMALL_VALUES`` values skips the grid: the record
 template itself is applied to each record with ``%``, which formats every
 value by that same ``'%d' % i`` or ``'%.17g' % x``.
+
+A curve (:func:`write_curve_csv`) is scanned back from its end, one
+chunk of records at a time, for the first record from which every record
+has the last record's bits (a settled tail).  The records before it go
+through the chunks; the tail is written from the last record, its float
+cells formatted once, so only the time slots remain.  Times of one digit
+count and sign form a run with one byte layout: a grid of a chunk's
+records holds that record, without NULs, and each block of the run
+places its times' digits in it and goes to the file as it is.  A tail of
+fewer than ``SMALL_VALUES`` values goes through the chunks too.
 """
 
 from __future__ import annotations
@@ -72,6 +84,9 @@ _POW10 = np.array([float(10**k) for k in range(21)], dtype=np.longdouble)
 _GROUPS = sum((48 + np.arange(10000, dtype=np.uint64) // 10**k % 10) << 8 * (3 - k)
               for k in range(4))
 _TRAILING = sum((np.arange(10000) % 10**k == 0).astype(np.uint8) for k in range(1, 5))
+# 10**k for k = 1..19: an integer's digit count is one more than the
+# number of them at or below its magnitude.
+_POWERS = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
 
 # A fixed-notation float cell is built from its 17 digits, bytes 0..16
 # of three little-endian words.  The sign goes to byte 0; the digits up
@@ -277,13 +292,55 @@ class _Grid:
         if ints is not None:
             grid[:, int_at] = int_cells
         if floats is not None:
-            if floats.strides[0] == 0:  # one record repeated: formatted once
-                floats = floats[:1]
             # a float cell is copied whole into a window of the row
             window = np.lib.stride_tricks.sliding_window_view(
                 grid, _FLOAT_CELL, axis=1, writeable=True)
             window[:, float_at] = _float_cells(floats).reshape(*floats.shape, -1)
         return grid.tobytes().translate(None, b"\0")
+
+    def write_repeated(self, fh, floats, times, step: int) -> None:
+        """One record per time to ``fh``: its ``%.17g`` slots take ``floats``
+        in template order and every ``%d`` slot takes the time.
+
+        The floats are formatted once.  Times of one digit count and sign
+        form a run, whose record has one byte layout; its grid of ``step``
+        records is filled with that record once, and each block of the run
+        places its times' digits in it and goes to ``fh`` as it is.
+        """
+        cells = _float_cells(floats)
+        if len(cells) != (~self.is_int).sum():
+            raise ValueError(f"{(~self.is_int).sum()} float slots, got {len(cells)} values")
+        text = iter(c[c != 0].tobytes() for c in cells)
+        # the record's bytes between its %d slots, the floats in place
+        parts = [self.literals[0]]
+        for is_int, literal in zip(self.is_int.tolist(), self.literals[1:]):
+            if is_int:
+                parts.append(literal)
+            else:
+                parts[-1] += next(text) + literal
+        lengths = np.cumsum([len(p) for p in parts[:-1]])
+        negative = times < 0
+        digits = 1 + np.searchsorted(_POWERS, np.abs(times).view(np.uint64), side="right")
+        ends = np.flatnonzero(np.diff(2 * digits + negative)) + 1
+        for lo, hi in zip([0, *ends.tolist()], [*ends.tolist(), len(times)]):
+            sign = int(negative[lo])
+            width = int(digits[lo]) + sign
+            row = np.frombuffer(b"".join(p + bytes(width) for p in parts[:-1]) + parts[-1], np.uint8)
+            int_at = lengths[:, None] + width * np.arange(len(lengths))[:, None] + np.arange(width)
+            grid = np.empty((min(step, hi - lo), len(row)), np.uint8)
+            grid[:] = row
+            for start in range(lo, hi, step):
+                block = times[start : min(start + step, hi)]
+                grid[: len(block), int_at] = _int_cells(block)[:, None, 1 - sign :]
+                fh.write(grid[: len(block)])
+
+
+def _header_line(header: Iterable[str] | None) -> bytes:
+    """The ``csv.writer`` line of ``header``; none if it is None."""
+    line = io.StringIO()
+    if header is not None:
+        csv.writer(line, lineterminator="\n").writerow(list(header))
+    return line.getvalue().encode()
 
 
 def write_csv(path: str, header: Iterable[str] | None, record: str, chunks) -> None:
@@ -297,10 +354,7 @@ def write_csv(path: str, header: Iterable[str] | None, record: str, chunks) -> N
     """
     grid = _Grid(record)
     with open_artifact(path, binary=True) as fh:
-        if header is not None:
-            line = io.StringIO()
-            csv.writer(line, lineterminator="\n").writerow(list(header))
-            fh.write(line.getvalue().encode())
+        fh.write(_header_line(header))
         for columns in _joined(chunks):
             fh.write(grid.render(columns))
 
@@ -320,12 +374,33 @@ def _joined(chunks):
             pending, size = [], 0
 
 
+def _chunk_records(*columns) -> int:
+    """Records per chunk of about ``CHUNK_VALUES`` values of ``columns``."""
+    width = sum(math.prod(np.shape(c)[1:]) for c in columns)
+    return max(1, CHUNK_VALUES // max(1, width))
+
+
 def chunked(*columns):
     """Whole columns cut into chunks of about ``CHUNK_VALUES`` values."""
-    width = sum(math.prod(np.shape(c)[1:]) for c in columns)
-    step = max(1, CHUNK_VALUES // max(1, width))
+    step = _chunk_records(*columns)
     for lo in range(0, len(columns[0]), step):
         yield tuple(c[lo : lo + step] for c in columns)
+
+
+def _settled_from(per_urn, network_avg, step: int) -> int:
+    """The first record from which every record has the last record's bits,
+    found ``step`` records at a time from the end."""
+    urns, avg = per_urn.view(np.int64), network_avg.view(np.int64)
+    end = len(avg)
+    while end > 0:
+        lo = max(0, end - step)
+        # NaN never equals itself and -0.0 equals 0.0, so the bits compare
+        same = (urns[lo:end] == urns[-1]).all(axis=1) & (avg[lo:end] == avg[-1])
+        differ = np.flatnonzero(~same)
+        if len(differ):
+            return lo + int(differ[-1]) + 1
+        end = lo
+    return 0
 
 
 def write_curve_csv(path: str, header: Iterable[str], times, per_urn,
@@ -333,10 +408,13 @@ def write_curve_csv(path: str, header: Iterable[str], times, per_urn,
     """Curve CSV: per time step, one line per urn and one ``avg`` line.
 
     Line ``j`` of step ``k`` is ``time, j, per_urn[k, j], tail`` and the
-    last is ``time, avg, network_avg[k], tail``.
+    last is ``time, avg, network_avg[k], tail``.  The records from the
+    first one that has the last record's bits on (a settled curve's tail)
+    are written from that record, its floats formatted once.
     """
     times = np.asarray(times).astype(np.int64)
     per_urn = np.asarray(per_urn, dtype=float)
+    network_avg = np.asarray(network_avg, dtype=float)
     # A step's N+1 lines are one record with two slots per line (time, value);
     # the constant cells go through csv.writer once, '%' in the tail escaped.
     lines = io.StringIO()
@@ -344,13 +422,15 @@ def write_curve_csv(path: str, header: Iterable[str], times, per_urn,
         ("%d", urn, "%.17g", str(tail).replace("%", "%%"))
         for urn in [*range(per_urn.shape[1]), "avg"]
     )
-    last = np.append(per_urn[-1:], network_avg[-1:])
-
-    def chunks():
-        for t, p, a in chunked(times, per_urn, network_avg):
-            values = np.column_stack((p, a))
-            # a chunk whose records all have the last record's bits (a
-            # settled curve's tail) passes that record, broadcast
-            yield t[:, None], last if (values.view(np.int64) == last.view(np.int64)).all() else values
-
-    write_csv(path, header, lines.getvalue(), chunks())
+    grid = _Grid(lines.getvalue())
+    step = _chunk_records(times, per_urn, network_avg)
+    settled = _settled_from(per_urn, network_avg, step)
+    if (len(times) - settled) * len(grid.is_int) < SMALL_VALUES:
+        settled = len(times)  # a short tail costs less through the chunks
+    with open_artifact(path, binary=True) as fh:
+        fh.write(_header_line(header))
+        for columns in _joined((t[:, None], np.column_stack((p, a))) for t, p, a in chunked(
+                times[:settled], per_urn[:settled], network_avg[:settled])):
+            fh.write(grid.render(columns))
+        if settled < len(times):
+            grid.write_repeated(fh, np.append(per_urn[-1], network_avg[-1]), times[settled:], step)

@@ -42,6 +42,44 @@ def assert_same_bytes(tmp_path, times, per_urn, avg, tail, header=HEADER):
     assert got.read_bytes() == want.read_bytes()
 
 
+@st.composite
+def settled_curves(draw):
+    """Times, per-urn values and averages of a curve that has its last
+    record's bits from a drawn record on, a chunk size (None: the default)
+    and a ``SMALL_VALUES``."""
+    n, t_max = draw(st.integers(1, 12)), draw(st.integers(1, 300))
+    settled = draw(st.integers(0, t_max - 1))
+    kind = draw(st.sampled_from(["consecutive", "gaps", "any"]))
+    if kind == "any":
+        times = draw(st.lists(INTS, min_size=t_max, max_size=t_max))
+    else:
+        # consecutive times cross powers of ten and, below zero, negative ones
+        start = draw(st.integers(-10**4, 10**4)
+                     | st.builds(lambda k, d, s: s * 10**k - d, st.integers(1, 18),
+                                 st.integers(0, 300), st.sampled_from([-1, 1])))
+        steps = [1] * t_max if kind == "consecutive" else draw(
+            st.lists(st.integers(-1000, 1000), min_size=t_max, max_size=t_max))
+        times = np.cumsum([start, *steps[1:]]).tolist()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_urn, avg = rng.random((t_max, n)), rng.random(t_max)
+    last = rng.choice(np.array([0.0, np.nan, 1 / 3, 1e-310, 2.5e20]), n + 1)
+    # the record before the tail is random, or differs from the last record
+    # only in the sign of a zero or in the payload of a NaN
+    change, j = draw(st.sampled_from(["random", "sign", "payload"])), draw(st.integers(0, n))
+    before = last.copy()
+    if change == "sign":
+        last[j], before[j] = 0.0, -0.0
+    elif change == "payload":
+        last[j] = np.nan
+        before[j] = (np.array(np.nan).view(np.int64) | draw(st.sampled_from([1, -2**63]))).view(float)
+    per_urn[settled:], avg[settled:] = last[:n], last[n]
+    if settled and change != "random":
+        per_urn[settled - 1], avg[settled - 1] = before[:n], before[n]
+    chunk = draw(st.none() | st.integers(1, 50))
+    small = draw(st.sampled_from([0, csvio.SMALL_VALUES]))
+    return np.array(times, dtype=np.int64), per_urn, avg, chunk, small
+
+
 class TestWriteCurveCsv:
     @pytest.mark.parametrize("t_max, n", [(1, 1), (1, 100), (40, 1), (25, 100), (9, 4)])
     @pytest.mark.parametrize("tail", [7, 100, "exact", "meanfield-linear"])
@@ -93,6 +131,34 @@ class TestWriteCurveCsv:
             assert_same_bytes(tmp_path, times, per_urn, avg, "meanfield-linear")
         if case == "constant":  # one record's floats per chunk
             assert cells.call_count and all(c.args[0].size <= n + 1 for c in cells.call_args_list)
+
+    @given(settled_curves())
+    @settings(max_examples=200, deadline=None)
+    def test_settled_tail_matches_rows(self, case):
+        # The records from the settled start on are written from one record
+        # whose floats are formatted once, whatever the chunk size, the
+        # digit counts and signs of the times, and a last pre-tail record
+        # that differs only in a zero's sign or a NaN's payload.  With
+        # SMALL_VALUES at 0 every tail takes that path, however short.
+        times, per_urn, avg, chunk, small = case
+        with mock.patch.object(csvio, "CHUNK_VALUES", chunk or csvio.CHUNK_VALUES), \
+                mock.patch.object(csvio, "SMALL_VALUES", small), \
+                tempfile.TemporaryDirectory() as root:
+            want, got = os.path.join(root, "rows.csv"), os.path.join(root, "tail.csv")
+            write_curve_rows(want, HEADER, times, per_urn, avg, "meanfield-linear")
+            write_curve_csv(got, HEADER, times, per_urn, avg, "meanfield-linear")
+            with open(want, "rb") as a, open(got, "rb") as b:
+                assert b.read() == a.read()
+
+    def test_long_settled_tail(self, tmp_path):
+        # One urn, times 1..100 000 (one to six digits), settled from t = 3
+        t_max = 100_000
+        per_urn = np.full((t_max, 1), 0.1)
+        per_urn[:2, 0] = [0.5, 0.3]
+        avg = per_urn[:, 0].copy()
+        with mock.patch.object(csvio, "_float_cells", wraps=csvio._float_cells) as cells:
+            assert_same_bytes(tmp_path, np.arange(1, t_max + 1), per_urn, avg, "meanfield-linear")
+        assert [c.args[0].size for c in cells.call_args_list] == [2]
 
     def test_digest(self, tmp_path):
         # Every value comes from one exactly rounded division, so the

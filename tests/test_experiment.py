@@ -710,6 +710,21 @@ class TestCli:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    # an option that the kind does not read is named by its flag, with the
+    # flags that the kind reads
+    @pytest.mark.parametrize("args, message", [
+        (["--kind", "ring", "--nodes", "4", "--self-weight", "2"],
+         "unknown option --self-weight for kind 'ring'; options: ('--nodes',)"),
+        (["--kind", "complete", "--nodes", "4", "--attach", "3"],
+         "unknown option --attach for kind 'complete'; options: ('--nodes', '--self-weight')"),
+        (["--kind", "identity", "--nodes", "4", "--seed", "5", "--self-weight", "1"],
+         "unknown option --seed for kind 'identity'; options: ('--nodes',)"),
+    ], ids=["ring-self-weight", "complete-attach", "identity-seed"])
+    def test_gen_network_names_the_unread_flag(self, tmp_path, capsys, args, message):
+        assert cli.main(["gen-network", *args, "--out", str(tmp_path / "net")]) == 2
+        assert capsys.readouterr().err == f"configuration error: network: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_compare_subcommand(self, tmp_path, capsys):
         path = self.write_config(tmp_path, modes=["meanfield-nonlinear"])
         cli.main(["meanfield", "--config", path, "--system", "nonlinear"])
