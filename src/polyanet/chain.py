@@ -72,7 +72,6 @@ BLOCK_ENTRIES = 1 << 16
 # N = 6, M = 3's full ones, 23 MiB, and N = 8, M = 2's half ones, 16 MiB.
 KERNEL_CACHE_BYTES = 32 << 20
 DIST_SUM_TOL = 1e-10
-SEARCH_LEVELS = 1 << 20  # states x searches held by one batch of breadth-first searches
 
 
 def _popcounts(memory: int) -> np.ndarray:
@@ -162,8 +161,8 @@ class TransitionKernel:
     tables, gathered from the products of the red-count vectors of its
     sources.  ``apply`` contracts a distribution with them in one
     batched product per block of a group (the classes of one size) and
-    the structural check pushes its searches through their positive
-    entries.  The first pass builds the tables and keeps them, with the
+    the structural check pushes one front at a time through their 0/1
+    patterns.  The first pass builds the tables and keeps them, with the
     index arrays of every block (:func:`kernel_bytes`).
     """
 
@@ -303,13 +302,19 @@ class TransitionKernel:
         elif out.shape != mu.shape or out.dtype != mu.dtype or np.may_share_memory(out, mu):
             raise ValueError(f"out must be a float64 array of length {self.n_states} "
                              "apart from the distribution")
-        for src, dst, A, B in self._tables():
-            # out[c, r, xB * 2**h + xA] = sum_o mu[src[c, r, o]] B[c, xB, o] A[c, o, xA]
-            x = mu[src]
-            if B is not None:
-                x = (x[:, :, None, :] * B[:, None]).reshape(len(src), -1, src.shape[2])
-            out[dst] = np.matmul(x, A).reshape(dst.shape)
-        return out
+        return _contract(self._tables(), mu, out)
+
+
+def _contract(tables, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``mu`` one step forward into ``out``, one batched matrix product per
+    block's ``(src, dst, A, B)``: of the tables, or of their 0/1 patterns."""
+    for src, dst, A, B in tables:
+        # out[c, r, xB * 2**h + xA] = sum_o mu[src[c, r, o]] B[c, xB, o] A[c, o, xA]
+        x = mu[src]
+        if B is not None:
+            x = (x[:, :, None, :] * B[:, None]).reshape(len(src), -1, src.shape[2])
+        out[dst] = np.matmul(x, A).reshape(dst.shape)
+    return out
 
 
 def build_kernel(params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS) -> TransitionKernel:
@@ -432,19 +437,12 @@ def two_fold_joint(pi, kernel: TransitionKernel, urn: int) -> np.ndarray:
 
 @dataclass
 class KernelStructure:
-    """Certificate produced by :func:`check_irreducible_aperiodic`.
-
-    ``diameter`` is the longest shortest path, computed only when the
-    chain is irreducible and ``diameter_limit`` reaches the number of
-    states; for homogeneous networks with positive reinforcement it is
-    at most the memory M (any window content can be rewritten in M draws).
-    """
+    """Certificate produced by :func:`check_irreducible_aperiodic`."""
 
     irreducible: bool
     aperiodic: bool
     period: int | None
     n_components: int
-    diameter: int | None
 
     @property
     def ok(self) -> bool:
@@ -452,12 +450,6 @@ class KernelStructure:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _full_pattern(A, B):
-    """Each class's 2**N x 2**N 0/1 pattern ``E[c, o, xB * 2**h + xA]``
-    from the 0/1 patterns of its half tables."""
-    return (B.transpose(0, 2, 1)[..., None] * A[:, :, None]).reshape(len(A), A.shape[1], -1)
 
 
 def _patterns(kernel: TransitionKernel) -> list:
@@ -473,76 +465,59 @@ def _patterns(kernel: TransitionKernel) -> list:
 
 
 def _push(kernel: TransitionKernel, front, backward: bool = False) -> np.ndarray:
-    """(states, searches) mask of the states one step after, or ``backward``
-    before, a state of each column of ``front``: per block, each row's
-    front through its class's full pattern ``E``, ``E.T`` forward and
-    ``E`` back.  Where only the half patterns are at hand, one search
-    goes through them in turn, as ``apply`` does, and several through
-    ``E`` formed for this push, since their products with ``B`` grow with
-    the searches and forming ``E`` does not (on a 2-vCPU machine, a
-    search on the 8-urn Barabasi-Albert kernel took 1.5 ms in turn and
-    11 ms through ``E``; the N = 7, M = 2 diameter, 64 searches a push,
-    took 3x longer in turn)."""
-    hit = np.empty(front.shape, dtype=bool)
+    """Mask of the states one step after, or ``backward`` before, a state of
+    the boolean ``front``, through the 0/1 patterns, in which nothing
+    underflows: forward by ``apply``'s contraction, backward by its
+    transpose, each row's front through ``A`` and then ``B``."""
+    if not backward:
+        out = np.empty(kernel.n_states, dtype=np.float32)
+        return _contract(_patterns(kernel), front.astype(np.float32), out) > 0.0
+    hit = np.empty(kernel.n_states, dtype=bool)
     for src, dst, A, B in _patterns(kernel):
-        if B is not None and front.shape[1] == 1 and backward:
-            # y[c, r, xB, o] = sum_xA front[dst[c, r, xB * 2**h + xA]] A[c, o, xA]
-            y = np.matmul(front[dst, 0].astype(np.float32).reshape(*src.shape[:2], -1, A.shape[2]),
-                          A.transpose(0, 2, 1)[:, None])
-            hit[src, 0] = (y * B[:, None]).sum(axis=2) > 0.0
-        elif B is not None and front.shape[1] == 1:
-            x = front[src, 0].astype(np.float32)[:, :, None, :] * B[:, None]
-            hit[dst, 0] = np.matmul(x.reshape(len(src), -1, A.shape[1]), A).reshape(dst.shape) > 0.0
-        else:
-            E = A if B is None else _full_pattern(A, B)
-            at, to = (dst, src) if backward else (src, dst)
-            E = E if backward else E.transpose(0, 2, 1)
-            hit[to] = np.matmul(E[:, None], front[at].astype(np.float32)) > 0.0
+        # y[c, r, xB, o] = sum_xA front[dst[c, r, xB * 2**h + xA]] A[c, o, xA]; 1 xB if full
+        y = np.matmul(front[dst].astype(np.float32).reshape(len(src), -1, A.shape[2]),
+                      A.transpose(0, 2, 1)).reshape(*src.shape[:2], -1, src.shape[2])
+        if B is not None:
+            y *= B[:, None]
+        hit[src] = y.sum(axis=2) > 0.0
     return hit
 
 
-def _reach(kernel: TransitionKernel, starts, live, backward: bool = False) -> np.ndarray:
-    """(states, searches) BFS levels, -1 where never reached, of one search
-    from each live state in ``starts`` over the edges with positive
-    probability, forward or ``backward``, inside the boolean mask ``live``."""
-    level = np.where(np.arange(kernel.n_states)[:, None] == starts, 0, -1)
+def _reach(kernel: TransitionKernel, start: int, live, backward: bool = False) -> np.ndarray:
+    """BFS levels, -1 where never reached, of the search from the live state
+    ``start`` over the edges with positive probability, forward or
+    ``backward``, inside the boolean mask ``live``."""
+    level = np.where(np.arange(kernel.n_states) == start, 0, -1)
     front, depth = level == 0, 0
     while front.any():
         depth += 1
-        front = _push(kernel, front, backward) & live[:, None] & (level < 0)
+        front = _push(kernel, front, backward) & live & (level < 0)
         np.putmask(level, front, depth)
     return level
 
 
-def check_irreducible_aperiodic(
-    kernel: TransitionKernel, diameter_limit: int = 0
-) -> KernelStructure:
+def check_irreducible_aperiodic(kernel: TransitionKernel) -> KernelStructure:
     """Structural check of the chain via its directed transition graph.
 
     Each round removes the live states with no live predecessor or
     successor, each a component of its own, or else the component of the
     lowest live state: its forward and backward reach among them.  The
     period is the gcd of ``level[from] + 1 - level[to]`` over the edges
-    reached from state 0.  The diameter, a search from every state, is
-    computed only when ``diameter_limit`` is at least the number of states.
+    reached from state 0.  Every search pushes one front at a time.
     """
-    n, everywhere = kernel.n_states, np.ones(kernel.n_states, dtype=bool)
-    live, n_comp = everywhere.copy(), 0
+    live, n_comp = np.ones(kernel.n_states, dtype=bool), 0
     while live.any():
         # each state with no live edge in, or none out, is a component; else one is peeled
-        gone = live & ~(_push(kernel, live[:, None]) & _push(kernel, live[:, None], True))[:, 0]
+        gone = live & ~(_push(kernel, live) & _push(kernel, live, True))
         n_comp += int(np.count_nonzero(gone)) or 1
         if not gone.any():  # peel the component of the lowest live state
-            pivot = [int(np.argmax(live))]
-            ahead, behind = (_reach(kernel, pivot, live, back)[:, 0] >= 0 for back in (False, True))
+            pivot = int(np.argmax(live))
+            ahead, behind = (_reach(kernel, pivot, live, back) >= 0 for back in (False, True))
             gone = ahead & behind
         live &= ~gone
-    level, period = _reach(kernel, [0], everywhere)[:, 0], 0
+    level, period = _reach(kernel, 0, np.ones_like(live)), 0
     for depth in range(int(level.max()) + 1):
-        to = level[_push(kernel, (level == depth)[:, None])[:, 0]]
+        to = level[_push(kernel, level == depth)]
         period = int(np.gcd(period, np.gcd.reduce(np.abs(depth + 1 - to))))
     irreducible = n_comp == 1
-    batch = max(1, SEARCH_LEVELS // n)
-    diameter = max(int(_reach(kernel, np.arange(lo, min(lo + batch, n)), everywhere).max())
-                   for lo in range(0, n, batch)) if irreducible and n <= diameter_limit else None
-    return KernelStructure(irreducible, irreducible and period == 1, period, n_comp, diameter)
+    return KernelStructure(irreducible, irreducible and period == 1, period, n_comp)

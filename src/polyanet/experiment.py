@@ -173,11 +173,11 @@ def config_from_dict(data: dict, base_dir: str = ".", overrides=None) -> Experim
 
 def load_config(path: str, overrides=None) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from None
     return config_from_dict(data, os.path.dirname(os.path.abspath(path)), overrides)
 
@@ -332,7 +332,7 @@ def read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Times and network-average values from any curve CSV."""
     times, values = [], []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or len(header) < 3 or header[0] != "time":
@@ -350,7 +350,7 @@ def read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
                         )
                     times.append(time)
                     values.append(value)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError("curves", f"cannot read {path}: {exc}") from None
     if not times:
         raise ConfigError("curves", f"{path}: no network-average rows found")

@@ -3,6 +3,8 @@ writer and reader."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .csvio import chunked, write_csv
@@ -120,5 +122,9 @@ def save_matrix(matrix, path: str) -> None:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    mat = np.loadtxt(path, delimiter=",", ndmin=2)
-    return np.asarray(mat, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file of no rows
+        try:
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+        except UserWarning:
+            raise ValueError(f"{path} holds no matrix rows") from None

@@ -2,11 +2,11 @@
 
 Raw configurations hold exact integer ball counts.  :func:`normalize`
 converts them once into the per-urn fractions used by every analysis
-routine: ``rho`` (initial red fraction), ``sigma = 1 - rho``, and the
-reinforcement ratios ``delta_r``, ``delta_b`` (balls added after a red
-or black draw, relative to the initial total).  All downstream math
-works in these normalized units; only the stochastic simulator touches
-raw counts again.
+routine: ``rho`` (initial red fraction) and the reinforcement ratios
+``delta_r``, ``delta_b`` (balls added after a red or black draw,
+relative to the initial total).  All downstream math works in these
+normalized units; only the stochastic simulator touches raw counts
+again.
 
 :func:`red_ratio_table` is the one evaluator of an urn's red fraction
 given the red draws in its window; the exact chain and both mean-field
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,17 +154,12 @@ class RawConfig:
 
 @dataclass
 class NetworkParams:
-    """Normalized per-urn parameters.
-
-    ``sigma`` is derived as ``1 - rho`` at construction, so the two sum
-    to one exactly.
-    """
+    """Normalized per-urn parameters."""
 
     memory: int
     rho: np.ndarray
     delta_r: np.ndarray
     delta_b: np.ndarray
-    sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if int(self.memory) != self.memory or self.memory < 1:
@@ -178,7 +173,6 @@ class NetworkParams:
             raise ValueError("rho must lie in [0, 1] for every urn")
         if np.any(self.delta_r < 0) or np.any(self.delta_b < 0):
             raise ValueError("delta_r and delta_b must be nonnegative")
-        self.sigma = 1.0 - self.rho
 
     @staticmethod
     def _coerce(value, n, name) -> np.ndarray:

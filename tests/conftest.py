@@ -227,10 +227,10 @@ def to_sparse(kernel):
     )
 
 
-def csgraph_structure(kernel, diameter_limit=4096):
+def csgraph_structure(kernel):
     """``check_irreducible_aperiodic``'s fields, from SciPy's graph routines
-    on :func:`to_sparse`: strong components, unweighted shortest paths
-    from state 0 for the period, and all pairs for the diameter."""
+    on :func:`to_sparse`: strong components, and unweighted shortest paths
+    from state 0 for the period."""
     Q = to_sparse(kernel)
     n_comp, _ = csgraph.connected_components(Q, directed=True, connection="strong")
     irreducible = bool(n_comp == 1)
@@ -239,10 +239,7 @@ def csgraph_structure(kernel, diameter_limit=4096):
     reach = np.isfinite(dist[coo.row]) & np.isfinite(dist[coo.col])
     diffs = (dist[coo.row[reach]] + 1 - dist[coo.col[reach]]).astype(np.int64)
     period = int(np.gcd.reduce(np.abs(diffs))) if diffs.size else None
-    diameter = None
-    if irreducible and kernel.n_states <= diameter_limit:
-        diameter = int(csgraph.shortest_path(Q, method="D", unweighted=True).max())
-    return [irreducible, bool(irreducible and period == 1), period, int(n_comp), diameter]
+    return [irreducible, bool(irreducible and period == 1), period, int(n_comp)]
 
 
 def stationary_by_eig(Q):

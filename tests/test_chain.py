@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -297,11 +298,10 @@ class TestStructure:
     def test_homogeneous_chain_certificate(self):
         par = NetworkParams.homogeneous(2, 2, 0.5, 0.7)
         kern = build_kernel(par, np.full((2, 2), 0.5))
-        info = check_irreducible_aperiodic(kern, diameter_limit=kern.n_states)
+        info = check_irreducible_aperiodic(kern)
         assert info.ok and bool(info)
         assert info.period == 1
         assert info.n_components == 1
-        assert info.diameter == 2
 
     def test_absorbing_chain_flagged(self):
         # all-red urn that only reinforces red never leaves the red state
@@ -312,43 +312,29 @@ class TestStructure:
         assert info.n_components == 2
         assert not info.ok and not bool(info)
 
-    @pytest.mark.parametrize("levels", [None, 1 << 8])
-    def test_certificate_matches_csgraph(self, table_form, levels, monkeypatch):
+    def test_certificate_matches_csgraph(self, table_form):
         # 48 seeded kernels (N <= 5, N*M <= 9): each urn's rho is 0 or 1 with
         # probability 1/2 and one reinforcement is zero, so some chains have
         # absorbing windows.  In case 48, urn 0 listens only to urn 1, whose
-        # rho is 1, so only the upper half of the states has eccentricity
-        # M + 1.  With 2**8 levels per batch, the diameter is searched in
-        # batches of 1 to 16 searches; at the default, only the two kernels
-        # of 2048 states split into batches.  The last case has 4096
+        # rho is 1.  Cases 48 and 49, a one-urn chain of 2048 states, are
+        # irreducible; case 50 has 2048 components, and the last case 4096
         # singleton components: each state moves to its red-drawing
         # successor, and only the all-red window returns to itself.
         cases = [structure_case(seed) for seed in range(48)]
-        cases.append((NetworkParams(3, [0.4, 1.0], [0.5, 0.7], [0.6, 0.3]),
-                      np.array([[0.0, 1.0], [0.5, 0.5]])))
-        if levels is None:
-            cases += [(random_params(np.random.default_rng(7), 1, 11), np.eye(1)),
-                      (NetworkParams(11, [1.0], [0.8], [0.0]), np.eye(1)),
-                      (NetworkParams(12, [1.0], [0.8], [0.0]), np.eye(1))]
-        else:
-            monkeypatch.setattr(chain, "SEARCH_LEVELS", levels)
+        cases += [(NetworkParams(3, [0.4, 1.0], [0.5, 0.7], [0.6, 0.3]),
+                   np.array([[0.0, 1.0], [0.5, 0.5]])),
+                  (random_params(np.random.default_rng(7), 1, 11), np.eye(1)),
+                  (NetworkParams(11, [1.0], [0.8], [0.0]), np.eye(1)),
+                  (NetworkParams(12, [1.0], [0.8], [0.0]), np.eye(1))]
         found = []
         for par, S in cases:
             kern = build_kernel(par, S)
-            info = check_irreducible_aperiodic(kern, diameter_limit=4096)
-            found.append([info.irreducible, info.aperiodic, info.period,
-                          info.n_components, info.diameter])
+            info = check_irreducible_aperiodic(kern)
+            found.append([info.irreducible, info.aperiodic, info.period, info.n_components])
             assert found[-1] == csgraph_structure(kern), (par, S)
         assert 9 <= sum(not f[0] for f in found) <= len(found) - 9
-        assert found[48][4] == 4
-        if levels is None:
-            assert found[-3][4] == 11 and found[-2][3] == 2048
-            assert found[-1][3] == 4096
-
-    def test_diameter_limit(self):
-        kern = build_kernel(*structure_case(9))
-        assert check_irreducible_aperiodic(kern, diameter_limit=kern.n_states).diameter == 3
-        assert check_irreducible_aperiodic(kern, diameter_limit=kern.n_states - 1).diameter is None
+        assert found[48][0] and found[49][0] and found[-2][3] == 2048
+        assert found[-1][3] == 4096
 
 
 def structure_case(seed):
@@ -661,8 +647,8 @@ class TestCountClasses:
 
 
 class TestPush:
-    """The searches' one-step images, read from the positive entries of
-    the class tables, are those of the full blocks' F > 0, forward and
+    """A front's one-step images, read from the positive entries of the
+    class tables, are those of the full blocks' F > 0, forward and
     backward, in both table forms and wherever blocks split."""
 
     @pytest.mark.parametrize("rows", [3, None])
@@ -676,25 +662,32 @@ class TestPush:
                                     class_block_entries(par.n_urns, par.memory, rows))
             kern = build_kernel(par, S)
             edge = (to_sparse(kern).toarray() > 0.0).astype(np.int64)
-            # a dense front, a sparse one, and a single state
-            front = g.random((kern.n_states, 3)) < [0.5, 0.1, 0.0]
-            front[g.integers(kern.n_states), 2] = True
-            assert np.array_equal(chain._push(kern, front), edge.T @ front > 0), (par, S)
-            assert np.array_equal(chain._push(kern, front, True), edge @ front > 0), (par, S)
-            if rows is not None:
-                assert_block_classes(kern, rows)
-
-    def test_one_search_images_match_full_blocks(self, table_form):
-        # a single search, which goes through half patterns in turn
-        g = np.random.default_rng(49)
-        for par, S in [structure_case(seed) for seed in range(48)]:
-            kern = build_kernel(par, S)
-            edge = (to_sparse(kern).toarray() > 0.0).astype(np.int64)
-            for density in (0.5, 0.0):
-                front = g.random((kern.n_states, 1)) < density
+            # a dense front, a sparse one, and one of a single state, each
+            # with one state forced in
+            for density in (0.5, 0.1, 0.0):
+                front = g.random(kern.n_states) < density
                 front[g.integers(kern.n_states)] = True
                 assert np.array_equal(chain._push(kern, front), edge.T @ front > 0), (par, S)
                 assert np.array_equal(chain._push(kern, front, True), edge @ front > 0), (par, S)
+            if rows is not None:
+                assert_block_classes(kern, rows)
+
+    def test_reach_levels_are_shortest_paths(self, table_form):
+        # forward and backward, inside a random live mask that holds the start
+        g = np.random.default_rng(49)
+        for par, S in [structure_case(seed) for seed in range(48)]:
+            kern = build_kernel(par, S)
+            live = g.random(kern.n_states) < 0.7
+            start = int(g.integers(kern.n_states))
+            live[start] = True
+            at = np.flatnonzero(live)
+            Q = to_sparse(kern)[at][:, at]
+            for backward in (False, True):
+                dist = csgraph.shortest_path(Q.T if backward else Q, unweighted=True,
+                                             indices=int(np.searchsorted(at, start)))
+                want = np.full(kern.n_states, -1)
+                want[at] = np.where(np.isfinite(dist), dist, -1)
+                assert np.array_equal(chain._reach(kern, start, live, backward), want), (par, S)
 
     def test_patterns_take_the_tables_form(self, table_form):
         # the patterns are the tables' positive entries, kept whole where
@@ -702,7 +695,7 @@ class TestPush:
         forms = set()
         for par, S in [structure_case(seed) for seed in range(48)]:
             kern = build_kernel(par, S)
-            chain._push(kern, np.ones((kern.n_states, 1), dtype=bool))
+            chain._push(kern, np.ones(kern.n_states, dtype=bool))
             tables = kern._tables()
             assert len(kern._patterns) == len(tables)
             for (src, dst, A, B), pattern in zip(tables, kern._patterns):
@@ -718,12 +711,12 @@ class TestPush:
     def test_patterns_are_formed_once_per_kernel(self, table_form):
         # kept beside the tables, whole or as halves
         kern = build_kernel(*structure_case(3))
-        for searches in (1, 2):
-            front = np.ones((kern.n_states, searches), dtype=bool)
-            hit = chain._push(kern, front)
+        front = np.ones(kern.n_states, dtype=bool)
+        for backward in (False, True):
+            hit = chain._push(kern, front, backward)
             kept = kern._patterns
             assert kept is not None
-            assert np.array_equal(chain._push(kern, front), hit)
+            assert np.array_equal(chain._push(kern, front, backward), hit)
             assert kern._patterns is kept
 
 

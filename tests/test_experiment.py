@@ -115,11 +115,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "nope.json"))
 
-    def test_load_config_bad_json(self, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b"{not json",
+        b"\xff{",  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested deeper than the decoder recurses
+    ], ids=["syntax", "not-utf8", "deep"])
+    def test_load_config_bad_json(self, tmp_path, content):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="invalid JSON"):
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="invalid JSON") as info:
             load_config(str(path))
+        assert info.value.field == "config"
 
     @pytest.mark.parametrize(
         "field, value",
@@ -196,6 +202,21 @@ class TestNetworkResolution:
             {"kind": "matrix-file", "path": "S.csv"}, base_dir=str(tmp_path)
         )
         assert np.array_equal(S, np.eye(2))
+
+    @pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_empty_matrix_file_exits_2_with_one_message(self, tmp_path, capsys, content):
+        # under warnings as errors too: NumPy's warning on an empty file
+        # would otherwise end the run in a traceback
+        (tmp_path / "S.csv").write_text(content)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(
+            tmp_path / "out", network={"kind": "matrix-file", "path": "S.csv"})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: network: {tmp_path / 'S.csv'} holds no matrix rows\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["S.csv", "config.json"]
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -1038,6 +1059,22 @@ class TestCompareBadRows:
         bad.write_text(f"time,urn,p,system\n{row},exact\n")
         assert cli.main(["compare", str(good), str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [
+        b"2,avg,0.3\xff,exact",  # not UTF-8
+        b"2,avg,0.3," + b"x" * 200_000,  # a field past csv's length limit
+    ], ids=["not-utf8", "long-field"])
+    def test_unreadable_curve_exits_2(self, tmp_path, capsys, row):
+        good = tmp_path / "good.csv"
+        good.write_text("time,urn,p,system\n1,avg,0.5,exact\n2,avg,0.25,exact\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"time,urn,p,system\n1,avg,0.5,exact\n" + row + b"\n")
+        with pytest.raises(ConfigError, match=f"cannot read {bad}") as info:
+            read_curve(str(bad))
+        assert info.value.field == "curves"
+        assert cli.main(["compare", str(good), str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: curves: cannot read {bad}: ")
 
 
 class TestNonFiniteAverages:

@@ -105,18 +105,16 @@ def test_runtime_runs_with_scipy_blocked(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main(argv) for argv in {calls!r}]
         info = check_irreducible_aperiodic(
-            build_kernel(NetworkParams.homogeneous(2, 2, 0.5, 0.7), np.full((2, 2), 0.5)),
-            diameter_limit=16)
+            build_kernel(NetworkParams.homogeneous(2, 2, 0.5, 0.7), np.full((2, 2), 0.5)))
         print(json.dumps({{
             "codes": codes,
-            "info": [info.irreducible, info.aperiodic, info.period,
-                     info.n_components, info.diameter],
+            "info": [info.irreducible, info.aperiodic, info.period, info.n_components],
             "scipy": sorted(name for name in sys.modules if name.startswith("scipy.")),
         }}))
     """)
     assert result == {
         "codes": [0] * len(calls),
-        "info": [True, True, 1, 1, 2],
+        "info": [True, True, 1, 1],
         "scipy": [],
     }
     assert (tmp_path / "out_matrix.csv").exists()

@@ -1,6 +1,7 @@
 """Interaction-matrix builders, the edge-list writer and matrix round-trips."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,3 +172,13 @@ class TestRoundTrips:
         save_matrix(np.array([[1.0]]), str(tmp_path / "one.csv"))
         back = load_matrix(str(tmp_path / "one.csv"))
         assert back.shape == (1, 1)
+
+    @pytest.mark.parametrize("content", ["", "\n", "# a comment\n"],
+                             ids=["empty", "blank-line", "comment"])
+    def test_empty_matrix_file_refused_without_a_warning(self, tmp_path, content):
+        path = tmp_path / "S.csv"
+        path.write_text(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="holds no matrix rows"):
+                load_matrix(str(path))

@@ -164,7 +164,6 @@ class TestNormalize:
         assert par.rho[0] == 0.4
         assert par.delta_r[0] == 1.2
         assert par.delta_b[0] == 0.6
-        assert par.sigma[0] == 0.6
 
     def test_epidemic_benchmark_fractions(self):
         raw = make_raw(2, 12, 25, 11, 11, np.eye(1))
@@ -172,11 +171,6 @@ class TestNormalize:
         assert par.rho[0] == 0.48
         assert par.delta_r[0] == 0.44
         assert par.memory == 2
-
-    def test_sigma_complements_rho_exactly(self, rng):
-        rho = rng.random(6)
-        par = NetworkParams(1, rho, 0.5, 0.5)
-        assert np.all(par.rho + par.sigma == 1.0)
 
     def test_all_zero_reinforcement_rejected(self):
         raw = make_raw(1, [5, 5], [10, 10], 0, 0, np.eye(2))
