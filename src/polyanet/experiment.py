@@ -273,7 +273,9 @@ def _equilibrium(cfg: ExperimentConfig, params: NetworkParams, path: str):
 # through their modules when they run.  Monte Carlo holds its int8 draws,
 # the replicate sum and one replicate's running average at a time; the
 # nonlinear mean field its clipped and raw rows; the linear one the N x N
-# matrix A too; the equilibrium A, I - M*A and the solve's LU copy of it.
+# matrix A too; the equilibrium A, I - M*A and the solve's LU copy of it
+# (the power iteration's nonzero arrays, 32 bytes a nonzero and at most a
+# quarter of A, are freed before the solve).
 ROUTES = {
     "exact": (_exact_cost, _exact_trajectory),
     "montecarlo": (lambda cfg: cfg.t_max * cfg.replicates * cfg.raw.n_urns + _bytes(cfg, curves=2),

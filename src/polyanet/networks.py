@@ -38,14 +38,16 @@ def barabasi_albert(n_nodes: int, attach: int, seed: int) -> np.ndarray:
     adj[:core, :core] = 1.0
     np.fill_diagonal(adj, 0.0)
     degree = adj.sum(axis=1)
-    for u in range(core, n_nodes):
+    # Every draw's uniform at once: the same stream as one call per draw.
+    uniforms = rng.random((n_nodes - core, attach)).tolist()
+    for u, draws in zip(range(core, n_nodes), uniforms):
         # Cumulative degrees, taken once per node; a picked node's weight
         # leaves the tail.  Degrees are integers, so every partial sum is
         # exact and cum[-1] is the total of the remaining weights.
         cum = np.cumsum(degree[:u])
         targets = []
-        for _ in range(attach):
-            r = rng.random() * cum[-1]
+        for uniform in draws:
+            r = uniform * cum[-1]
             j = min(int(cum.searchsorted(r, "right")), u - 1)
             targets.append(j)
             cum[j:] -= cum[j] - (cum[j - 1] if j else 0.0)

@@ -983,6 +983,8 @@ class TestMemoryAdmission:
         ("meanfield-nonlinear", {"network": {"kind": "ring", "nodes": 100}, "t_max": 10500}),
         ("meanfield-linear", {"network": {"kind": "ring", "nodes": 1500}, "t_max": 10}),
         ("equilibrium", {"network": {"kind": "complete", "nodes": 1000}}),
+        ("equilibrium", {"network": {"kind": "barabasi-albert", "nodes": 1000, "attach": 2,
+                                     "seed": 7}}),
     ])
     def test_route_peak_within_its_cost(self, tmp_path, mode, overrides):
         urns = {"memory": 2, "initial_red": 12, "initial_total": 25, "reinforce_red": 11,

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyanet import meanfield, montecarlo
@@ -19,7 +19,7 @@ from polyanet.meanfield import (
     step_nonlinear,
 )
 from polyanet.montecarlo import replicate_stream
-from polyanet.networks import ring
+from polyanet.networks import barabasi_albert, identity, ring, row_normalize
 from polyanet.params import NetworkParams, red_ratio_table
 
 from conftest import (
@@ -89,6 +89,51 @@ class TestAgainstStepLoops:
             assert got == spectral_radius_by_steps(cycle, allow_dense=allow_dense)
             if m == 1:
                 assert got.converged is allow_dense
+
+    # Networks whose A has at most one nonzero in 16 entries: the power
+    # iteration multiplies through the nonzeros, which sum each row in
+    # another order than the dense product, so the radius may move by an
+    # ulp, but not the iteration count nor the fallback taken.
+    @given(m=st.integers(1, 4), kind=st.sampled_from(["barabasi-albert", "ring", "identity"]),
+           n=st.integers(64, 600), attach=st.integers(1, 3), still=st.integers(0, 3),
+           seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_spectral_radius_through_nonzeros(self, m, kind, n, attach, still, seed):
+        g = np.random.default_rng(seed)
+        if kind == "barabasi-albert":
+            S = row_normalize(barabasi_albert(n, attach, seed), g.uniform(0.5, 2.0))
+        else:  # rings stall at memory 1 and take the eigvals fallback
+            n //= 4
+            S = ring(n) if kind == "ring" else identity(n)
+        par = random_params(g, n, m)
+        par.delta_r[:still] = par.delta_b[:still] = 0.0  # zero slope: a zero column of A
+        system = build_linear_system(par, S)
+        assume(np.count_nonzero(system.A) * meanfield.NONZERO_PRODUCT_RATIO <= n * n)
+        with mock.patch.object(meanfield, "_nonzero_product",
+                               wraps=meanfield._nonzero_product) as nonzero:
+            got = spectral_radius(system)
+        nonzero.assert_called_once()
+        want = spectral_radius_by_steps(system)
+        assert got.converged == want.converged
+        assert abs(got.value - want.value) <= 4e-16 * want.value
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_spectral_radius_of_sparse_zero_and_stalled(self, n, monkeypatch):
+        zero = LinearSystem(A=np.zeros((n, n)), c=np.zeros(n), n_urns=n, memory=2)
+        cycle = LinearSystem(A=ring(n), c=np.zeros(n), n_urns=n, memory=1)
+        with mock.patch.object(meanfield, "_nonzero_product",
+                               wraps=meanfield._nonzero_product) as nonzero:
+            # an all-zero A has no nonzeros to sum, so it takes the dense product
+            assert spectral_radius(zero) == spectral_radius_by_steps(zero) == (0.0, True)
+            nonzero.assert_not_called()
+            # a ring at memory 1 stalls through its nonzeros too
+            got = spectral_radius(cycle)
+            nonzero.assert_called_once()
+        assert got == spectral_radius_by_steps(cycle)
+        assert got.converged and abs(got.value - 1.0) <= 1e-12
+        monkeypatch.setattr(meanfield, "DENSE_LIMIT", 0)
+        assert spectral_radius(cycle) == spectral_radius_by_steps(cycle, allow_dense=False)
+        assert not spectral_radius(cycle).converged
 
     def test_spectral_radius_of_a_built_system(self, rng):
         for m in (1, 3, 9):
