@@ -41,6 +41,10 @@ batched matrix product per block of the classes of one size,
 ``(mu[src] * B) @ A`` with the rows of a class stacked, written into
 a distribution that the caller may reuse, and the per-step work is
 2**(N*(M+1)) = states x fan-out; admission control bounds that number.
+After its first apply a kernel holds every block's tables in one
+allocation and one block workspace, sized to its largest block, in
+which every later step runs: a step allocates nothing of the size of
+a block or a distribution beside the distribution it returns.
 """
 
 from __future__ import annotations
@@ -139,13 +143,17 @@ def kernel_bytes(n_urns: int, memory: int) -> int:
 def working_bytes(n_urns: int, memory: int) -> int:
     """Bytes a kernel holds beside its tables and indices
     (:func:`kernel_bytes`): the kept bits and the row order, 8 bytes each
-    per row; one apply's block workspace, ``mu[src]`` and the product, or
-    with half tables the product with B and the result, two at a time;
-    and, while the first apply builds the tables, the draw probabilities
-    and products of the (M+1)**N red-count vectors, N and the entries per
-    source of the tables (:func:`_split`) each.  Each block's workspace
-    is at most BLOCK_ENTRIES entries, or the largest class's left operand
-    where that is larger; that class holds C(M-1, (M-1) // 2)**N rows."""
+    per row; the block workspace that its first apply allocates and keeps,
+    bounded here by two arrays of a block's left operand, its gather
+    ``mu[src]`` (or the matmul's result, of the same size) and its
+    product with B (or, with full tables, the result); and, while the
+    first apply builds the tables, the draw probabilities and products of
+    the (M+1)**N red-count vectors, N and the entries per source of the
+    tables (:func:`_split`) each.  A block's left operand is at most
+    BLOCK_ENTRIES entries, or the largest class's where that is larger;
+    that class holds C(M-1, (M-1) // 2)**N rows.  The certificate's
+    float32 workspace, kept beside its patterns, is not counted: no run
+    route builds it."""
     half, entries = _split(n_urns, memory)
     rows = math.comb(memory - 1, (memory - 1) // 2) ** n_urns
     workspace = 16 * max(BLOCK_ENTRIES, rows << (2 * n_urns - half))
@@ -219,8 +227,15 @@ class TransitionKernel:
             step = max(1, BLOCK_ENTRIES // entries)
             self._groups += [(int(lo) + i, rows_of[i : i + step])
                              for i in range(0, len(classes), step)]
+        # _contract's workspace: a block's gather (or matmul result) and its
+        # product with B (or, with full tables, the result), for the block
+        # of the most rows
+        gather = max(rows.size for _, rows in self._groups) << N
+        self._work_entries = gather + (gather << (N - self._half))
         self._cache: list | None = None  # (src, dst, A, B) of every block
+        self._work: np.ndarray | None = None  # float64 workspace, with the tables
         self._patterns: list | None = None  # float32 0/1 patterns of the tables
+        self._pattern_work: np.ndarray | None = None  # float32 workspace, with them
 
     # -- per-state quantities -------------------------------------------------
 
@@ -256,9 +271,11 @@ class TransitionKernel:
         successors of row r of class c; ``A[c, o, xA]`` is the product of
         the factors of urns 0..h-1 and ``B[c, xB, o]`` that of urns
         h..N-1, or None when h = N.  The products are formed once per
-        red-count vector, and each block gathers those of its sources:
+        red-count vector, and each block gathers those of its sources,
+        into its share of one allocation that holds every block's tables:
         source o of a class, whose first row stands for all of them, holds
-        the red draws of that row's kept bits plus o's."""
+        the red draws of that row's kept bits plus o's.  The first call
+        also allocates ``apply``'s block workspace."""
         if self._cache is None:
             P, h = self._count_probabilities().T, self._half
             A, B = _products(P[:h]), (_products(P[h:]) if h < self.n_urns else None)
@@ -267,25 +284,35 @@ class TransitionKernel:
             base, off = self._count_index(first), self._count_index(self._oldest)
             if B is None:
                 A = np.ascontiguousarray(A.T)
-            self._cache = [self._table_block(A, B, rows, base[lo : lo + len(rows), None] + off)
-                           for lo, rows in self._groups]
+            slab = np.empty((self.memory**self.n_urns << self.n_urns) * self._table_entries)
+            self._cache, end = [], 0
+            for lo, rows in self._groups:
+                size = (len(rows) << self.n_urns) * self._table_entries
+                at = base[lo : lo + len(rows), None] + off
+                self._cache.append(self._table_block(A, B, rows, at, slab[end : end + size]))
+                end += size
+            self._work = np.empty(self._work_entries)
         return self._cache
 
-    def _table_block(self, A, B, rows, at):
+    def _table_block(self, A, B, rows, at, slab):
         """``(src, dst, A, B)`` of the classes whose rows are ``rows`` and
         the red-count vectors of whose sources are ``at[c, o]``, gathered
-        from the products ``A[n, x]`` of every red-count vector n (h = N)
-        or ``A[xA, n]`` and ``B[xB, n]``.  ``apply`` reads a full table
-        faster row-major, and half tables faster as the transposed views
-        of the gathered products (on a 2-vCPU machine, 0.55 against 0.70
-        ms per apply on the 4-urn ring and 3.9 against 4.4 ms on the
-        8-urn Barabasi-Albert chain)."""
+        into ``slab`` from the products ``A[n, x]`` of every red-count
+        vector n (h = N) or ``A[xA, n]`` and ``B[xB, n]``.  ``apply`` reads
+        a full table faster row-major, and half tables faster as the
+        transposed views of the gathered products (on a 2-vCPU machine,
+        0.55 against 0.70 ms per apply on the 4-urn ring and 3.9 against
+        4.4 ms on the 8-urn Barabasi-Albert chain).  The indices are in
+        range, so ``take`` writes ``slab`` in its unbuffered mode."""
         kept = self._kept[rows]
         src = kept[:, :, None] + self._oldest
         dst = (kept >> 1)[:, :, None] + self._newest
         if B is None:
-            return src, dst, A.take(at, axis=0), None
-        A, B = (np.take(T, at.ravel(), axis=1).reshape(-1, *at.shape) for T in (A, B))
+            return src, dst, np.take(A, at, axis=0, out=slab.reshape(*at.shape, -1),
+                                     mode="clip"), None
+        cut = at.size << self._half
+        A, B = (np.take(T, at.ravel(), axis=1, out=part.reshape(len(T), -1), mode="clip")
+                .reshape(-1, *at.shape) for T, part in ((A, slab[:cut]), (B, slab[cut:])))
         return src, dst, A.transpose(1, 2, 0), B.transpose(1, 0, 2)
 
     # -- operator -------------------------------------------------------------
@@ -302,18 +329,34 @@ class TransitionKernel:
         elif out.shape != mu.shape or out.dtype != mu.dtype or np.may_share_memory(out, mu):
             raise ValueError(f"out must be a float64 array of length {self.n_states} "
                              "apart from the distribution")
-        return _contract(self._tables(), mu, out)
+        tables = self._tables()
+        return _contract(tables, mu, out, self._work)
 
 
-def _contract(tables, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _contract(tables, mu: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """``mu`` one step forward into ``out``, one batched matrix product per
-    block's ``(src, dst, A, B)``: of the tables, or of their 0/1 patterns."""
+    block's ``(src, dst, A, B)``: of the tables, or of their 0/1 patterns.
+
+    Each block runs in ``work``, of mu's dtype and at least the kernel's
+    ``_work_entries``: the gather ``mu[src]`` at its front, then the
+    product with B behind it, and the matmul's result in whichever of the
+    two the matmul does not read.  The indices are the kernel's own, in
+    range, so ``take`` writes unbuffered.  The product with B is an
+    ``einsum`` with no summed index, x * B exactly for the nonnegative
+    entries here: ``np.multiply`` into ``out`` with x broadcast along xB
+    copies through its own 64 KiB buffers, and took 36 against 24 us per
+    8-urn Barabasi-Albert block (NumPy 2.4, 2 vCPUs)."""
     for src, dst, A, B in tables:
         # out[c, r, xB * 2**h + xA] = sum_o mu[src[c, r, o]] B[c, xB, o] A[c, o, xA]
-        x = mu[src]
-        if B is not None:
-            x = (x[:, :, None, :] * B[:, None]).reshape(len(src), -1, src.shape[2])
-        out[dst] = np.matmul(x, A).reshape(dst.shape)
+        n = src.size
+        x = np.take(mu, src, out=work[:n].reshape(src.shape), mode="clip")
+        if B is None:
+            y = work[n : 2 * n]
+        else:
+            xB = work[n : n * (1 + B.shape[1])].reshape(*src.shape[:2], *B.shape[1:])
+            x = np.einsum("cro,cbo->crbo", x, B, out=xB).reshape(len(src), -1, src.shape[2])
+            y = work[:n]  # the gather is spent
+        out[dst] = np.matmul(x, A, out=y.reshape(len(src), -1, A.shape[2])).reshape(dst.shape)
     return out
 
 
@@ -352,10 +395,10 @@ def stationary_distribution(
         mu = np.full(kernel.n_states, 1.0 / kernel.n_states)
     else:
         mu = _check_distribution(start, kernel.n_states).copy()
-    nxt = np.empty_like(mu)
+    nxt, gap = np.empty_like(mu), np.empty_like(mu)
     for _ in range(max_iters):
         kernel.apply(mu, out=nxt)
-        resid = float(np.max(np.abs(nxt - mu)))
+        resid = float(np.abs(np.subtract(nxt, mu, out=gap), out=gap).max())
         if resid <= tol:
             return mu
         mu, nxt = np.divide(nxt, nxt.sum(), out=nxt), mu
@@ -374,7 +417,7 @@ def point_mass(kernel: TransitionKernel, state: int = 0) -> np.ndarray:
     return mu
 
 
-def lag_marginals(mu, lag: int, memory: int) -> np.ndarray:
+def lag_marginals(mu, lag: int, memory: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """P(draw at window position ``lag`` is red) of every urn under ``mu``.
 
     ``len(mu)`` must be ``2**(N*memory)`` for some integer N; entry
@@ -382,7 +425,9 @@ def lag_marginals(mu, lag: int, memory: int) -> np.ndarray:
     position.  One pass peels the bits off from the top: the mass with
     the top bit set is that bit's marginal when it is a ``lag`` bit, and
     the two halves are then added, each sum into the front of one
-    scratch buffer of ``len(mu) // 2``, so the work is about 2 * len(mu).
+    scratch buffer of ``len(mu) // 2`` float64 values, so the work is
+    about 2 * len(mu).  A caller that extracts marginals every step
+    passes that buffer as ``scratch``, apart from ``mu``.
     """
     mu = np.asarray(mu, dtype=float)
     size = mu.shape[0] if mu.ndim == 1 else 0
@@ -391,7 +436,9 @@ def lag_marginals(mu, lag: int, memory: int) -> np.ndarray:
         raise ValueError("distribution length is not 2**(N*memory)")
     if not 0 <= lag < memory:
         raise ValueError(f"lag {lag} out of range for memory {memory}")
-    out, scratch = np.empty(bits // memory), np.empty(size >> 1)
+    out = np.empty(bits // memory)
+    if scratch is None:
+        scratch = np.empty(size >> 1)
     rest = mu
     for bit in range(bits - 1, lag - 1, -1):
         half = len(rest) >> 1
@@ -461,6 +508,7 @@ def _patterns(kernel: TransitionKernel) -> list:
         kernel._patterns = [(src, dst, (A > 0.0).astype(np.float32),
                              None if B is None else (B > 0.0).astype(np.float32))
                             for src, dst, A, B in kernel._tables()]
+        kernel._pattern_work = np.empty(kernel._work_entries, dtype=np.float32)
     return kernel._patterns
 
 
@@ -470,8 +518,8 @@ def _push(kernel: TransitionKernel, front, backward: bool = False) -> np.ndarray
     underflows: forward by ``apply``'s contraction, backward by its
     transpose, each row's front through ``A`` and then ``B``."""
     if not backward:
-        out = np.empty(kernel.n_states, dtype=np.float32)
-        return _contract(_patterns(kernel), front.astype(np.float32), out) > 0.0
+        out, patterns = np.empty(kernel.n_states, dtype=np.float32), _patterns(kernel)
+        return _contract(patterns, front.astype(np.float32), out, kernel._pattern_work) > 0.0
     hit = np.empty(kernel.n_states, dtype=bool)
     for src, dst, A, B in _patterns(kernel):
         # y[c, r, xB, o] = sum_xA front[dst[c, r, xB * 2**h + xA]] A[c, o, xA]; 1 xB if full

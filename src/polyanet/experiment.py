@@ -228,14 +228,15 @@ def _exact_trajectory(cfg: ExperimentConfig, params: NetworkParams, path: str):
     kernel = chain.build_kernel(params, cfg.raw.interaction, cap_bits=cfg.exact_cap_bits)
     mu, M = chain.point_mass(kernel, 0), params.memory
     nxt, per = np.empty_like(mu), np.zeros((cfg.t_max, params.n_urns))
+    scratch = np.empty(len(mu) >> 1)  # the marginals' halving sums
     # Steps alternate two distributions.  Once a chunk ends on one equal
     # bit for bit to the one before it, every later step returns it too,
     # and the rest of the curve repeats its marginals.
     for lo, hi in meanfield._chunks(per, lambda hi: (mu, nxt)):
         for t in range(lo, hi):
             mu, nxt = kernel.apply(mu, out=nxt), mu
-            per[t] = chain.lag_marginals(mu, M - 1, M)
-    del kernel, mu, nxt  # not held while the CSV is written
+            per[t] = chain.lag_marginals(mu, M - 1, M, scratch)
+    del kernel, mu, nxt, scratch  # not held while the CSV is written
     traj = meanfield.InfectionTrajectory(np.arange(cfg.t_max) + 1, per, per.mean(axis=1), "exact")
     return _written(meanfield.save_trajectory_csv, traj, path)
 
@@ -331,8 +332,8 @@ class CompareReport:
 
 
 def read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Times and network-average values from any curve CSV."""
-    times, values = [], []
+    """Times and network-average values from any curve CSV, each time once."""
+    times, values, line_of = [], [], {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -350,6 +351,10 @@ def read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
                             "curves",
                             f"{path}: line {reader.line_num}: bad average row {line}",
                         )
+                    if time in line_of:
+                        raise ConfigError("curves", f"{path}: line {reader.line_num}: time "
+                                                    f"{time} repeats line {line_of[time]}")
+                    line_of[time] = reader.line_num
                     times.append(time)
                     values.append(value)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:

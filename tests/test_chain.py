@@ -1,6 +1,8 @@
 """Exact computations on the expanded draw chain."""
 
 import hashlib
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -644,6 +646,113 @@ class TestCountClasses:
         # the largest: N = 6, M = 3's 3**6 full tables of 64 x 64 entries
         assert max(tables, key=tables.get) == (6, 3)
         assert tables[6, 3] == 8 * 3**6 * 64 * 64
+
+
+def benchmark_kernel(which):
+    """A kernel shaped like one of the exact benchmark's two chains: the
+    4-ring at memory 4 on full tables, or the 8-urn Barabasi-Albert chain
+    at memory 2 on half tables."""
+    if which == "ring":
+        return build_kernel(NetworkParams.homogeneous(4, 4, 0.4, 1.0), ring(4))
+    S = row_normalize(barabasi_albert(8, 2, 1789), self_weight=1.0)
+    return build_kernel(NetworkParams.homogeneous(8, 2, 0.4, 1.0), S)
+
+
+def traced(fn):
+    """``fn()``, the bytes it left allocated and its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+class TestWorkspace:
+    """After its first apply a kernel steps in memory it allocated then:
+    its tables in one allocation and one block workspace per dtype."""
+
+    @pytest.mark.parametrize("which", ["ring", "ba"])
+    def test_applies_allocate_nothing(self, which):
+        kern = benchmark_kernel(which)
+        assert (kern._half == kern.n_urns) == (which == "ring")  # full tables on the ring only
+        mu, nxt = kern.apply(point_mass(kern, 0)), np.empty(kern.n_states)
+
+        def ten():
+            a, b = mu, nxt
+            for _ in range(10):
+                a, b = kern.apply(a, out=b), a
+
+        # the ring's blocks once took a gather and a product per step, the
+        # Barabasi-Albert chain's 256 KiB of product per block
+        assert traced(ten)[2] < 64 << 10
+
+    @pytest.mark.parametrize("which", ["ring", "ba"])
+    def test_marginals_into_scratch_allocate_their_result(self, which):
+        kern = benchmark_kernel(which)
+        M = kern.memory
+        mu = kern.apply(kern.apply(point_mass(kern, 0)))
+        scratch = np.empty(kern.n_states >> 1)
+        want = lag_marginals(mu, M - 1, M)
+        got, current, peak = traced(lambda: lag_marginals(mu, M - 1, M, scratch))
+        assert np.array_equal(got, want)
+        # the N values and their array, and none of the 256 KiB of halves
+        assert current < 1 << 10 and peak < 4 << 10
+
+    def test_tables_share_one_allocation(self, table_form):
+        kern = build_kernel(*structure_case(5))
+        kern.apply(point_mass(kern, 0))
+
+        def root(T):
+            while T.base is not None:
+                T = T.base
+            return T
+        roots = {id(root(T)): root(T) for block in kern._cache for T in block[2:] if T is not None}
+        assert [T.nbytes for T in roots.values()] == [
+            chain.kernel_bytes(kern.n_urns, kern.memory) - (16 << kern.n_bits)]
+
+    @pytest.mark.parametrize("n_urns, memory", [(4, 4), (8, 2), (6, 3), (2, 9), (3, 1), (1, 3)])
+    def test_workspace_within_working_bytes(self, n_urns, memory, table_form):
+        # the held workspace fits the two left operands that working_bytes counts
+        g = np.random.default_rng(n_urns + memory)
+        kern = build_kernel(random_params(g, n_urns, memory), random_interaction(g, n_urns))
+        kern.apply(point_mass(kern, 0))
+        rows = math.comb(memory - 1, (memory - 1) // 2) ** n_urns
+        assert kern._work.nbytes <= 16 * max(chain.BLOCK_ENTRIES,
+                                             rows << (2 * n_urns - kern._half))
+
+    def test_kernels_in_turn_match_fresh_kernels(self, table_form):
+        # two kernels stepped in alternation give what each gives alone
+        g = np.random.default_rng(31)
+        cases = [(random_params(g, n, m), random_interaction(g, n)) for n, m in [(3, 3), (3, 3)]]
+        cases.append(structure_case(7))
+
+        def steps(kern, n):
+            mu, out = point_mass(kern, 0), []
+            for _ in range(n):
+                mu = kern.apply(mu)
+                out.append(mu)
+            return out
+
+        alone = [steps(build_kernel(*case), 6) for case in cases]
+        kernels = [build_kernel(*case) for case in cases]
+        mus = [point_mass(k, 0) for k in kernels]
+        for t in range(6):
+            for i, kern in enumerate(kernels):
+                mus[i] = kern.apply(mus[i])
+                assert np.array_equal(mus[i], alone[i][t])
+
+    def test_certificate_between_applies(self, table_form):
+        # the certificate's float32 pushes run in a workspace of their own
+        for par, S in [structure_case(seed) for seed in (2, 9)] + [
+                (NetworkParams.homogeneous(4, 4, 0.4, 1.0), ring(4))]:
+            fresh = build_kernel(par, S)
+            want = fresh.apply(fresh.apply(point_mass(fresh, 0)))
+            kern = build_kernel(par, S)
+            mu = kern.apply(point_mass(kern, 0))
+            check_irreducible_aperiodic(kern)
+            assert np.array_equal(kern.apply(mu), want)
 
 
 class TestPush:

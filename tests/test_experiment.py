@@ -1001,12 +1001,17 @@ class TestMemoryAdmission:
         assert peak <= cost + (2 << 20)
 
     # The exact route's cost counts the kernel's row arrays and an apply's
-    # block workspace too.  These rings write CSVs of 140 and 60 rows, so
-    # their traced peaks get 256 KiB of slack, not the CSV writer's 2 MiB.
-    @pytest.mark.parametrize("nodes, memory", [(6, 3), (2, 9)])
-    def test_exact_peak_within_its_cost(self, tmp_path, nodes, memory):
+    # block workspace too.  These chains write CSVs of 140, 60 and 180 rows,
+    # so their traced peaks get 256 KiB of slack, not the CSV writer's
+    # 2 MiB.  The rings keep full tables, the Barabasi-Albert chain halves.
+    @pytest.mark.parametrize("nodes, memory, network", [
+        pytest.param(6, 3, {"kind": "ring"}, id="6-3"),
+        pytest.param(2, 9, {"kind": "ring"}, id="2-9"),
+        pytest.param(8, 2, {"kind": "barabasi-albert", "attach": 2, "seed": 1789}, id="ba-8-2"),
+    ])
+    def test_exact_peak_within_its_cost(self, tmp_path, nodes, memory, network):
         cfg = config_from_dict(base_config(
-            tmp_path, network={"kind": "ring", "nodes": nodes}, memory=memory, initial_red=12,
+            tmp_path, network={**network, "nodes": nodes}, memory=memory, initial_red=12,
             initial_total=25, reinforce_red=11, reinforce_black=11, t_max=20, modes=["exact"]))
         cost = experiment.ROUTES["exact"][0](cfg)
         tracemalloc.start()
@@ -1077,6 +1082,23 @@ class TestCompareBadRows:
         assert cli.main(["compare", str(good), str(bad)]) == 2
         assert capsys.readouterr().err.startswith(
             f"configuration error: curves: cannot read {bad}: ")
+
+
+    def test_repeated_time_exits_2(self, tmp_path, capsys):
+        # no curve the program writes repeats a time, and a pairing of
+        # repeated times would be arbitrary: refused, naming file and line
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            paths.append(tmp_path / name)
+            paths[-1].write_text("time,urn,p,system\n1,avg,0.5,exact\n1,0,0.5,exact\n"
+                                 "1,avg,0.25,exact\n")
+        with pytest.raises(ConfigError, match=r"a\.csv: line 4: time 1 repeats line 2"):
+            read_curve(str(paths[0]))
+        assert cli.main(["compare", *map(str, paths)]) == 2
+        captured = capsys.readouterr()
+        assert "points" not in captured.out
+        assert captured.err == (f"configuration error: curves: {paths[0]}: line 4: "
+                                "time 1 repeats line 2\n")
 
 
 class TestNonFiniteAverages:
