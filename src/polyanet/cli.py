@@ -5,39 +5,25 @@ compare, reproduce-fig.  Exit codes: 0 success, 2 configuration error
 or an output file that cannot be created, 3 numerical failure, 4
 exact-chain work cap or machine memory exceeded.  The run subcommands
 share one handler, :func:`_cmd_run`; artifacts are written through
-``csvio.open_artifact``, JSON through ``csvio.write_json``.
+``csvio.open_artifact``, JSON through ``csvio.write_json``.  A config and
+an argv fix every byte; the retired ``--threads`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import experiment, networks
 from .csvio import write_json
 from .errors import CapExceededError, ConfigError, ConvergenceError, UnstableSystemError
 
-THREADS_ENV = "POLYANET_THREADS"
 OUT_DASH_HELP = "write a value that begins with '-' as --out=VALUE"
-
-
-def _threads(args):
-    """``--threads``, else ``$POLYANET_THREADS``, else 1, for the ``threads``
-    rule to check; the value is recorded but has no effect on a run."""
-    if args.threads is not None:
-        return args.threads
-    value = os.environ.get(THREADS_ENV, "1")
-    try:
-        return int(value)
-    except ValueError:
-        return value  # the threads rule refuses the text and names the field
 
 
 def _cmd_run(args) -> int:
     overrides = {"modes": args.modes or [f"meanfield-{system}" for system in ("nonlinear", "linear")
-                                         if args.system in (system, "both")],
-                 "threads": _threads(args)}
+                                         if args.system in (system, "both")]}
     for name, value in (("master_seed", args.seed), ("out_prefix", args.out)):
         if value is not None:
             overrides[name] = value
@@ -87,14 +73,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    configs = experiment.figure_configs(
-        args.figure,
-        args.out,
-        seed=args.seed,
-        t_max=args.t_max,
-        replicates=args.replicates,
-        threads=_threads(args),
-    )
+    configs = experiment.figure_configs(args.figure, args.out, seed=args.seed, t_max=args.t_max,
+                                        replicates=args.replicates)
     for cfg in configs:
         write_json(f"{cfg.out_prefix}_config.json", experiment.config_to_dict(cfg))
         summary = experiment.run(cfg)
@@ -145,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None,
                        help=f"override the artifact prefix; {OUT_DASH_HELP}")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"accepted and validated, no effect (default ${THREADS_ENV} or 1)")
+        # retired and ignored, still accepted since perfbench/workloads.py passes --threads 1
+        p.add_argument("--threads", help=argparse.SUPPRESS)
         if modes is None:
             p.add_argument("--system", choices=["nonlinear", "linear", "both"], default="both")
         p.set_defaults(func=_cmd_run, modes=modes)
@@ -167,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=experiment.FIGURE_SEED)
     r.add_argument("--t-max", type=int, default=1000, dest="t_max")
     r.add_argument("--replicates", type=int, default=100)
-    r.add_argument("--threads", type=int, default=None)
+    r.add_argument("--threads", help=argparse.SUPPRESS)  # ignored; workloads.py passes it here too
     r.set_defaults(func=_cmd_reproduce)
 
     return parser

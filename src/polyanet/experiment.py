@@ -32,9 +32,8 @@ NETWORK_KINDS = {"barabasi-albert": ("nodes", "attach", "seed", "self_weight"),
 
 
 # The optional integer entries: default and minimum (None: any integer).
-# threads is validated and echoed, but has no effect on a run.
 INTEGER_ENTRIES = {"t_max": (1000, 1), "replicates": (100, 1), "master_seed": (0, None),
-                   "threads": (1, 1), "exact_cap_bits": (chain.DEFAULT_CAP_BITS, None)}
+                   "exact_cap_bits": (chain.DEFAULT_CAP_BITS, None)}
 URN_ENTRIES = ("initial_red", "initial_total", "reinforce_red", "reinforce_black")
 ENTRIES = ("schema_version", "network", "memory", *URN_ENTRIES, "modes", "out_prefix",
            *INTEGER_ENTRIES)
@@ -49,7 +48,6 @@ class ExperimentConfig:
     master_seed: int
     out_prefix: str
     network_spec: dict
-    threads: int
     exact_cap_bits: int
 
 
@@ -148,7 +146,8 @@ def config_from_dict(data: dict, base_dir: str = ".", overrides=None) -> Experim
     if not isinstance(data, dict):
         raise ConfigError("config", "top level must be a JSON object")
     for key in data:
-        if key not in ENTRIES:
+        # the retired threads entry is ignored: perfbench/workloads.py still writes it
+        if key not in ENTRIES and key != "threads":
             raise ConfigError(key, f"unknown entry; options: {ENTRIES}")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -246,6 +245,11 @@ def _written(save, curve, path: str):
     return curve.network_avg, {}
 
 
+def _montecarlo_cost(cfg: ExperimentConfig) -> int:
+    montecarlo.check_counts(cfg.raw, cfg.t_max)  # before any mode runs, like the exact cap
+    return cfg.t_max * cfg.replicates * cfg.raw.n_urns + _bytes(cfg, curves=2)
+
+
 def _montecarlo(cfg: ExperimentConfig, params: NetworkParams, path: str):
     mc = montecarlo.average_replicates(cfg.raw, cfg.t_max, cfg.replicates, cfg.master_seed)
     return _written(montecarlo.save_summary_csv, mc, path)
@@ -279,8 +283,7 @@ def _equilibrium(cfg: ExperimentConfig, params: NetworkParams, path: str):
 # quarter of A, are freed before the solve).
 ROUTES = {
     "exact": (_exact_cost, _exact_trajectory),
-    "montecarlo": (lambda cfg: cfg.t_max * cfg.replicates * cfg.raw.n_urns + _bytes(cfg, curves=2),
-                   _montecarlo),
+    "montecarlo": (_montecarlo_cost, _montecarlo),
     "meanfield-nonlinear": (lambda cfg: _bytes(cfg, curves=2, tables=2), _meanfield("nonlinear")),
     "meanfield-linear": (lambda cfg: _bytes(cfg, curves=1, tables=2, squares=1),
                          _meanfield("linear")),
@@ -442,8 +445,9 @@ def figure_setup(which: str, seed: int = FIGURE_SEED) -> dict:
 
 
 def figure_configs(which: str, out_prefix: str, seed: int = FIGURE_SEED, t_max: int = 1000,
-                   replicates: int = 100, threads: int = 1) -> list[ExperimentConfig]:
-    """One config per memory value M = 1, 2, 3 for a figure family."""
+                   replicates: int = 100, threads=None) -> list[ExperimentConfig]:
+    """One config per memory value M = 1, 2, 3 for a figure family; the
+    retired ``threads`` is ignored, as perfbench/worker.py still passes it."""
     base = figure_setup(which, seed)
     out_prefix = _check_setting("out_prefix", out_prefix)  # each memory's prefix extends it
     configs = []
@@ -456,7 +460,6 @@ def figure_configs(which: str, out_prefix: str, seed: int = FIGURE_SEED, t_max: 
             "replicates": replicates,
             "master_seed": seed * 10 + memory,
             "out_prefix": f"{out_prefix}_m{memory}",
-            "threads": threads,
             **base,
         }
         configs.append(config_from_dict(data))

@@ -32,11 +32,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_curve_csv
+from .errors import ConfigError
 from .params import RawConfig, clamp_probability
 
 # Upper bound on the buffer of pre-drawn uniforms of one block (all
 # replicates of a batch together); at least one step is always drawn.
 UNIFORM_BLOCK_BYTES = 1 << 20
+
+
+def check_counts(config: RawConfig, t_max: int) -> None:
+    """Raise :class:`ConfigError` (a ValueError) naming the first urn whose int64
+    ball total could pass 2**63 - 1 in a window of min(M, t_max) additions."""
+    peaks = config.initial_total.astype(object) + min(config.memory, t_max) * np.maximum(
+        config.reinforce_red, config.reinforce_black).astype(object)  # Python ints: no wrap
+    bad = np.flatnonzero(peaks > np.iinfo(np.int64).max)
+    if bad.size:
+        raise ConfigError("urns", f"urn {bad[0]}'s ball total can reach {peaks[bad[0]]}, past int64")
 
 
 def _advance(config: RawConfig, rngs, draws, ratios=None) -> None:
@@ -54,6 +65,7 @@ def _advance(config: RawConfig, rngs, draws, ratios=None) -> None:
     and the total by ``(reinforce_red - reinforce_black) * (new - old)``.
     """
     n_steps, n_rep, n_urns = draws.shape
+    check_counts(config, n_steps)
     memory = config.memory
     # counts[0] is red and counts[1] the total.  A red draw adds per_draw
     # to them (reinforce_red and reinforce_red - reinforce_black) and its

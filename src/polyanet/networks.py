@@ -100,10 +100,12 @@ def _normalize_in_place(adj: np.ndarray, self_weight: float) -> np.ndarray:
         raise ValueError("weights must be nonnegative")
     adj += 0.0  # turns -0.0 into +0.0
     adj.flat[:: adj.shape[0] + 1] += self_weight
-    totals = adj.sum(axis=1)
-    if np.any(totals == 0):
-        bad = int(np.argmin(totals))
-        raise ValueError(f"row {bad} has zero total weight; cannot normalize")
+    with np.errstate(over="ignore"):  # a total past the floats is refused below
+        totals = adj.sum(axis=1)
+    bad = np.flatnonzero((totals == 0) | ~np.isfinite(totals))  # an infinite or NaN weight too
+    if bad.size:
+        weight = "zero" if totals[bad[0]] == 0 else totals[bad[0]]
+        raise ValueError(f"row {bad[0]} has {weight} total weight; cannot normalize")
     adj /= totals[:, None]
     return check_interaction_matrix(adj)
 

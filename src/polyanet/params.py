@@ -73,11 +73,13 @@ def check_interaction_matrix(S) -> np.ndarray:
         raise ValueError("interaction matrix entries must be finite")
     if np.any(S < 0):
         raise ValueError("interaction matrix entries must be nonnegative")
-    err = np.abs(S.sum(axis=1) - 1.0)
+    with np.errstate(over="ignore"):  # a sum past the floats fails the rule below
+        sums = S.sum(axis=1)
+    err = np.abs(sums - 1.0)
     worst = int(np.argmax(err))
     if err[worst] > ROW_SUM_TOL:
         raise ValueError(
-            f"interaction matrix row {worst} sums to {float(S[worst].sum())}; "
+            f"interaction matrix row {worst} sums to {float(sums[worst])}; "
             f"rows must sum to 1 within {ROW_SUM_TOL}"
         )
     return S

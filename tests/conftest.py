@@ -134,17 +134,6 @@ def isolated_equilibrium(rho, delta_r, delta_b):
     return rho * (1.0 + delta_r) / (1.0 + delta_b + rho * (delta_r - delta_b))
 
 
-def dense_transition_matrix(kernel):
-    """Brute-force dense transition matrix via unit-vector propagation."""
-    n = kernel.n_states
-    Q = np.zeros((n, n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        Q[a] = kernel.apply(e)
-    return Q
-
-
 def draw_probabilities(kernel, states):
     """Red-draw probability of every urn out of each packed state, shape
     (len, N): the red ratios of the state's windows, read from
@@ -240,15 +229,6 @@ def csgraph_structure(kernel):
     diffs = (dist[coo.row[reach]] + 1 - dist[coo.col[reach]]).astype(np.int64)
     period = int(np.gcd.reduce(np.abs(diffs))) if diffs.size else None
     return [irreducible, bool(irreducible and period == 1), period, int(n_comp)]
-
-
-def stationary_by_eig(Q):
-    """Left Perron eigenvector of a row-stochastic matrix, normalized."""
-    vals, vecs = np.linalg.eig(Q.T)
-    k = int(np.argmin(np.abs(vals - 1.0)))
-    v = np.real(vecs[:, k])
-    v = np.abs(v)
-    return v / v.sum()
 
 
 def write_rows(path, header, rows):

@@ -130,9 +130,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "field, value",
         [("t_max", "abc"), ("t_max", 2.5), ("replicates", None),
-         ("master_seed", [1]), ("threads", 0), ("threads", True),
-         ("memory", "2"), ("t_max", " 7 "), ("master_seed", "-5"),
-         ("threads", "2"), ("exact_cap_bits", "30")],
+         ("master_seed", [1]), ("memory", "2"), ("t_max", " 7 "), ("master_seed", "-5"),
+         ("exact_cap_bits", "30")],
     )
     def test_malformed_integer_reported_by_name(self, tmp_path, field, value):
         with pytest.raises(ConfigError) as info:
@@ -218,6 +217,39 @@ class TestNetworkResolution:
             f"configuration error: network: {tmp_path / 'S.csv'} holds no matrix rows\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["S.csv", "config.json"]
 
+    @pytest.mark.parametrize("network, message", [
+        ({"kind": "barabasi-albert", "nodes": 5, "attach": 2, "self_weight": "INF"},
+         "row 0 has inf total weight"),
+        ({"kind": "matrix", "normalize": True, "values": [[1e308, 1e308], [1, 1]]},
+         "row 0 has inf total weight"),
+        ({"kind": "matrix", "values": [[1e308, 1e308], [0.5, 0.5]]}, "row 0 sums to inf"),
+        ({"kind": "matrix-file", "path": "S.csv"}, "row 0 sums to inf"),
+    ], ids=["self-weight-1e309", "normalize", "matrix", "matrix-file"])
+    def test_weights_past_the_floats_exit_2_with_one_message(self, tmp_path, capsys,
+                                                             network, message):
+        # JSON reads 1e309 as infinity; a row of two 1e308 sums past the floats
+        (tmp_path / "S.csv").write_text("1e308,1e308\n0.5,0.5\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path / "out", network=network))
+                        .replace('"INF"', "1e309"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: network: ") and message in err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["S.csv", "config.json"]
+
+    def test_gen_network_infinite_self_weight_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["gen-network", "--kind", "complete", "--nodes", "4",
+                             "--self-weight", "inf", "--out", "g"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: network: row 0 has inf total weight; cannot normalize\n")
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             resolve_network({"kind": "torus", "nodes": 3})
@@ -300,18 +332,6 @@ class TestRun:
         for path, blob in blobs.items():
             with open(path, "rb") as fh:
                 assert fh.read() == blob, path
-
-    def test_montecarlo_thread_count_invisible(self, tmp_path):
-        data = base_config(tmp_path, modes=["montecarlo"], replicates=6)
-        serial = config_from_dict(dict(data, out_prefix=str(tmp_path / "s")))
-        serial = dataclasses.replace(serial, threads=1)
-        pooled = config_from_dict(dict(data, out_prefix=str(tmp_path / "p")))
-        pooled = dataclasses.replace(pooled, threads=3)
-        run(serial)
-        run(pooled)
-        a = (tmp_path / "s_montecarlo.csv").read_text().splitlines()
-        b = (tmp_path / "p_montecarlo.csv").read_text().splitlines()
-        assert a == b
 
     def test_equilibrium_declined(self, tmp_path):
         data = base_config(
@@ -786,38 +806,40 @@ class TestCli:
         assert captured.err.startswith("configuration error: t_min:")
         assert captured.out == ""
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
-        path = self.write_config(tmp_path, modes=["montecarlo"], replicates=4)
-        assert cli.main(["simulate", "--config", path]) == 0
-        with open(tmp_path / "run_summary.json") as fh:
-            assert json.load(fh)["config"]["threads"] == 2
+    @pytest.mark.parametrize("how", ["env", "flag", "entry"])
+    def test_retired_threads_change_no_byte(self, tmp_path, monkeypatch, how):
+        # $POLYANET_THREADS, --threads and a config's threads entry are not
+        # read: a run given one writes the bytes of a run without it
+        runs = {}
+        for name in ("plain", how):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            extra = {"threads": "many"} if name == "entry" else {}
+            path = self.write_config(tmp_path / name, modes=["montecarlo"], replicates=4,
+                                     out_prefix="run", **extra)
+            if name == "env":
+                monkeypatch.setenv("POLYANET_THREADS", "7")
+            flags = ["--threads", "9"] if name == "flag" else []
+            assert cli.main(["simulate", "--config", path, *flags]) == 0
+            runs[name] = [(tmp_path / name / f"run_{suffix}").read_bytes()
+                          for suffix in ("montecarlo.csv", "summary.json")]
+        assert runs[how] == runs["plain"]
+        assert "threads" not in json.loads(runs["plain"][1])["config"]
 
-    def test_threads_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "7")
-        path = self.write_config(tmp_path, modes=["montecarlo"], replicates=4)
-        assert cli.main(["simulate", "--config", path, "--threads", "1"]) == 0
-        with open(tmp_path / "run_summary.json") as fh:
-            assert json.load(fh)["config"]["threads"] == 1
-
-    @pytest.mark.parametrize("threads", ["2", "3", "16"])
-    def test_threads_have_no_effect(self, tmp_path, monkeypatch, threads):
-        path = self.write_config(tmp_path, modes=["montecarlo"], replicates=6)
-        assert cli.main(["simulate", "--config", path, "--threads", "1"]) == 0
-        serial = (tmp_path / "run_montecarlo.csv").read_bytes()
-        assert cli.main(["simulate", "--config", path, "--threads", threads,
-                         "--out", str(tmp_path / "flag")]) == 0
-        monkeypatch.setenv(cli.THREADS_ENV, threads)
-        assert cli.main(["simulate", "--config", path,
-                         "--out", str(tmp_path / "env")]) == 0
-        for prefix in ("flag", "env"):
-            assert (tmp_path / f"{prefix}_montecarlo.csv").read_bytes() == serial
-            with open(tmp_path / f"{prefix}_summary.json") as fh:
-                assert json.load(fh)["config"]["threads"] == int(threads)
+    def test_benchmark_threads_shapes_accepted(self, tmp_path):
+        # the shapes perfbench/ still passes: threads=1 to figure_configs,
+        # and --threads 1 beside a config holding "threads": 1
+        configs = figure_configs("3", str(tmp_path / "f"), t_max=5, replicates=1, threads=1)
+        assert [cfg.raw.memory for cfg in configs] == [1, 2, 3]
+        assert cli.main(["reproduce-fig", "3", "--out", str(tmp_path / "fig"), "--t-max", "5",
+                         "--replicates", "1", "--threads", "1"]) == 0
+        assert "threads" not in json.loads((tmp_path / "fig_m1_config.json").read_text())
+        path = self.write_config(tmp_path, threads=1, memory=2)
+        for argv in (["exact"], ["meanfield", "--system", "both"], ["equilibrium"]):
+            assert cli.main([*argv, "--config", path, "--threads", "1"]) == 0
 
     @pytest.mark.parametrize("overrides", [{"t_max": "abc"}, {"replicates": None},
-                                           {"threads": 0}, {"t_max": "7"},
-                                           {"replicates": "2"}, {"threads": "2"}])
+                                           {"t_max": "7"}, {"replicates": "2"}])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides):
         path = self.write_config(tmp_path, modes=["montecarlo"], **overrides)
         assert cli.main(["simulate", "--config", path]) == 2
@@ -835,18 +857,6 @@ class TestCli:
         field = next(iter(overrides))
         assert f"configuration error: {field}:" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
-
-    def test_threads_below_one_rejected(self, tmp_path, monkeypatch, capsys):
-        path = self.write_config(tmp_path, modes=["montecarlo"])
-        assert cli.main(["simulate", "--config", path, "--threads", "0"]) == 2
-        assert cli.main(["reproduce-fig", "3", "--out", str(tmp_path / "f"),
-                         "--t-max", "5", "--replicates", "1", "--threads", "-1"]) == 2
-        monkeypatch.setenv(cli.THREADS_ENV, "0")
-        assert cli.main(["simulate", "--config", path]) == 2
-        monkeypatch.setenv(cli.THREADS_ENV, "many")
-        assert cli.main(["simulate", "--config", path]) == 2
-        assert "threads" in capsys.readouterr().err
-        assert not (tmp_path / "run_montecarlo.csv").exists()
 
     def test_reproduce_fig_negative_seed_rejected(self, tmp_path, capsys):
         assert cli.main(["reproduce-fig", "2", "--out", str(tmp_path / "f"),
@@ -1174,6 +1184,30 @@ class TestMalformedEntries:
         ))
         assert cfg.raw.initial_total.tolist() == [25, big]
 
+    def test_montecarlo_counts_that_would_wrap_exit_2_before_any_mode(self, tmp_path, capsys):
+        # each count passes the 2**53 rule, but a window of 1100 additions
+        # takes the total to about 9.9e18, past the int64 counts
+        big = 2**53 - 1
+        data = base_config(tmp_path, network={"kind": "identity", "nodes": 2}, memory=1100,
+                           initial_red=2**52, initial_total=big, reinforce_red=big,
+                           reinforce_black=big, t_max=1100,
+                           modes=["meanfield-nonlinear", "montecarlo"])
+        with pytest.raises(ConfigError, match="urn 0's ball total can reach") as info:
+            run(config_from_dict(data))
+        assert info.value.field == "urns"
+        assert not list(tmp_path.iterdir())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: urns: urn 0's ball total can reach ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [path]
+        # the mean field forms no counts, so the same config runs there
+        assert cli.main(["meanfield", "--config", str(path), "--system", "nonlinear"]) == 0
+
     @pytest.mark.parametrize("text, message", [
         ("{}", "must hold integers"),
         ("[Infinity, 12]", "must hold finite counts"),
@@ -1308,7 +1342,7 @@ class TestOneRulePerEntry:
 
     @pytest.mark.parametrize("overrides, field", [
         ({"out_prefix": ""}, "out_prefix"), ({"out_prefix": None}, "out_prefix"),
-        ({"master_seed": "3"}, "master_seed"), ({"threads": 0}, "threads"),
+        ({"master_seed": "3"}, "master_seed"),
         ({"modes": ["exact", "exact"]}, "modes"), ({"modes": []}, "modes"),
     ])
     def test_override_checked_like_its_entry(self, tmp_path, overrides, field):
@@ -1318,13 +1352,13 @@ class TestOneRulePerEntry:
 
     def test_file_entry_checked_before_its_override(self, tmp_path):
         with pytest.raises(ConfigError) as info:
-            config_from_dict(base_config(tmp_path, threads="2"), overrides={"threads": 1})
-        assert info.value.field == "threads"
+            config_from_dict(base_config(tmp_path, master_seed="2"), overrides={"master_seed": 1})
+        assert info.value.field == "master_seed"
 
     def test_overrides_replace_entries(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path), overrides={
-            "modes": ["exact"], "master_seed": 5, "out_prefix": "x", "threads": 2})
-        assert (cfg.modes, cfg.master_seed, cfg.out_prefix, cfg.threads) == (["exact"], 5, "x", 2)
+            "modes": ["exact"], "master_seed": 5, "out_prefix": "x"})
+        assert (cfg.modes, cfg.master_seed, cfg.out_prefix) == (["exact"], 5, "x")
         assert cfg.t_max == 30
 
     def test_config_is_frozen(self, tmp_path):

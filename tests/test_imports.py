@@ -64,7 +64,7 @@ def write_config(tmp_path) -> str:
 
 
 def test_threaded_run_starts_no_pool(tmp_path):
-    # --threads above 1 is accepted but runs the replicates in-process
+    # the retired --threads is accepted and ignored: the replicates run in-process
     path = write_config(tmp_path)
     out = run_fresh(f"""
         import contextlib, io, json, sys

@@ -142,6 +142,24 @@ class TestReplicates:
         with pytest.raises(ValueError):
             average_replicates(raw, 10, 0, master_seed=1)
 
+    # Urn 1's total starts at 2**53 - 1 and a window adds as much per step:
+    # 1024 such totals are 2**63 - 1024 and 1025 would pass 2**63 - 1.
+    BIG = 2**53 - 1
+    HUGE_URN = make_raw(1100, [5, 2**52], [25, BIG], [11, BIG], [11, BIG], np.eye(2))
+
+    def test_counts_that_would_wrap_refused(self):
+        with pytest.raises(ValueError, match="urn 1's ball total can reach"):
+            average_replicates(self.HUGE_URN, 1024, 1, master_seed=1)
+        with pytest.raises(ValueError, match="urn 1's ball total"):
+            simulate(self.HUGE_URN, 1100, 1)
+
+    def test_window_of_t_max_additions_admitted(self):
+        # at memory 1100 the window holds only t_max = 1023 additions
+        traj = simulate(self.HUGE_URN, 1023, 1)
+        assert np.all((traj.ratios >= 0) & (traj.ratios <= 1))
+        red = 2**52 + self.BIG * int(traj.draws[:, 1].sum())
+        assert traj.ratios[-1, 1] == np.float64(red) / np.float64(self.BIG * 1024)
+
     def test_averaging_reduces_variance(self):
         raw = homogeneous_raw(1, 1, 12, 25, 11)
         one = average_replicates(raw, 400, 1, master_seed=3)

@@ -109,6 +109,16 @@ class TestRowNormalize:
         with pytest.raises(ValueError, match="zero total"):
             row_normalize(adj)
 
+    @pytest.mark.parametrize("adj, self_weight, total", [
+        (np.ones((2, 2)), np.inf, "inf"), (np.ones((2, 2)), np.nan, "nan"),
+        (np.array([[1e308, 1e308], [1.0, 1.0]]), 0.0, "inf"),
+    ], ids=["inf-self-weight", "nan-self-weight", "sum-past-the-floats"])
+    def test_non_finite_total_refused_without_a_warning(self, adj, self_weight, total):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"row 0 has {total} total weight; "):
+                row_normalize(adj, self_weight)
+
     def test_isolated_node_ok_with_self_weight(self):
         S = row_normalize(np.zeros((3, 3)), self_weight=2.0)
         assert np.array_equal(S, np.eye(3))

@@ -1,5 +1,7 @@
 """Validation and normalization of urn network parameters."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,12 @@ class TestInteractionMatrix:
             check_interaction_matrix(S)
         assert "row 0 sums to 0.0;" in str(err.value)
         assert "np.float64" not in str(err.value)
+
+    def test_row_sum_past_the_floats_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="row 0 sums to inf; rows must sum to 1"):
+                check_interaction_matrix([[1e308, 1e308], [0.5, 0.5]])
 
     def test_tolerates_rounding_noise(self):
         S = np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.25, 0.25, 0.5]])
