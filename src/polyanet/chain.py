@@ -152,8 +152,8 @@ def working_bytes(n_urns: int, memory: int) -> int:
     tables (:func:`_split`) each.  A block's left operand is at most
     BLOCK_ENTRIES entries, or the largest class's where that is larger;
     that class holds C(M-1, (M-1) // 2)**N rows.  The certificate's
-    float32 workspace, kept beside its patterns, is not counted: no run
-    route builds it."""
+    float32 workspace and the front and result of its forward push, kept
+    beside its patterns, are not counted: no run route builds them."""
     half, entries = _split(n_urns, memory)
     rows = math.comb(memory - 1, (memory - 1) // 2) ** n_urns
     workspace = 16 * max(BLOCK_ENTRIES, rows << (2 * n_urns - half))
@@ -236,6 +236,7 @@ class TransitionKernel:
         self._work: np.ndarray | None = None  # float64 workspace, with the tables
         self._patterns: list | None = None  # float32 0/1 patterns of the tables
         self._pattern_work: np.ndarray | None = None  # float32 workspace, with them
+        self._pattern_front: np.ndarray | None = None  # a forward push's front and result
 
     # -- per-state quantities -------------------------------------------------
 
@@ -503,12 +504,14 @@ def _patterns(kernel: TransitionKernel) -> list:
     """Every block's ``(src, dst, A, B)`` with the table entries replaced by
     their 0/1 pattern, 1.0 (float32) where positive, in the form in which
     the kernel keeps its tables: a transition is positive where both of
-    its factors are.  The kernel keeps the patterns beside its tables."""
+    its factors are.  The kernel keeps the patterns beside its tables,
+    with their workspace and a forward push's float32 front and result."""
     if kernel._patterns is None:
         kernel._patterns = [(src, dst, (A > 0.0).astype(np.float32),
                              None if B is None else (B > 0.0).astype(np.float32))
                             for src, dst, A, B in kernel._tables()]
         kernel._pattern_work = np.empty(kernel._work_entries, dtype=np.float32)
+        kernel._pattern_front = np.empty((2, kernel.n_states), dtype=np.float32)
     return kernel._patterns
 
 
@@ -518,8 +521,10 @@ def _push(kernel: TransitionKernel, front, backward: bool = False) -> np.ndarray
     underflows: forward by ``apply``'s contraction, backward by its
     transpose, each row's front through ``A`` and then ``B``."""
     if not backward:
-        out, patterns = np.empty(kernel.n_states, dtype=np.float32), _patterns(kernel)
-        return _contract(patterns, front.astype(np.float32), out, kernel._pattern_work) > 0.0
+        patterns = _patterns(kernel)
+        mu, out = kernel._pattern_front
+        np.copyto(mu, front)
+        return _contract(patterns, mu, out, kernel._pattern_work) > 0.0
     hit = np.empty(kernel.n_states, dtype=bool)
     for src, dst, A, B in _patterns(kernel):
         # y[c, r, xB, o] = sum_xA front[dst[c, r, xB * 2**h + xA]] A[c, o, xA]; 1 xB if full

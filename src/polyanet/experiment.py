@@ -246,8 +246,12 @@ def _written(save, curve, path: str):
 
 
 def _montecarlo_cost(cfg: ExperimentConfig) -> int:
+    """The int8 draw record, the window tables (red, total and settled
+    fractions, 8 bytes each per urn and window count) and two curves."""
     montecarlo.check_counts(cfg.raw, cfg.t_max)  # before any mode runs, like the exact cap
-    return cfg.t_max * cfg.replicates * cfg.raw.n_urns + _bytes(cfg, curves=2)
+    n = cfg.raw.n_urns
+    tables = 24 * n * (min(cfg.raw.memory, cfg.t_max) + 1)
+    return cfg.t_max * cfg.replicates * n + tables + _bytes(cfg, curves=2)
 
 
 def _montecarlo(cfg: ExperimentConfig, params: NetworkParams, path: str):

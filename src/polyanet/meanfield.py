@@ -21,7 +21,8 @@ That iteration multiplies by A through A's nonzeros when at most one
 entry in ``NONZERO_PRODUCT_RATIO`` (16) is nonzero, as on a contact
 network, and through the dense BLAS product otherwise; the nonzero
 product sums each row in another order, so a sparse A's radius may
-differ from the dense product's by an ulp.
+differ from the dense product's by a few ulps (at most 3 in 6 000 draws
+of contact networks of 16 to 600 urns).
 For memory 1 the nonlinear map is already affine, so both variants
 coincide and reproduce the exact chain marginals step for step, for
 any interaction matrix.
@@ -240,8 +241,10 @@ def spectral_radius(
     (:func:`_nonzero_product`), and otherwise it is the dense ``A @`` of
     :meth:`LinearSystem.apply`, so a dense A keeps its bits.  The
     nonzero product adds each row's terms in another order than BLAS, so
-    its radius may differ from the dense one by an ulp, far below the
-    stopping rule's own error.  An all-zero A takes the dense product,
+    its radius may differ from the dense one by a few ulps, far below the
+    stopping rule's own error: at most 3 over 6 000 random networks of
+    16 to 600 urns, memory 1 to 4, 1 in 10 of them by one ulp and 1 in
+    100 by two.  An all-zero A takes the dense product,
     as ``np.add.reduceat`` refuses empty input.
 
     The constant 16 is the measured break-even density.  Dense /

@@ -605,6 +605,12 @@ def spectral_radius_by_steps(system, rtol=1e-9, max_iters=2000, allow_dense=True
     return SpectralRadiusEstimate(max(bound, 1.0) if M > 1 else bound, False)
 
 
+# Bytes per replicate and urn that one step takes of the block buffer of
+# ``montecarlo._advance`` (uniforms, their copy and the draw probabilities):
+# ``UNIFORM_BLOCK_BYTES = b * STEP_BYTES * R * N`` makes blocks of b steps.
+STEP_BYTES = 24
+
+
 def advance_by_steps(config, rngs, draws, ratios=None, block=1):
     """``montecarlo._advance`` with fresh count arrays and one
     ``clamp_probability`` per step, uniforms drawn ``block`` steps at a time."""

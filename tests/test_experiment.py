@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyanet import chain, cli, experiment, meanfield
+from polyanet import chain, cli, experiment, meanfield, montecarlo
 from polyanet.csvio import write_curve_csv
 from polyanet.errors import CapExceededError, ConfigError
 from polyanet.experiment import (
@@ -968,6 +968,21 @@ class TestMemoryAdmission:
         assert "the run's arrays need at least" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
         assert chain.kernel_bytes(2, 4) >= 16 << 8  # every state's source and successor
+
+    def test_montecarlo_counts_its_window_tables(self, tmp_path, capsys, monkeypatch):
+        # One replicate of 2 urns at memory and t_max 1000: physical memory
+        # just above the draw record and the two curves, but below the
+        # window tables of 1001 counts per urn: refused before any step.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path, memory=1000, t_max=1000, replicates=1,
+                                               modes=["montecarlo"])))
+        sysconf = os.sysconf
+        have = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1000 * 2 + 2 * 8 * 2 * 1000 + 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: have.get(name) or sysconf(name))
+        monkeypatch.setattr(montecarlo, "_advance", lambda *a: pytest.fail("stepped"))
+        assert cli.main(["simulate", "--config", str(path)]) == 4
+        assert "the run's arrays need at least" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_equilibrium_counts_its_matrices(self, tmp_path, capsys, monkeypatch):
         # Physical memory just above the (M + 1, N) table, but below the

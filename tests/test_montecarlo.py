@@ -1,9 +1,14 @@
 """Stochastic simulation: exact counts, warm-up, determinism."""
 
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from polyanet import montecarlo
+from polyanet import cli, montecarlo
+from polyanet.experiment import figure_configs
 from polyanet.montecarlo import (
     average_replicates,
     empirical_sum,
@@ -12,7 +17,7 @@ from polyanet.montecarlo import (
 )
 from polyanet.params import normalize
 
-from conftest import homogeneous_raw, make_raw, random_interaction, red_ratio
+from conftest import STEP_BYTES, homogeneous_raw, make_raw, random_interaction, red_ratio
 
 
 class TestStep:
@@ -111,7 +116,7 @@ class TestReplicates:
         # its batch; four steps per block for the whole batch, so smaller
         # batches draw fewer, longer blocks
         raw = homogeneous_raw(2, 3, 12, 25, 11, random_interaction(rng, 3))
-        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES", 4 * 8 * 6 * raw.n_urns)
+        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES", 4 * STEP_BYTES * 6 * raw.n_urns)
         whole = average_replicates(raw, 60, 6, master_seed=77)
         acc = np.zeros_like(whole.per_urn)
         first = 0
@@ -208,7 +213,7 @@ class TestBatchedEngine:
         raw = heterogeneous_raw(memory, rng)
         # four steps per block, so retirement reads draws M steps back
         # across block boundaries
-        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES", 4 * 8 * raw.n_urns)
+        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES", 4 * STEP_BYTES * raw.n_urns)
         traj = simulate(raw, 60, replicate_stream(21, 4))
         draws, ratios = loop_reference(raw, 60, replicate_stream(21, 4))
         assert np.array_equal(traj.draws, draws)
@@ -221,10 +226,41 @@ class TestBatchedEngine:
         # four steps per block for the whole batch: 23 steps are five
         # full blocks and a partial one
         monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES",
-                            4 * 8 * replicates * raw.n_urns)
+                            4 * STEP_BYTES * replicates * raw.n_urns)
         summary = average_replicates(raw, 23, replicates, master_seed=5)
         expected = replicate_oracle(raw, 23, replicates, master_seed=5)
         assert np.array_equal(summary.per_urn, expected)
+
+    # The running averages are summed through one reused buffer: the same
+    # array as the loop that forms each replicate's curve anew.
+    @pytest.mark.parametrize("figure", ["1", "2", "3"])
+    def test_reduction_equals_the_per_replicate_loop(self, tmp_path, figure):
+        for cfg in figure_configs(figure, str(tmp_path / "fig"), t_max=300, replicates=10):
+            raw, t_max, replicates = cfg.raw, cfg.t_max, cfg.replicates
+            summary = average_replicates(raw, t_max, replicates, cfg.master_seed)
+            draws = np.empty((t_max, replicates, raw.n_urns), dtype=np.int8)
+            montecarlo._advance(raw, [replicate_stream(cfg.master_seed, r)
+                                      for r in range(replicates)], draws)
+            want = np.zeros((t_max, raw.n_urns))
+            for r in range(replicates):
+                want += empirical_sum(draws[:, r])
+            want /= replicates
+            assert np.array_equal(summary.per_urn, want)
+
+    def test_block_buffer_within_its_budget(self):
+        # 2000 steps of 10 replicates of 100 urns: beside the draw record the
+        # caller holds, a run allocates the block buffer of at most
+        # UNIFORM_BLOCK_BYTES and a few (R, N) arrays
+        raw = homogeneous_raw(3, 100, 12, 25, 11)
+        draws = np.empty((2000, 10, 100), dtype=np.int8)
+        rngs = [replicate_stream(1, r) for r in range(10)]
+        tracemalloc.start()
+        try:
+            montecarlo._advance(raw, rngs, draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= montecarlo.UNIFORM_BLOCK_BYTES + 16 * 8 * 10 * 100
 
     def test_block_budget_does_not_change_draws(self, rng, monkeypatch):
         raw = heterogeneous_raw(2, rng)
@@ -237,7 +273,7 @@ class TestBatchedEngine:
         # keep their counts, an empty urn never draws red and a full one
         # always does
         raw = make_raw(2, [0, 3, 10], [10, 10, 10], 0, 0, np.eye(3))
-        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES", 3 * 8 * 5 * 3)
+        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK_BYTES", 3 * STEP_BYTES * 5 * 3)
         draws = np.empty((40, 5, 3), dtype=np.int8)
         ratios = np.empty((40, 5, 3))
         rngs = [replicate_stream(13, r) for r in range(5)]
@@ -248,3 +284,40 @@ class TestBatchedEngine:
         assert 0 < draws[:, :, 1].sum() < draws[:, :, 1].size
         summary = average_replicates(raw, 40, 5, master_seed=13)
         assert np.array_equal(summary.per_urn, replicate_oracle(raw, 40, 5, 13))
+
+
+class TestPinnedBytes:
+    """SHA-256 of Monte Carlo CSVs, recorded before the step kernel read its
+    ratios from window-count tables: the draws, and so the running averages,
+    keep their bits through any rewrite of the kernel."""
+
+    FIGURE2 = {
+        "fig2_m1_montecarlo.csv": "8d1d624a733df32a4d20bc15e3131c37580874f149d736810ea51ae63ba3cbd9",
+        "fig2_m2_montecarlo.csv": "2416af71ba44ae3134c7eaf6a42cce77b5ba4d476145547f5e448c244f6f6bc6",
+        "fig2_m3_montecarlo.csv": "c57776a62a65acb0444e3a8238ffc45be94ddae1e5702ff8ac50ee63df4418b9",
+    }
+    WARM_UP = "e039370e923feb4bdf09d1e6f10f145408f6952698e697d333c7aa5c0165cdde"
+
+    def test_reproduce_figure_2(self, tmp_path):
+        out = str(tmp_path / "fig2")
+        assert cli.main(["reproduce-fig", "2", "--out", out, "--t-max", "200",
+                         "--replicates", "5"]) == 0
+        for name, want in self.FIGURE2.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+    def test_simulate_inside_the_warm_up(self, tmp_path):
+        # memory 5 and t_max 3: no window fills, so every step grows the urns
+        config = {
+            "schema_version": 1,
+            "network": {"kind": "matrix", "values": [[0.5, 0.25, 0.25], [0.0, 0.6, 0.4],
+                                                     [0.3, 0.3, 0.4]]},
+            "memory": 5, "initial_red": [0, 7, 19], "initial_total": [19, 23, 19],
+            "reinforce_red": [3, 0, 13], "reinforce_black": [9, 4, 13],
+            "modes": ["montecarlo"], "t_max": 3, "replicates": 6, "master_seed": 2026,
+            "out_prefix": str(tmp_path / "warm"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        got = hashlib.sha256((tmp_path / "warm_montecarlo.csv").read_bytes()).hexdigest()
+        assert got == self.WARM_UP
