@@ -32,19 +32,15 @@ so with ``x = xB * 2**h + xA`` a class table factors into
 factors of urns 0..h-1 and ``B`` those of urns h..N-1.  Where a class
 holds several rows (M >= 3) and the full tables fit the table budget,
 h = N and ``F = A``; else h = N // 2.  Source o of class c holds
-n_j = c_j + o_j red draws per urn, so the tables take their entries
-from the (M+1)**N *red-count vectors* n: the kernel's first pass
-evaluates the draw probabilities and forms the products of every n
-once, gathers each block's tables from them and keeps the tables; the
-products are transient (:func:`working_bytes`).  One step is then one
+n_j = c_j + o_j red draws per urn (:func:`_source_counts`), so the
+constructor forms the draw probabilities and factor products of each
+of the (M+1)**N *red-count vectors* n once, gathers every block's
+tables from them into one allocation and allocates one page-aligned
+block workspace; the kernel is read-only from then on.  A step is one
 batched matrix product per block of the classes of one size,
-``(mu[src] * B) @ A`` with the rows of a class stacked, written into
-a distribution that the caller may reuse, and the per-step work is
+``(mu[src] * B) @ A`` with the rows of a class stacked, run in that
+workspace into a distribution that the caller may reuse.  Its work is
 2**(N*(M+1)) = states x fan-out; admission control bounds that number.
-After its first apply a kernel holds every block's tables in one
-allocation and one block workspace, sized to its largest block, in
-which every later step runs: a step allocates nothing of the size of
-a block or a distribution beside the distribution it returns.
 """
 
 from __future__ import annotations
@@ -75,11 +71,10 @@ BLOCK_ENTRIES = 1 << 16
 # Every kernel keeps its tables; under the default cap the largest are
 # N = 6, M = 3's full ones, 23 MiB, and N = 8, M = 2's half ones, 16 MiB.
 KERNEL_CACHE_BYTES = 32 << 20
+# apply's workspace starts on a page boundary: its offset in a page, left
+# to what the heap held before, moved apply's time by several percent.
+PAGE_BYTES = 4096
 DIST_SUM_TOL = 1e-10
-
-
-def _popcounts(memory: int) -> np.ndarray:
-    return np.array([bin(v).count("1") for v in range(1 << memory)], dtype=np.int64)
 
 
 def check_admission(n_urns: int, memory: int, cap_bits: int) -> None:
@@ -133,32 +128,44 @@ def _split(n_urns: int, memory: int) -> tuple[int, int]:
     return h, (1 << h) + (1 << (n_urns - h))
 
 
+def _source_counts(classes: np.ndarray, n_urns: int, memory: int) -> np.ndarray:
+    """Index ``sum_j n_j (M+1)**j`` of the red-count vector of source o of
+    each class, shape (len(classes), 2**N): class ``sum_j c_j M**j`` holds
+    c_j red kept draws of urn j, and its source o adds o's bit j, so
+    n_j = c_j + o_j."""
+    radix = (memory + 1) ** np.arange(n_urns)
+    digits = classes[:, None] // memory ** np.arange(n_urns) % memory
+    oldest = np.arange(1 << n_urns)[:, None] >> np.arange(n_urns) & 1
+    return (digits @ radix)[:, None] + oldest @ radix
+
+
 def kernel_bytes(n_urns: int, memory: int) -> int:
-    """Bytes a kernel keeps after its first apply: its class tables, 8 bytes
-    per entry for the 2**N sources of each of the M**N classes, and the
-    int64 source and successor of every state."""
+    """Bytes a kernel keeps from its construction on: its class tables, 8
+    bytes per entry for the 2**N sources of each of the M**N classes, and
+    the int64 source and successor of every state."""
     return (memory**n_urns << n_urns) * _split(n_urns, memory)[1] * 8 + (16 << (n_urns * memory))
 
 
 def working_bytes(n_urns: int, memory: int) -> int:
     """Bytes a kernel holds beside its tables and indices
     (:func:`kernel_bytes`): the kept bits and the row order, 8 bytes each
-    per row; the block workspace that its first apply allocates and keeps,
-    bounded here by two arrays of a block's left operand, its gather
-    ``mu[src]`` (or the matmul's result, of the same size) and its
-    product with B (or, with full tables, the result); and, while the
-    first apply builds the tables, the draw probabilities and products of
-    the (M+1)**N red-count vectors, N and the entries per source of the
-    tables (:func:`_split`) each.  A block's left operand is at most
-    BLOCK_ENTRIES entries, or the largest class's where that is larger;
-    that class holds C(M-1, (M-1) // 2)**N rows.  The certificate's
-    float32 workspace and the front and result of its forward push, kept
-    beside its patterns, are not counted: no run route builds them."""
+    per row, and the number of each class, 8 bytes; the block workspace
+    that the constructor allocates and every apply reuses, bounded here
+    by two arrays of a block's left operand, its gather ``mu[src]`` (or
+    the matmul's result, of the same size) and its product with B (or,
+    with full tables, the result), plus up to a page of alignment; and,
+    while the constructor builds the tables, the draw probabilities and
+    products of the (M+1)**N red-count vectors, N and the entries per
+    source of the tables (:func:`_split`) each.  A block's left operand
+    is at most BLOCK_ENTRIES entries, or the largest class's where that
+    is larger; that class holds C(M-1, (M-1) // 2)**N rows.  The
+    structural check's scratch (:class:`_Scratch`) is not counted: it
+    lives only while the check runs, and no run route runs it."""
     half, entries = _split(n_urns, memory)
     rows = math.comb(memory - 1, (memory - 1) // 2) ** n_urns
-    workspace = 16 * max(BLOCK_ENTRIES, rows << (2 * n_urns - half))
+    workspace = 16 * max(BLOCK_ENTRIES, rows << (2 * n_urns - half)) + PAGE_BYTES - 8
     counts = 8 * (memory + 1) ** n_urns * (n_urns + entries)
-    return (16 << (n_urns * (memory - 1))) + workspace + counts
+    return (16 << (n_urns * (memory - 1))) + 8 * memory**n_urns + workspace + counts
 
 
 class TransitionKernel:
@@ -168,10 +175,11 @@ class TransitionKernel:
     their red counts, so the rows of one count class share its class
     tables, gathered from the products of the red-count vectors of its
     sources.  ``apply`` contracts a distribution with them in one
-    batched product per block of a group (the classes of one size) and
-    the structural check pushes one front at a time through their 0/1
-    patterns.  The first pass builds the tables and keeps them, with the
-    index arrays of every block (:func:`kernel_bytes`).
+    batched product per block of a group (the classes of one size).
+    The constructor builds every block's tables, with its index arrays
+    (:func:`kernel_bytes`), and the block workspace; nothing changes
+    the kernel after that, so its applies and structural checks may
+    interleave in any order.
     """
 
     def __init__(self, params: NetworkParams, S, cap_bits: int = DEFAULT_CAP_BITS):
@@ -191,17 +199,16 @@ class TransitionKernel:
 
         N, M = self.n_urns, self.memory
         self._ratios = red_ratio_table(params)  # (N, M+1)
-        self._field_mask = (1 << M) - 1
-        self._pop = _popcounts(M)
         # Row k spreads its N*(M-1) kept bits, urn j's at bits j*(M-1)...,
         # over lags 1..M-1 of each source window; its class is the number
         # c_j of red kept draws per urn, packed as sum_j c_j * M**j.
+        pop = np.array([bin(v).count("1") for v in range(1 << (M - 1))], dtype=np.int64)
         rows = np.arange(1 << (N * (M - 1)), dtype=np.int64)
         kept, cls = np.zeros_like(rows), np.zeros_like(rows)
         for j in range(N):
-            field = (rows >> (j * (M - 1))) & (self._field_mask >> 1)
+            field = (rows >> (j * (M - 1))) & (len(pop) - 1)
             kept |= field << (j * M + 1)
-            cls += self._pop[field] * M**j
+            cls += pop[field] * M**j
         self._kept = kept
         fan = np.arange(1 << N, dtype=np.int64)
         oldest = np.zeros_like(fan)
@@ -213,52 +220,47 @@ class TransitionKernel:
         # Rows by class, and classes by size prod_j C(M-1, c_j), each group
         # (classes of one size) cut into blocks whose tables, or whose
         # product's left operand where that is larger, hold about
-        # BLOCK_ENTRIES entries.  Classes are numbered in block order, so a
-        # block's classes are a run of them.
+        # BLOCK_ENTRIES entries.  by_size lists the classes in block order.
         order = np.argsort(cls.astype(np.min_scalar_type(M**N)), kind="stable")
         sizes = np.bincount(cls, minlength=M**N)
         first = np.cumsum(sizes) - sizes
         by_size = np.argsort(sizes, kind="stable")
-        self._groups = []  # (lo, rows) of every block: rows[i] those of class lo + i
+        self._groups = []  # (classes, rows) of every block: rows[i] those of classes[i]
         for size, lo in zip(*np.unique(sizes[by_size], return_index=True)):
             classes = by_size[lo : lo + np.count_nonzero(sizes == size)]
             rows_of = order[first[classes, None] + np.arange(size)]
             entries = max(len(fan) * self._table_entries, int(size) * len(fan) << (N - self._half))
             step = max(1, BLOCK_ENTRIES // entries)
-            self._groups += [(int(lo) + i, rows_of[i : i + step])
+            self._groups += [(classes[i : i + step], rows_of[i : i + step])
                              for i in range(0, len(classes), step)]
+        # Every block's (src, dst, A, B), gathered from the products of the
+        # red-count vectors into its share of one allocation
+        P, h = self._count_probabilities().T, self._half
+        A, B = _products(P[:h]), (_products(P[h:]) if h < N else None)
+        del P
+        A = np.ascontiguousarray(A.T) if B is None else A
+        slab = np.empty((M**N << N) * self._table_entries)
+        at, lo, end = _source_counts(by_size, N, M), 0, 0
+        self._blocks = []
+        for _, rows in self._groups:
+            size = (len(rows) << N) * self._table_entries
+            self._blocks.append(self._table_block(A, B, rows, at[lo : lo + len(rows)],
+                                                  slab[end : end + size]))
+            lo, end = lo + len(rows), end + size
         # _contract's workspace: a block's gather (or matmul result) and its
         # product with B (or, with full tables, the result), for the block
-        # of the most rows
+        # of the most rows, from the first page boundary of its allocation
         gather = max(rows.size for _, rows in self._groups) << N
-        self._work_entries = gather + (gather << (N - self._half))
-        self._cache: list | None = None  # (src, dst, A, B) of every block
-        self._work: np.ndarray | None = None  # float64 workspace, with the tables
-        self._patterns: list | None = None  # float32 0/1 patterns of the tables
-        self._pattern_work: np.ndarray | None = None  # float32 workspace, with them
-        self._pattern_front: np.ndarray | None = None  # a forward push's front and result
-
-    # -- per-state quantities -------------------------------------------------
-
-    def window_counts(self, states) -> np.ndarray:
-        """Red draws per urn window for each packed state, shape (len, N)."""
-        states = np.asarray(states, dtype=np.int64)
-        counts = np.empty(states.shape + (self.n_urns,), dtype=np.int64)
-        for j in range(self.n_urns):
-            field = (states >> (j * self.memory)) & self._field_mask
-            counts[..., j] = self._pop[field]
-        return counts
+        size = gather + (gather << (N - self._half))
+        work = np.empty(size + PAGE_BYTES // 8 - 1)
+        skip = -work.ctypes.data % PAGE_BYTES // 8
+        self._work = work[skip : skip + size]
 
     # -- enumeration core -----------------------------------------------------
 
-    def _count_index(self, states) -> np.ndarray:
-        """Index ``sum_j n_j (M+1)**j`` of the red-count vector of each
-        packed state, n_j being the red draws in urn j's window."""
-        return self.window_counts(states) @ (self.memory + 1) ** np.arange(self.n_urns)
-
     def _count_probabilities(self) -> np.ndarray:
         """Red-draw probabilities out of every red-count vector, shape
-        ((M+1)**N, N), in the order of :meth:`_count_index`: the red
+        ((M+1)**N, N), in the order of :func:`_source_counts`: the red
         ratios of its windows mixed through S."""
         N, M = self.n_urns, self.memory
         ratios = np.empty((M + 1,) * N + (N,))
@@ -266,41 +268,15 @@ class TransitionKernel:
             ratios[..., j] = row.reshape((M + 1,) + (1,) * j)
         return clamp_probability(ratios.reshape(-1, N) @ self.S.T, what="draw probability")
 
-    def _tables(self) -> list:
-        """Every block's ``(src, dst, A, B)``, built on the first call and
-        kept.  ``src[c, r, o]`` and ``dst[c, r, x]`` are the sources and
-        successors of row r of class c; ``A[c, o, xA]`` is the product of
-        the factors of urns 0..h-1 and ``B[c, xB, o]`` that of urns
-        h..N-1, or None when h = N.  The products are formed once per
-        red-count vector, and each block gathers those of its sources,
-        into its share of one allocation that holds every block's tables:
-        source o of a class, whose first row stands for all of them, holds
-        the red draws of that row's kept bits plus o's.  The first call
-        also allocates ``apply``'s block workspace."""
-        if self._cache is None:
-            P, h = self._count_probabilities().T, self._half
-            A, B = _products(P[:h]), (_products(P[h:]) if h < self.n_urns else None)
-            del P
-            first = self._kept[np.concatenate([rows[:, 0] for _, rows in self._groups])]
-            base, off = self._count_index(first), self._count_index(self._oldest)
-            if B is None:
-                A = np.ascontiguousarray(A.T)
-            slab = np.empty((self.memory**self.n_urns << self.n_urns) * self._table_entries)
-            self._cache, end = [], 0
-            for lo, rows in self._groups:
-                size = (len(rows) << self.n_urns) * self._table_entries
-                at = base[lo : lo + len(rows), None] + off
-                self._cache.append(self._table_block(A, B, rows, at, slab[end : end + size]))
-                end += size
-            self._work = np.empty(self._work_entries)
-        return self._cache
-
     def _table_block(self, A, B, rows, at, slab):
         """``(src, dst, A, B)`` of the classes whose rows are ``rows`` and
         the red-count vectors of whose sources are ``at[c, o]``, gathered
         into ``slab`` from the products ``A[n, x]`` of every red-count
-        vector n (h = N) or ``A[xA, n]`` and ``B[xB, n]``.  ``apply`` reads
-        a full table faster row-major, and half tables faster as the
+        vector n (h = N) or ``A[xA, n]`` and ``B[xB, n]``: ``src[c, r, o]``
+        and ``dst[c, r, x]`` are the sources and successors of row r of
+        class c, ``A[c, o, xA]`` the product of the factors of urns 0..h-1
+        and ``B[c, xB, o]`` that of urns h..N-1, None at h = N.  ``apply``
+        reads a full table faster row-major, and half tables faster as the
         transposed views of the gathered products (on a 2-vCPU machine,
         0.55 against 0.70 ms per apply on the 4-urn ring and 3.9 against
         4.4 ms on the 8-urn Barabasi-Albert chain).  The indices are in
@@ -330,16 +306,15 @@ class TransitionKernel:
         elif out.shape != mu.shape or out.dtype != mu.dtype or np.may_share_memory(out, mu):
             raise ValueError(f"out must be a float64 array of length {self.n_states} "
                              "apart from the distribution")
-        tables = self._tables()
-        return _contract(tables, mu, out, self._work)
+        return _contract(self._blocks, mu, out, self._work)
 
 
 def _contract(tables, mu: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """``mu`` one step forward into ``out``, one batched matrix product per
     block's ``(src, dst, A, B)``: of the tables, or of their 0/1 patterns.
 
-    Each block runs in ``work``, of mu's dtype and at least the kernel's
-    ``_work_entries``: the gather ``mu[src]`` at its front, then the
+    Each block runs in ``work``, of mu's dtype and the size of the
+    kernel's ``_work``: the gather ``mu[src]`` at its front, then the
     product with B behind it, and the matmul's result in whichever of the
     two the matmul does not read.  The indices are the kernel's own, in
     range, so ``take`` writes unbuffered.  The product with B is an
@@ -411,6 +386,8 @@ def stationary_distribution(
 
 def point_mass(kernel: TransitionKernel, state: int = 0) -> np.ndarray:
     """Distribution concentrated on one packed state (default: all zeros)."""
+    if isinstance(state, bool) or not isinstance(state, (int, np.integer)):
+        raise ValueError(f"state must be an integer, got {state!r}")
     if not 0 <= state < kernel.n_states:
         raise ValueError("state out of range")
     mu = np.zeros(kernel.n_states)
@@ -430,6 +407,8 @@ def lag_marginals(mu, lag: int, memory: int, scratch: np.ndarray | None = None) 
     about 2 * len(mu).  A caller that extracts marginals every step
     passes that buffer as ``scratch``, apart from ``mu``.
     """
+    if memory < 1:
+        raise ValueError(f"memory must be at least 1, got {memory}")
     mu = np.asarray(mu, dtype=float)
     size = mu.shape[0] if mu.ndim == 1 else 0
     bits = size.bit_length() - 1
@@ -468,7 +447,7 @@ def two_fold_joint(pi, kernel: TransitionKernel, urn: int) -> np.ndarray:
     ``a`` now and ``b`` one step later; computed from ``pi`` and the
     red probabilities out of every state, no simulation involved.  At
     memory 1 a state's red-count vector is its own bits, so its index
-    (:meth:`TransitionKernel._count_index`) is the state itself.
+    (:func:`_source_counts`) is the state itself.
     """
     if kernel.memory != 1:
         raise ValueError("two_fold_joint is defined for memory 1")
@@ -500,51 +479,59 @@ class KernelStructure:
         return self.ok
 
 
-def _patterns(kernel: TransitionKernel) -> list:
-    """Every block's ``(src, dst, A, B)`` with the table entries replaced by
-    their 0/1 pattern, 1.0 (float32) where positive, in the form in which
-    the kernel keeps its tables: a transition is positive where both of
-    its factors are.  The kernel keeps the patterns beside its tables,
-    with their workspace and a forward push's float32 front and result."""
-    if kernel._patterns is None:
-        kernel._patterns = [(src, dst, (A > 0.0).astype(np.float32),
-                             None if B is None else (B > 0.0).astype(np.float32))
-                            for src, dst, A, B in kernel._tables()]
-        kernel._pattern_work = np.empty(kernel._work_entries, dtype=np.float32)
-        kernel._pattern_front = np.empty((2, kernel.n_states), dtype=np.float32)
-    return kernel._patterns
+class _Scratch:
+    """A structural check's own buffers, dropped when it returns: every
+    block's ``(src, dst, A, B)`` with the table entries replaced by their
+    0/1 pattern, 1.0 (float32) where positive, in the form in which the
+    kernel keeps its tables (a transition is positive where both of its
+    factors are); a float32 workspace of the size of the kernel's; a
+    push's float32 front and forward result; and the mask that every
+    push writes."""
+
+    def __init__(self, kernel: TransitionKernel):
+        self.patterns = [(src, dst, (A > 0.0).astype(np.float32),
+                          None if B is None else (B > 0.0).astype(np.float32))
+                         for src, dst, A, B in kernel._blocks]
+        self.work = np.empty(kernel._work.size, dtype=np.float32)
+        self.front = np.empty((2, kernel.n_states), dtype=np.float32)
+        self.hit = np.empty(kernel.n_states, dtype=bool)
 
 
-def _push(kernel: TransitionKernel, front, backward: bool = False) -> np.ndarray:
+def _push(scratch: _Scratch, front, backward: bool = False) -> np.ndarray:
     """Mask of the states one step after, or ``backward`` before, a state of
     the boolean ``front``, through the 0/1 patterns, in which nothing
     underflows: forward by ``apply``'s contraction, backward by its
-    transpose, each row's front through ``A`` and then ``B``."""
+    transpose, each row's front through ``A`` and then ``B``.  The mask
+    is ``scratch.hit``, which the next push overwrites; ``front`` is
+    copied first, so it may be that mask."""
+    mu, out = scratch.front
+    np.copyto(mu, front)
     if not backward:
-        patterns = _patterns(kernel)
-        mu, out = kernel._pattern_front
-        np.copyto(mu, front)
-        return _contract(patterns, mu, out, kernel._pattern_work) > 0.0
-    hit = np.empty(kernel.n_states, dtype=bool)
-    for src, dst, A, B in _patterns(kernel):
-        # y[c, r, xB, o] = sum_xA front[dst[c, r, xB * 2**h + xA]] A[c, o, xA]; 1 xB if full
-        y = np.matmul(front[dst].astype(np.float32).reshape(len(src), -1, A.shape[2]),
+        return np.greater(_contract(scratch.patterns, mu, out, scratch.work), 0.0,
+                          out=scratch.hit)
+    for src, dst, A, B in scratch.patterns:
+        # y[c, r, xB, o] = sum_xA mu[dst[c, r, xB * 2**h + xA]] A[c, o, xA]; 1 xB if full
+        y = np.matmul(mu[dst].reshape(len(src), -1, A.shape[2]),
                       A.transpose(0, 2, 1)).reshape(*src.shape[:2], -1, src.shape[2])
         if B is not None:
             y *= B[:, None]
-        hit[src] = y.sum(axis=2) > 0.0
-    return hit
+        scratch.hit[src] = y.sum(axis=2) > 0.0
+    return scratch.hit
 
 
-def _reach(kernel: TransitionKernel, start: int, live, backward: bool = False) -> np.ndarray:
+def _reach(scratch: _Scratch, start: int, live, backward: bool = False) -> np.ndarray:
     """BFS levels, -1 where never reached, of the search from the live state
     ``start`` over the edges with positive probability, forward or
-    ``backward``, inside the boolean mask ``live``."""
-    level = np.where(np.arange(kernel.n_states) == start, 0, -1)
-    front, depth = level == 0, 0
+    ``backward``, inside the boolean mask ``live``.  Each level's front
+    is its push's mask, cut in place to the live states not yet reached."""
+    level, unseen, depth = np.full(len(live), -1), live.copy(), 0
+    level[start], unseen[start] = 0, False
+    front = level == 0
     while front.any():
         depth += 1
-        front = _push(kernel, front, backward) & live & (level < 0)
+        front = _push(scratch, front, backward)
+        front &= unseen
+        unseen ^= front
         np.putmask(level, front, depth)
     return level
 
@@ -556,21 +543,26 @@ def check_irreducible_aperiodic(kernel: TransitionKernel) -> KernelStructure:
     successor, each a component of its own, or else the component of the
     lowest live state: its forward and backward reach among them.  The
     period is the gcd of ``level[from] + 1 - level[to]`` over the edges
-    reached from state 0.  Every search pushes one front at a time.
+    reached from state 0.  Every search pushes one front at a time, in
+    scratch of the call's own.
     """
-    live, n_comp = np.ones(kernel.n_states, dtype=bool), 0
+    scratch, n_comp = _Scratch(kernel), 0
+    live = np.ones(kernel.n_states, dtype=bool)
     while live.any():
-        # each state with no live edge in, or none out, is a component; else one is peeled
-        gone = live & ~(_push(kernel, live) & _push(kernel, live, True))
+        # each state with no live edge in, or none out, is a component; else one
+        # is peeled (a push's mask is spent before the next push overwrites it)
+        gone = ~_push(scratch, live)
+        gone |= ~_push(scratch, live, True)
+        gone &= live
         n_comp += int(np.count_nonzero(gone)) or 1
         if not gone.any():  # peel the component of the lowest live state
             pivot = int(np.argmax(live))
-            ahead, behind = (_reach(kernel, pivot, live, back) >= 0 for back in (False, True))
+            ahead, behind = (_reach(scratch, pivot, live, back) >= 0 for back in (False, True))
             gone = ahead & behind
         live &= ~gone
-    level, period = _reach(kernel, 0, np.ones_like(live)), 0
+    level, period = _reach(scratch, 0, np.ones_like(live)), 0
     for depth in range(int(level.max()) + 1):
-        to = level[_push(kernel, level == depth)]
+        to = level[_push(scratch, level == depth)]
         period = int(np.gcd(period, np.gcd.reduce(np.abs(depth + 1 - to))))
     irreducible = n_comp == 1
     return KernelStructure(irreducible, irreducible and period == 1, period, n_comp)

@@ -207,6 +207,8 @@ def average_replicates(
     one replicate at a time in replicate order, each formed in the same
     reused (T, N) buffer.
     """
+    if t_max < 1:
+        raise ValueError("t_max must be at least 1")
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     draws = np.empty((t_max, replicates, config.n_urns), dtype=np.int8)

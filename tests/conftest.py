@@ -134,15 +134,30 @@ def isolated_equilibrium(rho, delta_r, delta_b):
     return rho * (1.0 + delta_r) / (1.0 + delta_b + rho * (delta_r - delta_b))
 
 
+def window_counts(kernel, states):
+    """Red draws per urn window of each packed state, shape (len, N): the
+    set bits among bits j*M .. j*M + M-1, read one bit at a time.
+
+    The per-state oracle for the red-count vectors that the kernel reads
+    from its count classes' digits.
+    """
+    states, M = np.asarray(states, dtype=np.int64), kernel.memory
+    counts = np.zeros(states.shape + (kernel.n_urns,), dtype=np.int64)
+    for j in range(kernel.n_urns):
+        for lag in range(M):
+            counts[..., j] += (states >> (j * M + lag)) & 1
+    return counts
+
+
 def draw_probabilities(kernel, states):
     """Red-draw probability of every urn out of each packed state, shape
     (len, N): the red ratios of the state's windows, read from
-    ``red_ratio_table`` at their ``window_counts``, mixed through S.
+    ``red_ratio_table`` at their :func:`window_counts`, mixed through S.
 
     The per-state oracle for the draw probabilities that the kernel
     evaluates once per red-count vector.
     """
-    counts = kernel.window_counts(states)
+    counts = window_counts(kernel, states)
     ratios = red_ratio_table(kernel.params)[np.arange(kernel.n_urns), counts]
     return clamp_probability(ratios @ kernel.S.T, what="draw probability")
 

@@ -38,6 +38,7 @@ from conftest import (
     realized_pair,
     to_sparse,
     transition_prob,
+    window_counts,
     write_rows,
 )
 
@@ -63,11 +64,12 @@ def brute_force_matrix(params, S):
 
 class TestLayout:
     def test_window_counts(self, rng):
+        # the oracle reads urn j's window from bits 3j..3j+2
         par = random_params(rng, 2, 3)
         kern = build_kernel(par, random_interaction(rng, 2))
         # urn 0 window = 0b101 (2 red), urn 1 window = 0b001 (1 red)
         state = 0b001_101
-        counts = kern.window_counts([state])[0]
+        counts = window_counts(kern, [state])[0]
         assert counts.tolist() == [2, 1]
 
 
@@ -234,6 +236,16 @@ class TestEvolve:
             with pytest.raises(ValueError, match=match):
                 stationary_distribution(kern, start=start)
 
+    def test_point_mass_refuses_a_state_that_is_not_an_integer(self):
+        kern = build_kernel(NetworkParams.homogeneous(2, 1, 0.5, 1.0), np.eye(2))
+        assert point_mass(kern, np.int64(3)).tolist() == [0.0, 0.0, 0.0, 1.0]
+        for state in (2.5, 1.0, True, "1"):
+            with pytest.raises(ValueError, match="state must be an integer"):
+                point_mass(kern, state)
+        for state in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                point_mass(kern, state)
+
 
 class TestMarginals:
     def test_single_bit_distribution(self):
@@ -280,12 +292,15 @@ class TestTwoFoldJoint:
 
     @pytest.mark.parametrize("n_urns", range(1, 9))
     def test_memory_one_reads_each_state_at_its_own_index(self, n_urns):
-        # at M = 1 a state's red-count vector is its bits, so its count index
-        # is the state and the count vectors' probabilities are the states'
+        # at M = 1 a state's red-count vector is its bits: the one class's
+        # source o is state o, its count index is o, and the count vectors'
+        # probabilities are the states'
         g = np.random.default_rng(n_urns)
         kern = build_kernel(random_params(g, n_urns, 1), random_interaction(g, n_urns))
         states = np.arange(kern.n_states)
-        assert np.array_equal(kern._count_index(states), states)
+        [(classes, _)] = kern._groups
+        assert np.array_equal(kern._oldest, states)
+        assert np.array_equal(chain._source_counts(classes, n_urns, 1), states[None])
         P = draw_probabilities(kern, states)
         assert np.array_equal(kern._count_probabilities().view(np.int64), P.view(np.int64))
         pi = g.dirichlet(np.ones(kern.n_states))
@@ -423,7 +438,7 @@ class TestKernelPaths:
             monkeypatch.setattr(chain, "BLOCK_ENTRIES", rows_per_block << (2 * par.n_urns))
         kern = build_kernel(par, S)
         g = np.random.default_rng(case[2])
-        for _ in range(2):  # the second pass reads the kept tables
+        for _ in range(2):  # the second pass reads the same tables
             mu = g.dirichlet(np.ones(kern.n_states))
             assert np.max(np.abs(kern.apply(mu) - mu @ Q)) <= 1e-15
         assert_split(kern, table_form)
@@ -511,7 +526,7 @@ class TestHalfTables:
         kern = build_kernel(random_params(g, n_urns, memory), random_interaction(g, n_urns))
         if rows is not None:
             assert_block_classes(kern, rows)
-        for _ in range(2):  # the second pass reads the kept tables
+        for _ in range(2):  # the second pass reads the same tables
             mu = g.dirichlet(np.ones(kern.n_states))
             assert np.max(np.abs(kern.apply(mu) - apply_by_full_blocks(kern, mu))) <= 1e-15
         assert_split(kern, table_form)
@@ -570,7 +585,7 @@ class TestCountClasses:
         N = par.n_urns
         assert kern._half == (N if full and par.memory >= 3 else N // 2)
         g = np.random.default_rng(seed)
-        for _ in range(2):  # the second pass reads what the first kept
+        for _ in range(2):  # the second pass reads the same tables
             mu = g.dirichlet(np.ones(kern.n_states))
             assert np.max(np.abs(kern.apply(mu) - apply_by_full_blocks(kern, mu))) <= 1e-15
 
@@ -589,7 +604,7 @@ class TestCountClasses:
                 kern = build_kernel(par, S)
             if classes is not None:
                 assert_block_classes(kern, classes)
-            tables = kern._tables()
+            tables = kern._blocks
             want = list(class_tables(kern))
         assert len(tables) == len(want)
         for got, ref in zip(tables, want):
@@ -604,15 +619,32 @@ class TestCountClasses:
     def test_classes_partition_rows_by_counts(self, n_urns, memory):
         S = np.full((n_urns, n_urns), 1.0 / n_urns)
         kern = build_kernel(NetworkParams.homogeneous(n_urns, memory, 0.5, 1.0), S)
-        # blocks hold runs of the M**N classes, in order
-        assert [lo for lo, _ in kern._groups] == np.cumsum(
-            [0] + [len(r) for _, r in kern._groups[:-1]]).tolist()
-        assert sum(len(r) for _, r in kern._groups) == memory**n_urns
+        # blocks hold each of the M**N classes once, and their rows each row once
+        classes = np.concatenate([c for c, _ in kern._groups])
+        assert np.array_equal(np.sort(classes), np.arange(memory**n_urns))
         rows = np.concatenate([r.ravel() for _, r in kern._groups])
         assert np.array_equal(np.sort(rows), np.arange(1 << (n_urns * (memory - 1))))
-        for lo, block in kern._groups:
-            counts = kern.window_counts(kern._kept[block])
-            assert np.array_equal(counts, np.broadcast_to(counts[:, :1], counts.shape))
+        # every row of class sum_j c_j M**j holds c_j red kept draws of urn j
+        for classes, block in kern._groups:
+            counts = window_counts(kern, kern._kept[block])
+            assert np.array_equal(counts @ memory ** np.arange(n_urns),
+                                  np.broadcast_to(classes[:, None], block.shape))
+
+    @given(class_kernels([(n, m) for n in range(1, 5) for m in range(1, 6)]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_class_digits_index_the_sources_counts(self, case, full):
+        # the count index that the tables are gathered at, read from each
+        # class's digits, is that of the oracle's counts of every source of
+        # every row of the class
+        par, S, _ = case
+        with mock.patch.object(chain, "KERNEL_CACHE_BYTES", (1 << 40) if full else 0):
+            kern = build_kernel(par, S)
+        N, M = par.n_urns, par.memory
+        for classes, rows in kern._groups:
+            src = kern._kept[rows][:, :, None] + kern._oldest
+            want = window_counts(kern, src) @ (M + 1) ** np.arange(N)
+            got = chain._source_counts(classes, N, M)
+            assert np.array_equal(np.broadcast_to(got[:, None], want.shape), want)
 
     def test_benchmark_chains(self):
         # the ring: 256 classes of 1, 3, 9, 27 and 81 rows, one full table
@@ -631,8 +663,7 @@ class TestCountClasses:
     def test_kernel_bytes_is_what_is_kept(self, n_urns, memory, table_form):
         g = np.random.default_rng(n_urns * memory)
         kern = build_kernel(random_params(g, n_urns, memory), random_interaction(g, n_urns))
-        kern.apply(point_mass(kern, 0))
-        kept = sum(a.nbytes for block in kern._cache for a in block if a is not None)
+        kept = sum(a.nbytes for block in kern._blocks for a in block if a is not None)
         assert kept == chain.kernel_bytes(n_urns, memory)
 
     def test_default_cap_tables_fit_the_budget(self):
@@ -670,8 +701,9 @@ def traced(fn):
 
 
 class TestWorkspace:
-    """After its first apply a kernel steps in memory it allocated then:
-    its tables in one allocation and one block workspace per dtype."""
+    """A kernel steps in memory that its constructor allocated: its tables
+    in one allocation and one page-aligned block workspace.  A structural
+    check pushes in scratch of its own, and leaves the kernel as built."""
 
     @pytest.mark.parametrize("which", ["ring", "ba"])
     def test_applies_allocate_nothing(self, which):
@@ -702,13 +734,12 @@ class TestWorkspace:
 
     def test_tables_share_one_allocation(self, table_form):
         kern = build_kernel(*structure_case(5))
-        kern.apply(point_mass(kern, 0))
 
         def root(T):
             while T.base is not None:
                 T = T.base
             return T
-        roots = {id(root(T)): root(T) for block in kern._cache for T in block[2:] if T is not None}
+        roots = {id(root(T)): root(T) for block in kern._blocks for T in block[2:] if T is not None}
         assert [T.nbytes for T in roots.values()] == [
             chain.kernel_bytes(kern.n_urns, kern.memory) - (16 << kern.n_bits)]
 
@@ -717,10 +748,13 @@ class TestWorkspace:
         # the held workspace fits the two left operands that working_bytes counts
         g = np.random.default_rng(n_urns + memory)
         kern = build_kernel(random_params(g, n_urns, memory), random_interaction(g, n_urns))
-        kern.apply(point_mass(kern, 0))
         rows = math.comb(memory - 1, (memory - 1) // 2) ** n_urns
         assert kern._work.nbytes <= 16 * max(chain.BLOCK_ENTRIES,
                                              rows << (2 * n_urns - kern._half))
+        # it starts on a page boundary, within the page of slack that
+        # working_bytes counts beside it
+        assert kern._work.ctypes.data % chain.PAGE_BYTES == 0
+        assert kern._work.base.nbytes - kern._work.nbytes == chain.PAGE_BYTES - 8
 
     def test_kernels_in_turn_match_fresh_kernels(self, table_form):
         # two kernels stepped in alternation give what each gives alone
@@ -744,15 +778,38 @@ class TestWorkspace:
                 assert np.array_equal(mus[i], alone[i][t])
 
     def test_certificate_between_applies(self, table_form):
-        # the certificate's float32 pushes run in a workspace of their own
+        # the constructor sets every attribute; applies and the certificate,
+        # whose float32 pushes run in scratch of their own, leave each one
+        # the object it was, and an apply after a certificate keeps its bits
         for par, S in [structure_case(seed) for seed in (2, 9)] + [
                 (NetworkParams.homogeneous(4, 4, 0.4, 1.0), ring(4))]:
             fresh = build_kernel(par, S)
             want = fresh.apply(fresh.apply(point_mass(fresh, 0)))
             kern = build_kernel(par, S)
+            built = dict(vars(kern))
+            assert all(value is not None for value in built.values())
             mu = kern.apply(point_mass(kern, 0))
             check_irreducible_aperiodic(kern)
             assert np.array_equal(kern.apply(mu), want)
+            assert vars(kern).keys() == built.keys()
+            assert all(vars(kern)[name] is value for name, value in built.items())
+
+    def test_forward_pushes_allocate_nothing(self):
+        # on the 4-ring at memory 4 a push once allocated its 64 KiB bool
+        # result, and before that a float32 front and result of 256 KiB each
+        kern = benchmark_kernel("ring")
+        scratch = chain._Scratch(kern)
+        front = chain._push(scratch, np.arange(kern.n_states) == 0)
+
+        def ten():
+            hit = front
+            for _ in range(10):
+                hit = chain._push(scratch, hit)
+            return hit
+
+        hit, _, peak = traced(ten)
+        assert peak < 16 << 10
+        assert hit is scratch.hit and hit.any()
 
 
 class TestPush:
@@ -770,14 +827,15 @@ class TestPush:
                 monkeypatch.setattr(chain, "BLOCK_ENTRIES",
                                     class_block_entries(par.n_urns, par.memory, rows))
             kern = build_kernel(par, S)
+            scratch = chain._Scratch(kern)
             edge = (to_sparse(kern).toarray() > 0.0).astype(np.int64)
             # a dense front, a sparse one, and one of a single state, each
             # with one state forced in
             for density in (0.5, 0.1, 0.0):
                 front = g.random(kern.n_states) < density
                 front[g.integers(kern.n_states)] = True
-                assert np.array_equal(chain._push(kern, front), edge.T @ front > 0), (par, S)
-                assert np.array_equal(chain._push(kern, front, True), edge @ front > 0), (par, S)
+                assert np.array_equal(chain._push(scratch, front), edge.T @ front > 0), (par, S)
+                assert np.array_equal(chain._push(scratch, front, True), edge @ front > 0), (par, S)
             if rows is not None:
                 assert_block_classes(kern, rows)
 
@@ -796,18 +854,18 @@ class TestPush:
                                              indices=int(np.searchsorted(at, start)))
                 want = np.full(kern.n_states, -1)
                 want[at] = np.where(np.isfinite(dist), dist, -1)
-                assert np.array_equal(chain._reach(kern, start, live, backward), want), (par, S)
+                assert np.array_equal(chain._reach(chain._Scratch(kern), start, live, backward),
+                                      want), (par, S)
 
     def test_patterns_take_the_tables_form(self, table_form):
-        # the patterns are the tables' positive entries, kept whole where
-        # the tables are and as halves where they are
+        # the patterns are the tables' positive entries, whole where the
+        # tables are and as halves where they are
         forms = set()
         for par, S in [structure_case(seed) for seed in range(48)]:
             kern = build_kernel(par, S)
-            chain._push(kern, np.ones(kern.n_states, dtype=bool))
-            tables = kern._tables()
-            assert len(kern._patterns) == len(tables)
-            for (src, dst, A, B), pattern in zip(tables, kern._patterns):
+            tables, patterns = kern._blocks, chain._Scratch(kern).patterns
+            assert len(patterns) == len(tables)
+            for (src, dst, A, B), pattern in zip(tables, patterns):
                 assert pattern[0] is src and pattern[1] is dst
                 assert (pattern[3] is None) == (B is None)
                 forms.add(B is None)
@@ -816,17 +874,6 @@ class TestPush:
                         assert E.dtype == np.float32 and E.shape == T.shape
                         assert np.array_equal(E, T > 0.0)
         assert forms == ({False, True} if table_form == "full" else {False})
-
-    def test_patterns_are_formed_once_per_kernel(self, table_form):
-        # kept beside the tables, whole or as halves
-        kern = build_kernel(*structure_case(3))
-        front = np.ones(kern.n_states, dtype=bool)
-        for backward in (False, True):
-            hit = chain._push(kern, front, backward)
-            kept = kern._patterns
-            assert kept is not None
-            assert np.array_equal(chain._push(kern, front, backward), hit)
-            assert kern._patterns is kept
 
 
 class TestAdmission:
@@ -867,6 +914,9 @@ class TestLagMarginals:
                 assert marginal_infection(mu, urn, lag, memory) == got[urn]
 
     def test_validation(self):
+        for memory in (0, -1):
+            with pytest.raises(ValueError, match="memory must be at least 1"):
+                lag_marginals([0.5, 0.5], 0, memory)
         with pytest.raises(ValueError):
             lag_marginals([0.5, 0.5, 0.0], 0, 1)
         with pytest.raises(ValueError):

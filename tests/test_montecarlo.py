@@ -147,6 +147,13 @@ class TestReplicates:
         with pytest.raises(ValueError):
             average_replicates(raw, 10, 0, master_seed=1)
 
+    @pytest.mark.parametrize("t_max", [0, -1])
+    def test_t_max_validated(self, t_max):
+        # as simulate refuses it, not an empty summary
+        raw = homogeneous_raw(1, 1, 5, 25, 11)
+        with pytest.raises(ValueError, match="t_max must be at least 1"):
+            average_replicates(raw, t_max, 3, master_seed=1)
+
     # Urn 1's total starts at 2**53 - 1 and a window adds as much per step:
     # 1024 such totals are 2**63 - 1024 and 1025 would pass 2**63 - 1.
     BIG = 2**53 - 1
